@@ -12,11 +12,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first thirteen primes; the first twelve alone let the strong
+# pseudoprime 318665857834031151167461 = 399165290221 * 798330580441 through
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# the least strong pseudoprime to every base in _SMALL_PRIMES (Sorenson and
+# Webster 2015): 1287836182261 * 2575672364521
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every modulus that fits in memory."""
+    """Deterministic Miller-Rabin, exact for p < PRIMALITY_BOUND.
+
+    Raises ValueError for larger p, where these bases no longer decide
+    primality.
+    """
+    if p >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"cannot certify that {p} is prime: moduli must be below "
+            f"{PRIMALITY_BOUND}")
     if p < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -26,7 +40,6 @@ def is_prime(p: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # this witness set is deterministic for p < 3.3 * 10^24
     for a in _SMALL_PRIMES:
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
@@ -127,17 +140,13 @@ class FpElement:
     def __eq__(self, other):
         if isinstance(other, FpElement):
             return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                return False
-            return self.val == self._coerce(other)
+        # a number equals only the canonical representative, so that equal
+        # values hash equally: FpElement(3, 7) == 3 but != 10
+        if isinstance(other, (int, Fraction)):
+            return self.val == other
         return NotImplemented
 
     def __hash__(self):
-        # matches int hashing of the canonical representative so that
-        # FpElement(3, 7) == 3 hashes consistently
         return hash(self.val)
 
     def __repr__(self):

@@ -1,18 +1,47 @@
 """Exact dense linear algebra over the coefficient field.
 
-Everything reduces to one primitive: reduced row echelon form with
-exact arithmetic.  Vectors are plain lists; a Subspace is the canonical
-RREF basis of a subspace of a fixed homogeneous component, so two
-subspaces are equal iff their stored rows are identical.
+Everything reduces to one primitive: reduced row echelon form.  Vectors
+are plain lists; a Subspace is the canonical RREF basis of a subspace of
+a fixed homogeneous component, so two subspaces are equal iff their
+stored rows are identical.
 
-Skip-zero guards in the elimination inner loop keep the sparse cases
-(diagonal rules, the zero rule) near linear time without a separate
-sparse code path.
+``rref`` eliminates on plain ints, never on field objects.  Over F_p it
+works on the residues ``FpElement.val`` and wraps the result back.  Over
+Q it scales each row to integers and eliminates modulo a 61-bit prime
+p, then returns only what it has proved exact:
+
+* full column rank mod p means full column rank over Q (a minor that is
+  nonzero mod p is nonzero), so the answer is the identity;
+* otherwise every entry of the mod-p RREF is rationally reconstructed
+  (Wang) into a candidate B, and every input row a is checked over Z to
+  be ``sum_t a[pivot_t] * B_t``.  That puts the row space of the input
+  inside span(B), while dim B = rank_p <= rank_Q; so the two spans
+  agree, and since the RREF is unique B is the exact answer.
+
+When a prime fails the check the next one is tried; after the last, the
+plain ``Fraction`` elimination answers.  The modular elimination walks
+only the pivot row's nonzero columns and the certificate only the
+nonzero entries of B, so the sparse cases (diagonal rules, the zero
+rule, near-identity bases) stay near linear time.
 """
 
 from __future__ import annotations
 
-from .freealg import NCPoly, index_word
+from fractions import Fraction
+from itertools import chain
+from math import gcd, isqrt, lcm
+from operator import attrgetter
+
+from .fields import FpElement
+from .freealg import NCPoly
+
+
+# moduli of the rational path, tried in order: the two largest primes
+# below 2^61 (tests check both with fields.is_prime)
+_PRIMES = ((1 << 61) - 1, (1 << 61) - 31)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rref(rows):
@@ -22,7 +51,25 @@ def rref(rows):
     ``(reduced_rows, pivot_columns)`` with zero rows dropped, each pivot
     normalized to one and cleared above and below.  The result is the
     canonical basis of the row space.  Input rows are not modified.
+
+    Rows of ``Fraction`` or of ``FpElement`` over one modulus are
+    eliminated on ints, as the module docstring describes; any other
+    entries in their own arithmetic.
     """
+    rows = [list(r) for r in rows]
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if kinds == {Fraction}:
+        return _rref_rational(rows)
+    if kinds == {FpElement}:
+        moduli = set(map(attrgetter("p"), chain.from_iterable(rows)))
+        if len(moduli) == 1:
+            return _rref_fp(rows, moduli.pop())
+    return _rref_fraction(rows)
+
+
+def _rref_fraction(rows):
+    """Elimination in the entries' own arithmetic: the fallback of ``rref``
+    and its test oracle."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return [], []
@@ -56,6 +103,159 @@ def rref(rows):
         if rank == len(rows):
             break
     return rows[:rank], pivots
+
+
+def _rref_mod(rows, p):
+    """RREF mod p of nonzero rows of residues in [0, p), reduced in place.
+
+    Returns ``(reduced_rows, pivots)``.  Rows wait in buckets keyed by
+    their first nonzero column, so each pivot step touches only the rows
+    it has to clear.  The forward pass alone decides full column rank,
+    the common case, which skips back substitution.
+    """
+    ncols = len(rows[0])
+    waiting = {}
+    for r in rows:
+        waiting.setdefault(next(filter(r.__getitem__, range(ncols))), []).append(r)
+    red, pivots = [], []
+    for col in range(ncols):
+        group = waiting.pop(col, None)
+        if group is None:
+            continue
+        # entries of waiting rows are reduced lazily: exact up to the lead
+        # column, off by multiples of p after it
+        prow = group.pop()
+        prow[col + 1:] = [x % p for x in prow[col + 1:]]
+        nz = list(filter(prow.__getitem__, range(col, ncols)))
+        inv = pow(prow[col], -1, p)
+        if inv != 1:
+            for j in nz:
+                prow[j] = prow[j] * inv % p
+        pvals = [prow[j] for j in nz]
+        for irow in group:
+            f = irow[col]
+            for j, v in zip(nz, pvals):
+                irow[j] -= f * v
+            for j in range(col + 1, ncols):
+                x = irow[j] = irow[j] % p
+                if x:
+                    waiting.setdefault(j, []).append(irow)
+                    break
+        red.append(prow)
+        pivots.append(col)
+        if not waiting:
+            break
+    if len(pivots) == ncols:
+        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)], pivots
+    for t in range(len(red) - 1, 0, -1):
+        col = pivots[t]
+        prow = red[t]
+        nz = list(filter(prow.__getitem__, range(col, ncols)))
+        pvals = [prow[j] for j in nz]
+        for irow in red[:t]:
+            f = irow[col]
+            if f:
+                for j, v in zip(nz, pvals):
+                    irow[j] = (irow[j] - f * v) % p
+    return red, pivots
+
+
+def _rref_fp(rows, p):
+    """RREF over F_p on the residues, wrapped back into FpElement."""
+    vals = [v for v in ([c.val for c in r] for r in rows) if any(v)]
+    if not vals:
+        return [], []
+    red, pivots = _rref_mod(vals, p)
+    zero, one = FpElement(0, p), FpElement(1, p)
+    return [[FpElement(v, p) if v > 1 else (one if v else zero) for v in r]
+            for r in red], pivots
+
+
+def _rref_rational(rows):
+    """RREF over Q via certified elimination mod the primes in _PRIMES."""
+    ints, supports = [], []
+    for r in rows:
+        nums = [c.numerator for c in r]
+        nz = list(filter(nums.__getitem__, range(len(nums))))
+        if not nz:
+            continue
+        dens = [r[j].denominator for j in nz]
+        den = lcm(*dens)
+        if den != 1:
+            for j, d in zip(nz, dens):
+                nums[j] *= den // d
+        g = gcd(*nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+        ints.append(nums)
+        supports.append(nz)
+    if not ints:
+        return [], []
+    ncols = len(ints[0])
+    for p in _PRIMES:
+        # a primitive integer row is never zero mod p
+        red, pivots = _rref_mod([[a % p for a in r] for r in ints], p)
+        if len(pivots) == ncols:
+            return [[_ONE if j == i else _ZERO for j in range(ncols)]
+                    for i in range(ncols)], pivots
+        basis = _certified_lift(red, pivots, p, ints, supports)
+        if basis is not None:
+            return basis, pivots
+    return _rref_fraction(rows)
+
+
+def _reconstruct(u, p, bound):
+    """Wang's rational reconstruction: n/d = u mod p with |n|, d <= bound,
+    or None."""
+    r0, r1 = p, u
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _certified_lift(red, pivots, p, ints, supports):
+    """The rational RREF whose image mod p is ``red``, or None unless it
+    provably spans the row space of the integer rows ``ints``, whose
+    nonzero columns are ``supports``."""
+    ncols = len(red[0])
+    bound = isqrt(p // 2)
+    lifted = {1: _ONE}
+    basis, entries = [], []
+    for r in red:
+        row = [_ZERO] * ncols
+        terms = []
+        for j in filter(r.__getitem__, range(ncols)):
+            q = lifted.get(r[j])
+            if q is None:
+                q = _reconstruct(r[j], p, bound)
+                if q is None:
+                    return None
+                lifted[r[j]] = q
+            row[j] = q
+            terms.append((j, q))
+        basis.append(row)
+        entries.append(terms)
+    # certificate over Z: den*a == sum_t a[pivot_t] * (den*B_t) for every row a
+    den = lcm(*[q.denominator for q in lifted.values()])
+    scaled = [[(j, q.numerator * (den // q.denominator)) for j, q in terms]
+              for terms in entries]
+    where = {col: t for t, col in enumerate(pivots)}
+    for a, nz in zip(ints, supports):
+        acc = [0] * ncols
+        for j in nz:
+            t = where.get(j)
+            if t is not None:
+                c = a[j]
+                for k, v in scaled[t]:
+                    acc[k] += c * v
+        if acc != ([den * x for x in a] if den != 1 else a):
+            return None
+    return basis
 
 
 def nullspace(rows, ncols, field):
@@ -311,7 +511,3 @@ def preimage(images, targets, domain_degree, n, field):
             eqs.append(eq)
     sols = nullspace(eqs, dom, field)
     return Subspace.from_vectors(sols, n, domain_degree, field)
-
-
-def poly_from_index(n, degree, idx, field):
-    return NCPoly.from_word(n, index_word(idx, degree, n), field)

@@ -24,7 +24,9 @@ from .linalg import Subspace, nullspace, preimage
 
 
 class IdealPropertyViolation(RuntimeError):
-    """The computed components failed x^i*I_{s-1} + I_{s-1}*x^i <= I_s."""
+    """A self-check of the construction failed: the components are not
+    ideal slices (x^i*I_{s-1} + I_{s-1}*x^i <= I_s), or an invariant-subspace
+    round did not shrink its space."""
 
 
 def _require_homogeneous(rule: CommRule):
@@ -96,7 +98,10 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
                             v[c] = v[c] + coeff * row[c]
             vectors.append(v)
         smaller = Subspace.from_vectors(vectors, n, w_space.degree, field)
-        assert smaller.dim < w_space.dim
+        if smaller.dim >= w_space.dim:
+            raise IdealPropertyViolation(
+                f"invariant-subspace round did not shrink the degree-"
+                f"{w_space.degree} space (dim {w_space.dim} -> {smaller.dim})")
         w_space = smaller
 
 

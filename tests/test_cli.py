@@ -336,3 +336,12 @@ def test_cli_never_raises_under_mutation(tmp_path, monkeypatch):
             del argv[rng.randrange(len(argv))]
         code, _, _ = run(*argv)
         assert code in (0, 1, 2), (argv, code)
+
+
+def test_modulus_beyond_primality_bound_exits_1(tmp_path):
+    big = 3317044064679887385961981
+    doc = {"n": 1, "field": f"Fp:{big}", "vars": ["x1"], "A": [[["x1"]]]}
+    path = write_rule(tmp_path, doc=doc)
+    code, out, err = run("derive", "--rule", path, "--var", "x1", "--expr", "x1^2")
+    assert code == 1 and out == ""
+    assert "cannot certify" in err and str(big) in err

@@ -103,3 +103,33 @@ def test_rational_field_of():
 def test_fp_elements_refuse_mixed_moduli():
     with pytest.raises((ValueError, TypeError)):
         GF(7).of(1) + GF(11).of(1)
+
+
+def test_is_prime_refuses_moduli_beyond_its_witness_bound():
+    # strong pseudoprime to the bases 2..37; only base 41 exposes it
+    assert not is_prime(399165290221 * 798330580441)
+    # 1287836182261 * 2575672364521 passes every base up to 41
+    bound = 3317044064679887385961981
+    assert bound == 1287836182261 * 2575672364521
+    for p in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_prime(p)
+        with pytest.raises(ValueError):
+            GF(p)
+        with pytest.raises(ValueError):
+            field_from_name(f"Fp:{p}")
+
+
+def test_fp_equality_matches_hash():
+    F = GF(7)
+    a = F.of(3)
+    assert a == 3 and 3 == a
+    assert a != 10 and a != -4
+    assert a == Fraction(3) and a != Fraction(10)
+    assert len({a, 10}) == 2 and len({a, 3}) == 1
+    values = [F.of(t) for t in range(-7, 14)] + list(range(-7, 14))
+    values += [Fraction(t, 2) for t in range(-7, 14)]
+    for u in values:
+        for v in values:
+            if u == v:
+                assert hash(u) == hash(v), (u, v)

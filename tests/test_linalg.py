@@ -15,6 +15,7 @@ from nccalc import (
     rref,
     word_partials,
 )
+from nccalc import linalg
 from helpers import grid_intersection, random_poly
 
 
@@ -190,3 +191,134 @@ def test_shape_mismatch_rejected():
         W1.intersect(W2)
     with pytest.raises(ValueError):
         W1.equal(W2)
+
+
+# ---- the modular rref against the Fraction elimination ----
+
+def assert_same_rref(rows):
+    got = rref(rows)
+    want = linalg._rref_fraction(rows)
+    assert got == want
+    assert [[type(c) for c in r] for r in got[0]] == \
+        [[type(c) for c in r] for r in want[0]]
+    return got
+
+
+def product_rows(nrows, ncols, rank, entry):
+    """An nrows x ncols matrix of rank at most ``rank``: C*A with random
+    factors whose entries come from ``entry()``."""
+    a = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    c = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    return [[sum((c[i][t] * a[t][j] for t in range(rank)), Fraction(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def small_fraction(rng):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_rref_full_column_rank_is_identity():
+    rng = random.Random(21)
+    for _ in range(40):
+        ncols = rng.randint(1, 12)
+        rows = product_rows(ncols + rng.randint(0, 4), ncols, ncols,
+                            lambda: small_fraction(rng))
+        red, pivots = assert_same_rref(rows)
+        if len(pivots) == ncols:
+            assert red == [[Fraction(int(i == j)) for j in range(ncols)]
+                           for i in range(ncols)]
+
+
+def test_rref_rank_deficient_rational_products():
+    rng = random.Random(22)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        rank = rng.randint(1, min(nrows, ncols))
+        rows = product_rows(nrows, ncols, rank, lambda: small_fraction(rng))
+        assert_same_rref(rows)
+    # sparse, near-identity and zero inputs
+    for _ in range(40):
+        ncols = rng.randint(1, 40)
+        rows = [[Fraction(0)] * ncols for _ in range(rng.randint(0, ncols))]
+        for r in rows:
+            for _ in range(rng.randint(0, 2)):
+                r[rng.randrange(ncols)] = small_fraction(rng)
+        assert_same_rref(rows)
+
+
+def test_rref_large_entries_fall_back_exactly(monkeypatch):
+    calls = []
+    fraction_rref = linalg._rref_fraction
+
+    def spy(rows):
+        calls.append(len(rows))
+        return fraction_rref(rows)
+
+    monkeypatch.setattr(linalg, "_rref_fraction", spy)
+    rng = random.Random(23)
+    big = lambda: Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+    for _ in range(15):
+        nrows, ncols = rng.randint(2, 6), rng.randint(3, 6)
+        rows = product_rows(nrows, ncols, rng.randint(1, min(nrows, ncols) - 1), big)
+        got = rref(rows)
+        assert got == fraction_rref(rows)
+        assert all(type(c) is Fraction for r in got[0] for c in r)
+    # entries this large cannot be reconstructed mod a 61-bit prime
+    assert calls
+
+
+def test_rref_second_prime_answers_when_the_first_is_unlucky(monkeypatch):
+    p = linalg._PRIMES[0]
+    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + p)]]
+    used = []
+    mod_rref = linalg._rref_mod
+
+    def spy(ints, q):
+        used.append(q)
+        return mod_rref(ints, q)
+
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    assert rref(rows) == ([[1, 0], [0, 1]], [0, 1])
+    assert used == list(linalg._PRIMES[:2])
+
+
+def test_rref_moduli_are_the_largest_primes_below_2_61():
+    from nccalc import is_prime
+    first, second = linalg._PRIMES
+    assert first == 2**61 - 1 and second < first
+    assert is_prime(second)
+    assert not any(is_prime(q) for q in range(second + 1, first))
+
+
+def test_rref_certificate_holds_for_a_tiny_unlucky_prime(monkeypatch):
+    monkeypatch.setattr(linalg, "_PRIMES", (3,))
+    rng = random.Random(24)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(1, min(nrows, ncols))
+        entry = lambda: Fraction(rng.choice([0, 0, 1, 2, 3, -3, 6]), rng.choice([1, 1, 2]))
+        assert_same_rref(product_rows(nrows, ncols, rank, entry))
+
+
+def test_rref_over_prime_field_matches_oracle():
+    F = GF(10007)
+    rng = random.Random(25)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rank = rng.randint(1, min(nrows, ncols))
+        a = [[F.of(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(rank)]
+        c = [[F.of(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(nrows)]
+        rows = [[sum((c[i][t] * a[t][j] for t in range(rank)), F.zero)
+                 for j in range(ncols)] for i in range(nrows)]
+        assert_same_rref(rows)
+
+
+def test_rref_does_not_modify_its_input():
+    rng = random.Random(26)
+    for field in (QQ, GF(7)):
+        rows = random_rows(rng, 5, 6, field)
+        copy = [list(r) for r in rows]
+        rref(rows)
+        assert rows == copy

@@ -7,6 +7,7 @@ from nccalc import (
     GF,
     QQ,
     CommRule,
+    IdealPropertyViolation,
     MatrixPoly,
     NCPoly,
     NonHomogeneousRuleError,
@@ -298,3 +299,14 @@ def test_prime_field_agrees_on_dims():
     filt_f = optimal_ideal(builtin("ex3.1-diag", field=F, q=q_f), 4)
     filt_q = optimal_ideal(builtin("ex3.1-diag", q=[[-1, 2], [Fraction(1, 2), -1]]), 4)
     assert [c.dim for c in filt_f.components] == [c.dim for c in filt_q.components]
+
+
+def test_largest_invariant_refuses_a_round_that_does_not_shrink(monkeypatch):
+    # a round that fails to shrink would loop forever; it must raise, also
+    # under python -O
+    r = strict_fixpoint_rule()
+    u = compute_U(r, 2, Subspace.zero(2, 1, QQ))
+    monkeypatch.setattr(Subspace, "from_vectors",
+                        classmethod(lambda cls, vectors, n, degree, field: u))
+    with pytest.raises(IdealPropertyViolation, match="did not shrink"):
+        largest_invariant(r, u)
