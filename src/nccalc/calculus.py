@@ -61,19 +61,21 @@ def partial(rule: CommRule, k: int, f: NCPoly) -> NCPoly:
     return acc
 
 
-class OneForm:
-    """A form dx^1*w_1 + ... + dx^n*w_n, stored as its component tuple."""
+class _Components:
+    """n polynomials over one algebra: the shared body of OneForm and
+    VectorField.  Values of different subclasses never compare equal and
+    never add."""
 
     __slots__ = ("n", "field", "components")
 
     def __init__(self, components):
         components = tuple(components)
         if not components:
-            raise ValueError("a form needs at least one component")
+            raise ValueError(f"a {self._noun} needs at least one component")
         first = components[0]
         for c in components:
             if not isinstance(c, NCPoly) or c.n != first.n or c.field != first.field:
-                raise ValueError("form components disagree on algebra")
+                raise ValueError(f"{self._noun} components disagree on algebra")
         if first.n != len(components):
             raise ValueError(
                 f"expected {first.n} components, got {len(components)}")
@@ -87,104 +89,55 @@ class OneForm:
 
     @classmethod
     def basis(cls, n, k, field):
-        """The form dx^k."""
+        """The k-th basis element: dx^k for forms, D_k for fields."""
         return cls(tuple(NCPoly.one(n, field) if i == k - 1 else
                          NCPoly.zero(n, field) for i in range(n)))
 
     def __add__(self, other):
-        if not isinstance(other, OneForm):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return OneForm(tuple(a + b for a, b in
-                             zip(self.components, other.components)))
+        return type(self)(a + b for a, b in zip(self.components, other.components))
 
     def __sub__(self, other):
-        if not isinstance(other, OneForm):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return OneForm(tuple(a - b for a, b in
-                             zip(self.components, other.components)))
+        return type(self)(a - b for a, b in zip(self.components, other.components))
 
     def __rmul__(self, c):
-        return OneForm(tuple(c * a for a in self.components))
+        return type(self)(c * a for a in self.components)
+
+    def __bool__(self):
+        return any(self.components)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
+
+    def __repr__(self):
+        body = ", ".join(str(c) for c in self.components)
+        return f"<{type(self).__name__} ({body})>"
+
+
+class OneForm(_Components):
+    """A form dx^1*w_1 + ... + dx^n*w_n, stored as its component tuple."""
+
+    __slots__ = ()
+    _noun = "form"
 
     def right_mul(self, g: NCPoly) -> "OneForm":
         """The right module action (dx^i*w_i)*g = dx^i*(w_i*g)."""
-        return OneForm(tuple(a * g for a in self.components))
-
-    def __bool__(self):
-        return any(self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.components)
-        return f"<OneForm ({body})>"
+        return OneForm(a * g for a in self.components)
 
 
-class VectorField:
+class VectorField(_Components):
     """A field Y^1*D_1 + ... + Y^n*D_n, stored as its coefficient tuple."""
 
-    __slots__ = ("n", "field", "components")
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a vector field needs at least one component")
-        first = components[0]
-        for c in components:
-            if not isinstance(c, NCPoly) or c.n != first.n or c.field != first.field:
-                raise ValueError("vector field components disagree on algebra")
-        if first.n != len(components):
-            raise ValueError(
-                f"expected {first.n} components, got {len(components)}")
-        self.n = first.n
-        self.field = first.field
-        self.components = components
-
-    @classmethod
-    def zero(cls, n, field):
-        return cls((NCPoly.zero(n, field),) * n)
-
-    @classmethod
-    def basis(cls, n, k, field):
-        """The field D_k."""
-        return cls(tuple(NCPoly.one(n, field) if i == k - 1 else
-                         NCPoly.zero(n, field) for i in range(n)))
-
-    def __add__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(a + b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return VectorField(tuple(a - b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __rmul__(self, c):
-        return VectorField(tuple(c * a for a in self.components))
-
-    def __bool__(self):
-        return any(self.components)
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.components)
-        return f"<VectorField ({body})>"
+    __slots__ = ()
+    _noun = "vector field"
 
 
 def differential(rule: CommRule, f: NCPoly) -> OneForm:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .commrule import CommRule, MatrixPoly, NonHomogeneousRuleError
 from .freealg import NCPoly
-from .optimal import optimal_ideal
+from .optimal import _holds_commutator, optimal_ideal
 
 SWAP = ((0, 1), (1, 0))
 
@@ -258,7 +258,4 @@ def commutator_in_I2(rule: CommRule) -> bool:
     """Whether x1x2 - x2x1 lies in the degree-2 component of the optimal
     ideal (equivalently, the optimal algebra is commutative)."""
     _require_two_homogeneous(rule)
-    filt = optimal_ideal(rule, 2)
-    x1 = NCPoly.gen(2, 1, rule.field)
-    x2 = NCPoly.gen(2, 2, rule.field)
-    return filt.component(2).contains(x1 * x2 - x2 * x1)
+    return _holds_commutator(optimal_ideal(rule, 2).component(2))

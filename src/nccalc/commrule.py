@@ -150,10 +150,6 @@ class CommRule:
         self._word_partials = {}
 
     @classmethod
-    def from_matrices(cls, images):
-        return cls(images)
-
-    @classmethod
     def from_tensor(cls, n, entries, field=QQ):
         """Homogeneous rule from sparse tensor entries (i, j, k, l, coeff),
         placing coeff * x^l into the image of x^j at (row k, column i)."""

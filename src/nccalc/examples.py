@@ -21,7 +21,6 @@ class Example:
     name: str
     summary: str
     build: object  # field -> CommRule
-    params: dict   # displayed alongside the rule file
 
 
 _HALF = Fraction(1, 2)
@@ -34,59 +33,50 @@ def _catalog():
             "diagonal q-deformation, generic q (quantum-plane quotient)",
             lambda field: builtin("ex3.1-diag", field,
                                   q=[[3, 2], [_HALF, 3]]),
-            {"q11": "3", "q12": "2", "q21": "1/2", "q22": "3"},
         ),
         Example(
             "ex3.2-zero",
             "zero rule: differentials absorb everything, quotient stays free",
             lambda field: builtin("ex3.2-zero", field, n=2),
-            {},
         ),
         Example(
             "ex3.3-minus",
             "sign-flip rule: every degree-2 word dies, quotient is scalars+span",
             lambda field: builtin("ex3.3-minus", field, n=2),
-            {},
         ),
         Example(
             "ex3.4",
             "one-variable survivor: only powers of x1 remain in the quotient",
             lambda field: builtin("ex3.4", field, alphas=[1]),
-            {"alpha2": "1"},
         ),
         Example(
             "ex3.5",
             "split rule: quotient is two polynomial lines glued at scalars",
             lambda field: builtin("ex3.5", field, mu=1, lam=1),
-            {"mu": "1", "lam": "1"},
         ),
         Example(
             "thm4.1-I",
             "regular commutative family I at u=x1, v=x2, w=x1, lam=2",
             lambda field: build_family(
                 FamilyParams("I", u=(1, 0), v=(0, 1), w=(1, 0), lam=2), field),
-            {"u": "x1", "v": "x2", "w": "x1", "lam": "2"},
         ),
         Example(
             "thm4.1-II",
             "regular commutative family II at v=x1, v1=x2, lam=1, mu=2",
             lambda field: build_family(
                 FamilyParams("II", v=(1, 0), v1=(0, 1), lam=1, mu=2), field),
-            {"v": "x1", "v1": "x2", "lam": "1", "mu": "2"},
         ),
         Example(
             "thm4.1-III",
             "regular commutative family III at u=x1, v=x2 (classical calculus)",
             lambda field: build_family(
                 FamilyParams("III", u=(1, 0), v=(0, 1)), field),
-            {"u": "x1", "v": "x2"},
         ),
         Example(
             "thm4.1-IV",
             "regular commutative family IV at u=x2, v=x1, w=x1",
             lambda field: build_family(
                 FamilyParams("IV", u=(0, 1), v=(1, 0), w=(1, 0)), field),
-            {"u": "x2", "v": "x1", "w": "x1"},
         ),
     )
 

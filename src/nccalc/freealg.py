@@ -124,9 +124,6 @@ class NCPoly:
         return NCPoly(self.n, self.field,
                       {w: c for w, c in self.terms.items() if len(w) == s})
 
-    def constant_term(self):
-        return self.terms.get((), self.field.zero)
-
     # ---- arithmetic ----
 
     def _check(self, other: "NCPoly"):
@@ -269,10 +266,6 @@ class FreeAlgebra:
     @property
     def zero(self):
         return NCPoly.zero(self.n, self.field)
-
-    def from_terms(self, terms):
-        return NCPoly(self.n, self.field, {tuple(w): self.field.of(c)
-                                           for w, c in terms.items()})
 
     def __repr__(self):
         return f"FreeAlgebra({self.n}, {self.field!r})"

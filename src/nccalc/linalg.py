@@ -3,7 +3,9 @@
 Everything reduces to one primitive: reduced row echelon form.  Vectors
 are plain lists; a Subspace is the canonical RREF basis of a subspace of
 a fixed homogeneous component, so two subspaces are equal iff their
-stored rows are identical.
+stored rows are identical.  Preimages, intersections and the
+invariant-subspace rounds of ``optimal`` all take one kernel step,
+``Subspace.kernel_of``.
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.  Over
@@ -408,35 +410,33 @@ class Subspace:
             raise ValueError("subspace coefficient fields differ")
 
     def intersect(self, other: "Subspace"):
-        """Intersection, via the nullspace of the stacked basis.
-
-        A vector sum(a_i u_i) = sum(b_j v_j) of the two bases is in the
-        intersection; solving the concatenated system for (a, b) and
-        projecting onto the a-part spans it.
-        """
+        """Intersection: the combinations of this basis that ``other``
+        reduces to zero (``reduce`` is linear)."""
         self._check(other)
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.n, self.degree, self.field)
-        amb = self.ambient_dim
-        k1, k2 = self.dim, other.dim
-        # columns: a_1..a_k1, b_1..b_k2; rows: one equation per coordinate
-        eqs = []
-        for c in range(amb):
-            eq = [self.rows[i][c] for i in range(k1)]
-            eq += [-other.rows[j][c] for j in range(k2)]
-            if any(eq):
-                eqs.append(eq)
-        vectors = []
-        for sol in nullspace(eqs, k1 + k2, self.field):
-            v = [self.field.zero] * amb
-            for i in range(k1):
-                if sol[i]:
-                    row = self.rows[i]
-                    a = sol[i]
-                    for c in range(amb):
-                        if row[c]:
-                            v[c] = v[c] + a * row[c]
-            vectors.append(v)
+        return self.kernel_of([other.reduce(r) for r in self.rows])
+
+    def kernel_of(self, residuals):
+        """Kernel of a linear map restricted to this subspace.
+
+        ``residuals[t]`` is the image of basis row t, as a coordinate
+        list.  Returns the Subspace of all combinations sum_t a_t*rows[t]
+        with sum_t a_t*residuals[t] = 0.
+        """
+        eqs = [eq for eq in map(list, zip(*residuals)) if any(eq)]
+        sols = nullspace(eqs, self.dim, self.field)
+        if self.dim == self.ambient_dim:
+            # the basis is the identity, so a solution is its own combination
+            vectors = sols
+        else:
+            vectors = []
+            for sol in sols:
+                v = [self.field.zero] * self.ambient_dim
+                for coeff, row in zip(sol, self.rows):
+                    if coeff:
+                        for c in range(len(v)):
+                            if row[c]:
+                                v[c] = v[c] + coeff * row[c]
+                vectors.append(v)
         return Subspace.from_vectors(vectors, self.n, self.degree, self.field)
 
     def __add__(self, other):
@@ -503,11 +503,4 @@ def preimage(images, targets, domain_degree, n, field):
             else:
                 res.extend(t.reduce(p.coords(t.degree)))
         residuals.append(res)
-    ncoords = len(residuals[0])
-    eqs = []
-    for c in range(ncoords):
-        eq = [residuals[j][c] for j in range(dom)]
-        if any(eq):
-            eqs.append(eq)
-    sols = nullspace(eqs, dom, field)
-    return Subspace.from_vectors(sols, n, domain_degree, field)
+    return Subspace.full(n, domain_degree, field).kernel_of(residuals)

@@ -183,6 +183,24 @@ def test_one_form_module_structure():
     assert lhs == rhs
 
 
+def test_forms_and_vector_fields_stay_distinct():
+    comps = (NCPoly.gen(2, 1), NCPoly.from_word(2, (2, 1)))
+    w, y = OneForm(comps), VectorField(comps)
+    assert w != y and y != w
+    with pytest.raises(TypeError):
+        w + y
+    with pytest.raises(TypeError):
+        y - w
+    assert repr(w) == "<OneForm (x1, x2*x1)>"
+    assert repr(y) == "<VectorField (x1, x2*x1)>"
+    assert 2 * w == w + w and isinstance(2 * y, VectorField)
+    for cls, noun in ((OneForm, "form"), (VectorField, "vector field")):
+        with pytest.raises(ValueError, match=f"^a {noun} needs at least one component"):
+            cls(())
+        with pytest.raises(ValueError, match=f"^{noun} components disagree on algebra"):
+            cls((NCPoly.gen(2, 1), NCPoly.gen(3, 1)))
+
+
 def test_left_mul_form_fixtures():
     rng = random.Random(38)
     r = random_any_rule(rng, 2)

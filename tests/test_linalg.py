@@ -118,6 +118,13 @@ def test_intersect_fixtures():
     assert s1.intersect(s1).equal(s1)
     zero = Subspace.zero(2, 2, QQ)
     assert s1.intersect(zero).equal(zero)
+    F = GF(10007)
+    w11, w12, w21, w22 = (NCPoly.from_word(2, w, F) for w in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    t1 = Subspace.span([w11 + 3 * w12, w21, w22], 2)
+    t2 = Subspace.span([w11 + 3 * w12 + 2 * w21, w21 - w22, w12], 2)
+    expect = Subspace.span([w11 + 3 * w12 + 2 * w21, w21 - w22], 2)
+    assert t1.intersect(t2).equal(expect)
+    assert grid_intersection(t1, t2).equal(expect)
 
 
 def test_dimension_formula_random():
@@ -133,6 +140,48 @@ def test_dimension_formula_random():
         assert w1.dim + w2.dim == total.dim + meet.dim
         assert total.contains_subspace(w1) and total.contains_subspace(w2)
         assert w1.contains_subspace(meet) and w2.contains_subspace(meet)
+
+
+def low_rank_rows(rng, nrows, ncols, field):
+    """A random nrows x ncols matrix of random rank at most min(nrows, ncols)."""
+    rank = rng.randint(0, min(nrows, ncols))
+    left = random_rows(rng, nrows, rank, field)
+    right = random_rows(rng, rank, ncols, field)
+    return [[sum((a * b[j] for a, b in zip(row, right)), field.zero)
+             for j in range(ncols)] for row in left]
+
+
+def test_kernel_of_oracle():
+    """kernel_of against its definition: every result vector lies in W,
+    its coordinates along W's basis kill the residuals, and the dimension
+    is dim W minus the rank of the residual matrix."""
+    rng = random.Random(17)
+    for field in (QQ, GF(10007)):
+        for trial in range(40):
+            n, s = (2, 2) if trial % 2 else (2, 3)
+            amb = n ** s
+            if trial == 0:
+                W = Subspace.zero(n, s, field)
+            elif trial in (1, 3):
+                W = Subspace.full(n, s, field)
+            else:
+                W = Subspace.from_vectors(
+                    low_rank_rows(rng, rng.randint(1, amb), amb, field), n, s, field)
+            width = rng.randint(1, 6)
+            if trial in (2, 3):
+                residuals = [[field.zero] * width for _ in W.rows]
+            else:
+                residuals = low_rank_rows(rng, W.dim, width, field)
+            K = W.kernel_of(residuals)
+            rank = len(linalg._rref_fraction(residuals)[1])
+            assert (K.n, K.degree, K.field) == (n, s, field)
+            assert K.dim == W.dim - rank
+            assert W.contains_subspace(K)
+            for v in K.rows:
+                coords = [v[p] for p in W.pivots]
+                for j in range(width):
+                    assert not sum((a * r[j] for a, r in zip(coords, residuals)),
+                                   field.zero)
 
 
 def test_subspace_equality_and_reduce():
