@@ -37,6 +37,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _degree_bound(text: str) -> int:
+    """``--max-degree`` values: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"max_degree must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="nccalc",
@@ -59,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ideal",
                        help="optimal-ideal dimensions degree by degree")
     p.add_argument("--rule", required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_degree_bound, required=True)
     p.add_argument("--basis", action="store_true",
                    help="include echelon bases in the report")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -69,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--relations", required=True,
                    help="text file, one relation expression per line")
-    p.add_argument("--max-degree", type=int, default=None,
+    p.add_argument("--max-degree", type=_degree_bound, default=None,
                    help="force the degree-bounded check up to this degree")
     p.set_defaults(func=cmd_check)
 
@@ -93,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_examples_show)
     q = actions.add_parser("run")
     q.add_argument("name", choices=example_names())
-    q.add_argument("--max-degree", type=int, default=6)
+    q.add_argument("--max-degree", type=_degree_bound, default=6)
     q.add_argument("--basis", action="store_true")
     q.add_argument("--json", action="store_true", dest="as_json")
     q.set_defaults(func=cmd_examples_run)

@@ -319,13 +319,18 @@ class Subspace:
 
     @classmethod
     def full(cls, n, degree, field):
+        return cls.coordinate(n, degree, field, range(n ** degree))
+
+    @classmethod
+    def coordinate(cls, n, degree, field, columns):
+        """Span of the canonical basis words at the given increasing columns."""
         dim = n ** degree
         rows = []
-        for i in range(dim):
+        for i in columns:
             v = [field.zero] * dim
             v[i] = field.one
             rows.append(v)
-        return cls(n, degree, field, rows, list(range(dim)))
+        return cls(n, degree, field, rows, columns)
 
     @classmethod
     def from_vectors(cls, vectors, n, degree, field):

@@ -17,6 +17,8 @@ from nccalc import (
     Subspace,
     all_words,
     invert_matrix,
+    preimage,
+    word_partials,
 )
 
 
@@ -234,3 +236,49 @@ def grid_intersection(sub1, sub2, coeffs=range(-2, 3)):
         if sub2.contains(v):
             found.append(v)
     return Subspace.span(found, sub1.degree, n=sub1.n, field=sub1.field)
+
+
+def dense_optimal_ideal(rule, max_degree):
+    """Reference filtration built on all n^s words of every degree.
+
+    U_s is the preimage of the previous component under the derivatives
+    of every word, the invariant rounds reduce every entry of A on every
+    basis vector of the full U_s, and the ideal-slice property is checked
+    polynomial by polynomial.  Returns the components I_1..I_max_degree.
+    """
+    n, field = rule.n, rule.field
+    comps = [Subspace.zero(n, 1, field)]
+    gens = [NCPoly.gen(n, i, field) for i in range(1, n + 1)]
+    for s in range(2, max_degree + 1):
+        prev = comps[-1]
+        images = [word_partials(rule, w) for w in all_words(s, n)]
+        space = preimage(images, (prev,) * n, s, n, field)
+        while 0 < space.dim < space.ambient_dim:
+            residuals = []
+            for b in space.basis_polys():
+                res = []
+                for row in rule.apply(b).rows:
+                    for e in row:
+                        res.extend(space.reduce(e.coords(s)))
+                residuals.append(res)
+            if not any(map(any, residuals)):
+                break
+            smaller = space.kernel_of(residuals)
+            if smaller.dim >= space.dim:
+                raise AssertionError(f"degree-{s} invariant round did not shrink")
+            space = smaller
+        for b in prev.basis_polys():
+            for g in gens:
+                if not space.contains(g * b) or not space.contains(b * g):
+                    raise AssertionError(f"degree-{s} component is not an ideal slice")
+        comps.append(space)
+    return comps
+
+
+def rule_over(rule, field):
+    """The same rule with every coefficient mapped into ``field``."""
+    n = rule.n
+    return CommRule([
+        MatrixPoly([[NCPoly(n, field, {w: field.of(c) for w, c in e.terms.items()})
+                     for e in row] for row in image.rows])
+        for image in rule.images])

@@ -294,10 +294,22 @@ def test_exit_codes_for_usage_errors(tmp_path):
     assert run("ideal", "--rule", str(bad), "--max-degree", "2")[0] == 1
 
 
-def test_math_definedness_exit_code(tmp_path):
-    # degree bound must be positive
+def test_max_degree_below_one_is_a_usage_error(tmp_path):
+    # exit 2 is reserved for computations undefined for the rule
     path = write_rule(tmp_path)
-    assert run("ideal", "--rule", path, "--max-degree", "0")[0] == 2
+    rel = tmp_path / "rels.txt"
+    rel.write_text("x1*x2 - 1/2*x2*x1\n")
+    commands = [
+        ["ideal", "--rule", path],
+        ["examples", "run", "ex3.4"],
+        ["check", "--rule", path, "--relations", str(rel)],
+    ]
+    for argv in commands:
+        for bound in ("0", "-3"):
+            code, out, err = run(*argv, "--max-degree", bound)
+            assert code == 1 and out == "", (argv, bound)
+            assert f"max_degree must be at least 1, got {bound}" in err
+        assert run(*argv, "--max-degree", "1")[0] == 0
 
 
 def test_help_exits_zero():

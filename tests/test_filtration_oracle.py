@@ -1,0 +1,73 @@
+"""The L_s-first filtration against the dense construction on all words.
+
+``helpers.dense_optimal_ideal`` builds every component from the full
+derivative preimage U_s and runs the invariant rounds on all of it; the
+library works on the normal words of L_s only.  The two must agree on
+the echelon rows and pivots of every component.
+"""
+
+import logging
+import random
+
+import pytest
+
+from nccalc import GF, QQ, IdealPropertyViolation, Subspace, optimal_ideal
+from nccalc.examples import build_example, example_names
+from helpers import dense_optimal_ideal, random_invertible, rule_over
+from test_acceptance import _dim_pool
+
+FP = GF(10007)
+
+
+def echelon(components):
+    return [(c.rows, c.pivots) for c in components]
+
+
+def assert_matches_dense(rule, max_degree):
+    got = optimal_ideal(rule, max_degree).components
+    assert echelon(got) == echelon(dense_optimal_ideal(rule, max_degree))
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_builtin_examples_match_dense_construction(name):
+    assert_matches_dense(build_example(name), 7)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+@pytest.mark.parametrize("n, max_degree, cases", [(2, 6, 12), (3, 4, 5)])
+def test_pool_rules_match_dense_construction(field, n, max_degree, cases):
+    # the rules of the basis-change dim-invariance suite, as drawn there
+    rng = random.Random(9400 + n)
+    for _ in range(cases):
+        rule = _dim_pool(rng, n)
+        moved = rule.change_basis(random_invertible(rng, n))
+        for r in (rule, moved):
+            assert_matches_dense(r if field == QQ else rule_over(r, field), max_degree)
+
+
+@pytest.mark.parametrize("name", ["ex3.1-diag", "thm4.1-I", "thm4.1-II",
+                                  "thm4.1-III", "thm4.1-IV"])
+def test_quantum_plane_like_quotients_grow_linearly(name):
+    filt = optimal_ideal(build_example(name), 9)
+    assert filt.quotient_dims() == [(s, s + 1) for s in range(1, 10)]
+
+
+def test_debug_log_has_one_record_per_degree(caplog):
+    caplog.set_level(logging.DEBUG, logger="nccalc")
+    optimal_ideal(build_example("thm4.1-I"), 4)
+    messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
+    # from degree 3 on U_s = L_s, so no invariant round runs
+    assert messages == [
+        "degree 2: dim L=0 normal words=4 dim U=1 invariant rounds=1 dim I=1",
+        "degree 3: dim L=4 normal words=4 dim U=4 invariant rounds=0 dim I=4",
+        "degree 4: dim L=11 normal words=5 dim U=11 invariant rounds=0 dim I=11",
+    ]
+
+
+def test_ideal_slice_check_catches_a_component_missing_l_s(monkeypatch):
+    rule = build_example("ex3.1-diag")
+    optimal_ideal(rule, 3)
+    # a sum that drops its left summand loses L_3
+    monkeypatch.setattr(Subspace, "__add__", lambda self, other: other)
+    with pytest.raises(IdealPropertyViolation, match="not an ideal slice"):
+        optimal_ideal(rule, 3)
