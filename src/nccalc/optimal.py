@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import partial, word_partials
+from .calculus import differential, word_partials
 from .commrule import CommRule, NonHomogeneousRuleError
 from .freealg import NCPoly, all_words, index_word, word_index
 from .linalg import Subspace
@@ -336,20 +336,20 @@ class ConsistencyReport:
         return not self.violations
 
 
-def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
-                        slice_d: Subspace) -> list:
-    """Closure failures of degree-d elements: every derivative must drop
-    into ``below`` and every image entry must stay in ``slice_d``."""
+def _closure_violations(rule: CommRule, d: int, elements, below: _Residuals,
+                        within: _Residuals) -> list:
+    """Closure failures of degree-d elements: every derivative must reduce
+    to zero modulo ``below`` (the slice one degree down) and every image
+    entry modulo ``within`` (the degree-d slice)."""
     violations = []
     for b in elements:
         label = str(b)
-        for k in range(1, rule.n + 1):
-            p = partial(rule, k, b)
-            if p and not below.contains(p):
+        for k, p in enumerate(differential(rule, b).components, 1):
+            if p and any(below.of(p)):
                 violations.append(Violation(d, label, "partial", k))
         for k, row in enumerate(rule.apply(b).rows, 1):
             for i, e in enumerate(row, 1):
-                if e and not slice_d.contains(e):
+                if e and any(within.of(e)):
                     violations.append(Violation(d, label, "entry", k, i))
     return violations
 
@@ -371,8 +371,9 @@ def check_same_degree_consistency(rule: CommRule, relations) -> ConsistencyRepor
         raise ValueError(
             f"relations mix degrees {sorted(degs)}; use the degree-bounded check")
     d = degs.pop()
-    below = Subspace.zero(rule.n, d - 1, rule.field)
-    violations = _closure_violations(rule, d, rels, below, ideal_component(rels, d))
+    below = _Residuals(Subspace.zero(rule.n, d - 1, rule.field))
+    within = _Residuals(ideal_component(rels, d))
+    violations = _closure_violations(rule, d, rels, below, within)
     return ConsistencyReport("same-degree", d, tuple(violations))
 
 
@@ -388,11 +389,12 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int) -> Consi
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     n, field = rule.n, rule.field
     violations = []
-    below = Subspace.zero(n, 0, field)
+    below = _Residuals(Subspace.zero(n, 0, field))
     for d in range(1, max_degree + 1):
         slice_d = ideal_component(gens, d, n, field)
-        violations += _closure_violations(rule, d, slice_d.basis_polys(), below, slice_d)
-        below = slice_d
+        within = _Residuals(slice_d)
+        violations += _closure_violations(rule, d, slice_d.basis_polys(), below, within)
+        below = within
     return ConsistencyReport("degree-bounded", max_degree, tuple(violations))
 
 

@@ -2,6 +2,7 @@
 
 Oracles here deliberately avoid the code paths they are used to check:
 the rightmost-anchored derivative recursion only uses apply(), the
+per-word derivative sum only uses the memoized word table, the
 commutative-evaluation check only uses scalar arithmetic, and the grid
 intersection enumerates small coefficient combinations directly.
 """
@@ -20,6 +21,7 @@ from nccalc import (
     preimage,
     word_partials,
 )
+from nccalc.optimal import Violation, ideal_component
 
 
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
@@ -164,6 +166,16 @@ def _word_partial_rightmost(rule, k, w):
     return rec + rule.apply(head).entry(k, i)
 
 
+def word_table_partials(rule, f):
+    """All n derivatives of f as sum_w c_w * word_partials(w): the
+    memoized per-word table, independent of the prefix-trie walk (the two
+    share only the prepend step, which ``partial_rightmost`` checks)."""
+    out = [NCPoly.zero(rule.n, rule.field)] * rule.n
+    for w, c in f.terms.items():
+        out = [acc + c * d for acc, d in zip(out, word_partials(rule, w))]
+    return out
+
+
 def eval_commutative(p, point):
     """Evaluate at commuting scalar coordinates (the abelianized value)."""
     total = p.field.of(0)
@@ -273,6 +285,43 @@ def dense_optimal_ideal(rule, max_degree):
                     raise AssertionError(f"degree-{s} component is not an ideal slice")
         comps.append(space)
     return comps
+
+
+def dense_closure_violations(rule, d, elements, below, slice_d):
+    """The closure check of ``optimal`` with derivatives from the per-word
+    table and one dense ``Subspace.contains`` per polynomial."""
+    out = []
+    for b in elements:
+        label = str(b)
+        for k, p in enumerate(word_table_partials(rule, b), 1):
+            if p and not below.contains(p):
+                out.append(Violation(d, label, "partial", k))
+        for k, row in enumerate(rule.apply(b).rows, 1):
+            for i, e in enumerate(row, 1):
+                if e and not slice_d.contains(e):
+                    out.append(Violation(d, label, "entry", k, i))
+    return out
+
+
+def dense_same_degree_violations(rule, relations):
+    """Violations of ``check_same_degree_consistency``, recomputed densely."""
+    rels = [r for r in relations if r]
+    d = rels[0].degree()
+    below = Subspace.zero(rule.n, d - 1, rule.field)
+    return tuple(dense_closure_violations(rule, d, rels, below,
+                                          ideal_component(rels, d)))
+
+
+def dense_consistent_ideal_violations(rule, generators, max_degree):
+    """Violations of ``check_consistent_ideal``, recomputed densely."""
+    gens = [g for g in generators if g]
+    out = []
+    below = Subspace.zero(rule.n, 0, rule.field)
+    for d in range(1, max_degree + 1):
+        slice_d = ideal_component(gens, d, rule.n, rule.field)
+        out += dense_closure_violations(rule, d, slice_d.basis_polys(), below, slice_d)
+        below = slice_d
+    return tuple(out)
 
 
 def rule_over(rule, field):

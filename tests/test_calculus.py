@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from nccalc import (
+    GF,
     QQ,
+    CommRule,
+    MatrixPoly,
     NCPoly,
     OneForm,
     VectorField,
@@ -18,13 +21,18 @@ from nccalc import (
     vf_right_action,
     word_partials,
 )
+from nccalc.examples import build_example
 from helpers import (
     partial_rightmost,
     random_any_rule,
     random_homogeneous_rule,
     random_poly,
     random_q_grid,
+    rule_over,
+    word_table_partials,
 )
+
+FP = GF(10007)
 
 
 def gens(n):
@@ -275,3 +283,64 @@ def test_differential_components_are_partials():
     omega = differential(r, f)
     for k in (1, 2):
         assert omega.components[k - 1] == partial(r, k, f)
+
+
+def _non_homogeneous_rule(field):
+    """Image entries with constant terms and degree-2 terms."""
+    x1, x2 = NCPoly.gen(2, 1, field), NCPoly.gen(2, 2, field)
+    one, zero = NCPoly.one(2, field), NCPoly.zero(2, field)
+    a1 = MatrixPoly([[one + x2, 2 * (x1 * x2)], [zero, x1 - 3 * one]])
+    a2 = MatrixPoly([[x2 * x2, zero], [one, x1 + x2 * x1]])
+    return CommRule([a1, a2])
+
+
+def _oracle_rules(field):
+    rules = [build_example(name, field)
+             for name in ("thm4.1-I", "thm4.1-II", "thm4.1-III", "thm4.1-IV")]
+    # a criterion-9 style n=3 draw
+    rules.append(rule_over(random_homogeneous_rule(random.Random(9403), 3), field))
+    rules.append(_non_homogeneous_rule(field))
+    return rules
+
+
+def _oracle_polys(rng, n, field, top):
+    xs = [NCPoly.gen(n, i, field) for i in range(1, n + 1)]
+    polys = []
+    # dense powers of a seeded linear form, the constant 1 included
+    lin = NCPoly.zero(n, field)
+    for x in xs:
+        lin = lin + rng.choice((-3, -2, -1, 1, 2, 3)) * x
+    polys += [lin ** d for d in range(top + 1)]
+    # sparse: a few long words
+    polys += [random_poly(rng, n, 9, field, min_deg=4) for _ in range(6)]
+    # mixed degrees with a constant term
+    polys += [NCPoly.constant(n, rng.randint(1, 5), field) + random_poly(rng, n, 6, field)
+              for _ in range(4)]
+    return polys
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+def test_prefix_trie_pass_matches_word_table(field):
+    rng = random.Random(3700)
+    for rule in _oracle_rules(field):
+        n = rule.n
+        top = 4 if n == 3 else (7 if rule.homogeneous else 5)
+        for f in _oracle_polys(rng, n, field, top):
+            want = word_table_partials(rule, f)
+            assert [partial(rule, k, f) for k in range(1, n + 1)] == want
+            assert list(differential(rule, f).components) == want
+            y = VectorField(random_poly(rng, n, 2, field) for _ in range(n))
+            expected = NCPoly.zero(n, field)
+            for c, d in zip(y.components, want):
+                expected = expected + c * d
+            assert vf_apply(rule, y, f) == expected
+    assert not _non_homogeneous_rule(field).homogeneous
+
+
+def test_long_words_need_no_recursion():
+    # D_1(x1^m) = (1 + q + ... + q^(m-1)) * x1^(m-1) for the diagonal rule
+    r = builtin("ex3.1-diag", q=[[3, 2], [Fraction(1, 2), 3]])
+    x1 = NCPoly.gen(2, 1)
+    m = 2000
+    assert partial(r, 1, x1**m) == Fraction(3**m - 1, 2) * x1**(m - 1)
+    assert partial(r, 2, x1**m) == NCPoly.zero(2)

@@ -48,6 +48,17 @@ def test_derive_respects_custom_names(tmp_path):
     assert out.strip() == "4*a"
 
 
+def test_derive_long_word(tmp_path):
+    code, doc, _ = run("examples", "show", "ex3.2-zero")
+    assert code == 0
+    path = tmp_path / "zero.json"
+    path.write_text(doc)
+    code, out, _ = run("derive", "--rule", str(path), "--var", "1",
+                       "--expr", "x1^1500")
+    assert code == 0
+    assert out == "x1^1499\n"
+
+
 def test_diff_output(tmp_path):
     path = write_rule(tmp_path)
     code, out, _ = run("diff", "--rule", path, "--expr", "x1*x2")

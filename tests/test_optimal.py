@@ -23,7 +23,10 @@ from nccalc import (
     partial,
     quotient_dims,
 )
+from nccalc.examples import build_example
 from helpers import (
+    dense_consistent_ideal_violations,
+    dense_same_degree_violations,
     orbit_stays_inside,
     random_family_params,
     random_homogeneous_rule,
@@ -268,6 +271,31 @@ def test_degree_bounded_consistency_fixtures():
     rz = builtin("ex3.2-zero", n=2)
     bad = check_consistent_ideal(rz, [x1], 3)
     assert bad.verdict is False
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "Fp10007"])
+@pytest.mark.parametrize("name", ["ex3.5", "thm4.1-I", "thm4.1-II",
+                                  "thm4.1-III", "thm4.1-IV"])
+def test_closure_checks_match_dense_membership(name, field):
+    rule = build_example(name, field)
+    x1, x2 = NCPoly.gen(2, 1, field), NCPoly.gen(2, 2, field)
+    comm = x1 * x2 - x2 * x1
+    same = check_same_degree_consistency(rule, [comm]).violations
+    assert same == dense_same_degree_violations(rule, [comm])
+    bounded = check_consistent_ideal(rule, [comm], 6).violations
+    assert bounded == dense_consistent_ideal_violations(rule, [comm], 6)
+    # the commutator is consistent exactly for the regular families
+    assert bool(same) == bool(bounded) == (name == "ex3.5")
+    # seeded relations whose derivatives leave the ideal
+    rng = random.Random(5300)
+    for deg in (2, 3):
+        rels = [r for r in (random_poly(rng, 2, deg, field, homogeneous=deg)
+                            for _ in range(2)) if r]
+        same = check_same_degree_consistency(rule, rels).violations
+        assert same == dense_same_degree_violations(rule, rels)
+        bounded = check_consistent_ideal(rule, rels, deg + 2).violations
+        assert bounded == dense_consistent_ideal_violations(rule, rels, deg + 2)
+        assert any(v.check == "partial" for v in bounded)
 
 
 def test_is_regular_fixtures():
