@@ -52,22 +52,27 @@ def _prepend(images, a, sub, acc):
 
 
 def word_partials(rule: CommRule, w) -> tuple:
-    """All n partial derivatives of a single word, as a tuple indexed by k-1."""
+    """All n partial derivatives of a single word, as a tuple indexed by k-1.
+
+    Memoized per suffix on the rule: the table is filled from the longest
+    cached suffix of w, one letter at a time, in a loop.
+    """
     cache = rule._word_partials
-    got = cache.get(w)
-    if got is not None:
-        return got
     n, field = rule.n, rule.field
-    if not w:
-        result = (NCPoly.zero(n, field),) * n
-    else:
-        a, rest = w[0], w[1:]
+    start = 0
+    got = cache.get(w)
+    while got is None and start < len(w):
+        start += 1
+        got = cache.get(w[start:])
+    if got is None:
+        got = cache[()] = (NCPoly.zero(n, field),) * n
+    for i in range(start - 1, -1, -1):
+        a = w[i]
         acc = [{} for _ in range(n)]
-        acc[a - 1][rest] = field.one
-        _prepend(rule.images, a, [p.terms for p in word_partials(rule, rest)], acc)
-        result = tuple(NCPoly(n, field, t) for t in acc)
-    cache[w] = result
-    return result
+        acc[a - 1][w[i + 1:]] = field.one
+        _prepend(rule.images, a, [p.terms for p in got], acc)
+        got = cache[w[i:]] = tuple(NCPoly(n, field, t) for t in acc)
+    return got
 
 
 def _partials(rule: CommRule, f: NCPoly) -> list:

@@ -182,13 +182,18 @@ class CommRule:
         return entry.terms.get((l,), self.field.zero)
 
     def _matrix_of_word(self, w):
-        m = self._word_matrices.get(w)
+        """A(w), memoized per prefix: filled from the longest cached prefix
+        of w, one letter at a time, in a loop."""
+        cache = self._word_matrices
+        end = len(w)
+        m = cache.get(w)
+        while m is None and end:
+            end -= 1
+            m = cache.get(w[:end])
         if m is None:
-            if not w:
-                m = MatrixPoly.identity(self.n, self.field)
-            else:
-                m = self._matrix_of_word(w[:-1]) * self.images[w[-1] - 1]
-            self._word_matrices[w] = m
+            m = cache[()] = MatrixPoly.identity(self.n, self.field)
+        for i in range(end, len(w)):
+            m = cache[w[:i + 1]] = m * self.images[w[i] - 1]
         return m
 
     def apply(self, f: NCPoly) -> MatrixPoly:

@@ -344,3 +344,26 @@ def test_long_words_need_no_recursion():
     m = 2000
     assert partial(r, 1, x1**m) == Fraction(3**m - 1, 2) * x1**(m - 1)
     assert partial(r, 2, x1**m) == NCPoly.zero(2)
+
+
+def test_word_partials_of_long_words():
+    # under the zero rule D_k(x^a * w) = delta_ak * w
+    r = builtin("ex3.2-zero", n=2)
+    m = 1500
+    ones = (1,) * m
+    assert word_partials(r, ones) == (NCPoly.from_word(2, ones[1:]), NCPoly.zero(2))
+    # filled from the cached suffix x1^1500
+    assert word_partials(r, (2,) + ones) == (NCPoly.zero(2), NCPoly.from_word(2, ones))
+
+
+def test_word_partials_table_matches_whole_polynomial_derivatives():
+    # every suffix entry the table holds, filled from long and short words
+    # in random order, equals the prefix-trie derivative of that word
+    rng = random.Random(6200)
+    for name in ("thm4.1-I", "ex3.5"):
+        rule, fresh = build_example(name), build_example(name)
+        for _ in range(40):
+            word_partials(rule, tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7))))
+        for w, parts in rule._word_partials.items():
+            f = NCPoly.from_word(2, w)
+            assert parts == tuple(partial(fresh, k, f) for k in (1, 2))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -176,6 +177,25 @@ def test_check_degree_bounded_mode(tmp_path):
     assert lines[0] == "mode: degree-bounded"
     assert lines[1] == "checked degree: 5"
     assert lines[2] == "verdict: consistent"
+
+
+def test_check_lists_every_violation_of_a_failing_ideal(tmp_path):
+    # the commutator fails under ex3.5, so every basis element of J_1..J_7
+    # is checked; the digest pins the verdict and all 692 violation lines
+    code, doc, _ = run("examples", "show", "ex3.5")
+    path = tmp_path / "ex35.json"
+    path.write_text(doc)
+    rel = tmp_path / "rels.txt"
+    rel.write_text("x1*x2 - x2*x1\n")
+    code, out, _ = run("check", "--rule", str(path), "--relations", str(rel),
+                       "--max-degree", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["mode: degree-bounded", "checked degree: 7",
+                         "verdict: inconsistent"]
+    assert len(lines) == 695
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "968fc1001d52f33244658b8819ee59cda932d969a22b85bb0c75e70ab5893b54")
 
 
 def test_check_mixed_degrees_need_bound(tmp_path):

@@ -266,6 +266,33 @@ def test_apply_memoization_is_stable():
     assert r.apply(p) == first
 
 
+def test_apply_on_long_words():
+    x1 = NCPoly.gen(2, 1)
+    m = 1500
+    # under the zero rule A(w) = 0 for every nonempty word
+    zero_rule = builtin("ex3.2-zero", n=2)
+    assert zero_rule.apply(x1**m + NCPoly.constant(2, 3)) == MatrixPoly.identity(2).scale(3)
+    # the diagonal rule gives A(x1^m) = diag(q[1][1]^m, q[2][1]^m) * x1^m
+    diag = builtin("ex3.1-diag", q=[[3, 2], [Fraction(1, 2), 3]])
+    z = NCPoly.zero(2)
+    assert diag.apply(x1**m) == MatrixPoly([[3**m * x1**m, z],
+                                            [z, Fraction(1, 2**m) * x1**m]])
+
+
+def test_word_matrix_table_matches_image_products():
+    # every prefix entry the table holds, filled from long and short words
+    # in random order, equals the product of the letters' images
+    rng = random.Random(6300)
+    rule = builtin("ex3.5", mu=2, lam=-1)
+    for _ in range(40):
+        rule.apply(NCPoly.from_word(2, tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7)))))
+    for w, m in rule._word_matrices.items():
+        expected = MatrixPoly.identity(2)
+        for a in w:
+            expected = expected * rule.image(a)
+        assert m == expected
+
+
 def test_prime_field_rule():
     F = GF(10007)
     q = [[F.of(3), F.of(2)], [F.of(1) / F.of(2), F.of(3)]]

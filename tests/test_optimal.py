@@ -32,6 +32,7 @@ from helpers import (
     random_homogeneous_rule,
     random_invertible,
     random_poly,
+    random_q_grid,
 )
 from nccalc import FamilyParams, build_family
 
@@ -296,6 +297,91 @@ def test_closure_checks_match_dense_membership(name, field):
         bounded = check_consistent_ideal(rule, rels, deg + 2).violations
         assert bounded == dense_consistent_ideal_violations(rule, rels, deg + 2)
         assert any(v.check == "partial" for v in bounded)
+
+
+def _degree_bounded_cases(field, count=100):
+    """Seeded (rule, generators, bound) inputs for the degree-bounded check.
+
+    In turn: a regular two-generator rule with a scaled commutator, the
+    n=3 diagonal rule with some of its q-commutators (both consistent
+    unless an extra random degree-3 generator lies within the bound), and
+    random relations of degrees 1-3 for n=2 and n=3 rules.
+    """
+    rng = random.Random(6100)
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            n = 2
+            if rng.random() < 0.5:
+                rule = build_example(rng.choice(["thm4.1-I", "thm4.1-II",
+                                                 "thm4.1-III", "thm4.1-IV"]), field)
+            else:
+                fam = rng.choice(["I", "II", "III", "IV"])
+                rule = build_family(random_family_params(rng, fam), field)
+            x1, x2 = NCPoly.gen(2, 1, field), NCPoly.gen(2, 2, field)
+            comm = field.of(rng.choice([1, -1, 2, 3])) * (x1 * x2 - x2 * x1)
+            gens = [comm]
+            if rng.random() < 0.5:
+                gens.append(rng.choice([x1, x2]) * comm)
+        elif kind == 1:
+            n = 3
+            q = random_q_grid(rng, n, field)
+            rule = builtin("ex3.1-diag", field=field, q=q)
+            xs = [NCPoly.gen(n, a, field) for a in range(1, n + 1)]
+            # x_a*x_b - q[b][a]*x_b*x_a has zero derivatives
+            gens = [xs[a] * xs[b] - q[b][a] * (xs[b] * xs[a])
+                    for a in range(n) for b in range(a + 1, n) if rng.random() < 0.6]
+        else:
+            n = 2 if kind == 2 else 3
+            if rng.random() < 0.5:
+                rule = random_homogeneous_rule(rng, n, field)
+            elif n == 2:
+                rule = build_example(rng.choice(["ex3.5", "thm4.1-I", "thm4.1-II"]), field)
+            else:
+                rule = builtin("ex3.3-minus", field=field, n=3)
+            gens = [random_poly(rng, n, d, field, homogeneous=d)
+                    for d in rng.sample([1, 2, 2, 3, 3], rng.randint(1, 3))]
+        if kind < 2 and rng.random() < 0.5:
+            gens.append(random_poly(rng, n, 3, field, homogeneous=3))
+        out.append((rule, gens, rng.randint(1, 4 if n == 2 else 3)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "Fp10007"])
+def test_degree_bounded_check_matches_dense_enumeration(field):
+    cases = _degree_bounded_cases(field)
+    consistent = 0
+    for rule, gens, bound in cases:
+        got = check_consistent_ideal(rule, gens, bound).violations
+        assert got == dense_consistent_ideal_violations(rule, gens, bound)
+        consistent += not got
+    # both paths are exercised: the generator-only answer and the listing
+    assert len(cases) // 4 <= consistent <= len(cases) - len(cases) // 4
+
+
+def test_consistent_ideal_builds_slices_at_generator_degrees_only(monkeypatch):
+    import nccalc.optimal as optimal
+    built = []
+    real = optimal.ideal_component
+
+    def spy(generators, d, n=None, field=None):
+        built.append(d)
+        return real(generators, d, n, field)
+
+    monkeypatch.setattr(optimal, "ideal_component", spy)
+    x1, x2 = NCPoly.gen(2, 1), NCPoly.gen(2, 2)
+    comm = x1 * x2 - x2 * x1
+    # a degree-5 generator above the bound plays no part
+    above = x1 * x1 * x2 * x1 * x2
+    rep = check_consistent_ideal(build_example("thm4.1-I"), [comm, x2 * comm, above], 4)
+    assert rep.verdict and rep.checked_degree == 4
+    assert sorted(built) == [1, 2, 3]
+    # a failing generator lists every degree, building each slice once
+    built.clear()
+    rep = check_consistent_ideal(builtin("ex3.5", mu=1, lam=1), [comm], 5)
+    assert not rep.verdict
+    assert sorted(built) == [1, 2, 3, 4, 5]
 
 
 def test_is_regular_fixtures():
