@@ -205,12 +205,14 @@ def cmd_check(args) -> int:
                    and all(r.is_homogeneous() for r in nonzero)
                    and len({r.degree() for r in nonzero}) <= 1)
     if same_degree:
-        report = check_same_degree_consistency(doc.rule, nonzero)
+        report = check_same_degree_consistency(doc.rule, nonzero,
+                                               names=doc.var_names)
     else:
         bound = args.max_degree
         if bound is None:
             bound = max(r.degree() for r in nonzero) + 3
-        report = check_consistent_ideal(doc.rule, nonzero, bound)
+        report = check_consistent_ideal(doc.rule, nonzero, bound,
+                                        names=doc.var_names)
     print(f"mode: {report.mode}")
     if report.checked_degree is not None:
         print(f"checked degree: {report.checked_degree}")

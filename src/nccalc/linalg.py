@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over the coefficient field.
+"""Exact linear algebra over the coefficient field.
 
-Everything reduces to one primitive: reduced row echelon form.  Vectors
-are plain lists; a Subspace is the canonical RREF basis of a subspace of
-a fixed homogeneous component, so two subspaces are equal iff their
-stored rows are identical.  Preimages, intersections and the
-invariant-subspace rounds of ``optimal`` all take one kernel step,
-``Subspace.kernel_of``.
+Everything reduces to one primitive: reduced row echelon form.  A
+Subspace is the canonical RREF basis of a subspace of a homogeneous
+component, held as pivots plus tails: each pivot word's row is nonzero
+only there and on the free columns (the normal words).  A residual is a
+list over the normal words, found by replacing each pivot word with
+minus its tail; dense rows of length n^s exist only as ``rref`` input
+and on request.  Preimages, intersections and the invariant-subspace
+rounds of ``optimal`` all take one kernel step, ``Subspace.kernel_of``.
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.  Over
@@ -35,7 +37,7 @@ from math import gcd, isqrt, lcm
 from operator import attrgetter
 
 from .fields import FpElement
-from .freealg import NCPoly
+from .freealg import NCPoly, index_word, word_index
 
 
 # moduli of the rational path, tried in order: the two largest primes
@@ -298,24 +300,31 @@ def invert_matrix(rows, field):
 
 
 class Subspace:
-    """A subspace of the degree-s homogeneous component of F<x1,...,xn>,
-    held as its canonical reduced-echelon basis."""
+    """A subspace of the degree-s homogeneous component of F<x1,...,xn>.
 
-    __slots__ = ("n", "degree", "field", "rows", "pivots")
+    ``tails`` maps each pivot column of the canonical reduced-echelon
+    basis, in increasing order, to the nonzero ``(column, value)`` entries
+    of its row on the free columns (its pivot entry is one).  ``pivots``,
+    ``free`` and the dense ``rows`` are derived from it.
+    """
 
-    def __init__(self, n, degree, field, rows, pivots):
-        # internal: rows must already be canonical RREF output
+    __slots__ = ("n", "degree", "field", "tails", "free", "_position")
+
+    def __init__(self, n, degree, field, tails):
+        # internal: tails must come from a canonical RREF basis
         self.n = n
         self.degree = degree
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.pivots = list(pivots)
+        self.tails = tails
+        # derived: the free columns in increasing order, and their positions
+        self.free = [c for c in range(n ** degree) if c not in tails]
+        self._position = {c: t for t, c in enumerate(self.free)}
 
     # ---- constructors ----
 
     @classmethod
     def zero(cls, n, degree, field):
-        return cls(n, degree, field, [], [])
+        return cls(n, degree, field, {})
 
     @classmethod
     def full(cls, n, degree, field):
@@ -324,13 +333,7 @@ class Subspace:
     @classmethod
     def coordinate(cls, n, degree, field, columns):
         """Span of the canonical basis words at the given increasing columns."""
-        dim = n ** degree
-        rows = []
-        for i in columns:
-            v = [field.zero] * dim
-            v[i] = field.one
-            rows.append(v)
-        return cls(n, degree, field, rows, columns)
+        return cls(n, degree, field, {c: [] for c in columns})
 
     @classmethod
     def from_vectors(cls, vectors, n, degree, field):
@@ -339,7 +342,11 @@ class Subspace:
             if len(v) != dim:
                 raise ValueError(f"expected vectors of length {dim}, got {len(v)}")
         rows, pivots = rref(vectors)
-        return cls(n, degree, field, rows, pivots)
+        pivset = set(pivots)
+        free = [c for c in range(dim) if c not in pivset]
+        # an RREF row is zero on the other pivots: read it on the free columns only
+        return cls(n, degree, field, {p: [(c, row[c]) for c in free if row[c]]
+                                      for row, p in zip(rows, pivots)})
 
     @classmethod
     def span(cls, polys, degree, n=None, field=None):
@@ -366,28 +373,66 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.tails)
 
     @property
     def ambient_dim(self):
         return self.n ** self.degree
 
+    @property
+    def pivots(self):
+        return list(self.tails)
+
+    @property
+    def rows(self):
+        """The canonical reduced-echelon basis as dense rows."""
+        return [self._dense(entries) for entries in self._row_entries()]
+
+    def _dense(self, entries):
+        vec = [self.field.zero] * self.ambient_dim
+        for c, v in entries:
+            vec[c] = v
+        return vec
+
+    def _row_entries(self):
+        """Each basis row as its (column, value) entries."""
+        one = self.field.one
+        return [[(p, one)] + tail for p, tail in self.tails.items()]
+
+    def residual_of(self, entries) -> list:
+        """Residual modulo this subspace, as a list over ``free``, of the
+        vector with the given (column, value) entries, which name each
+        column at most once.  It is zero exactly when the vector lies in
+        the subspace."""
+        position = self._position
+        vec = [self.field.zero] * len(position)
+        pivots = []
+        for col, c in entries:
+            t = position.get(col)
+            if t is None:
+                pivots.append((col, c))
+            else:
+                vec[t] = c
+        # a pivot word equals minus its row's tail, modulo the subspace
+        tails = self.tails
+        for col, c in pivots:
+            for j, v in tails[col]:
+                vec[position[j]] -= c * v
+        return vec
+
+    def residual(self, poly: NCPoly) -> list:
+        """Residual of a polynomial of this degree, as a list over ``free``."""
+        d, n = self.degree, self.n
+        return self.residual_of([(word_index(w, d, n), c) for w, c in poly.terms.items()])
+
     def reduce(self, vec):
-        """Residual of vec after subtracting its projection along the basis.
+        """Residual of a dense vector after subtracting its projection along
+        the basis, as a dense vector: zero on the pivots.
 
         The residual is zero exactly when vec lies in the subspace.
         """
-        vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = vec[p]
-            if c:
-                for j in range(p, len(vec)):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
-        return vec
-
-    def contains_vector(self, vec):
-        return not any(self.reduce(vec))
+        res = self.residual_of([(c, x) for c, x in enumerate(vec) if x])
+        return self._dense(zip(self.free, res))
 
     def contains(self, poly: NCPoly):
         """Membership test for a homogeneous polynomial of matching degree.
@@ -400,11 +445,11 @@ class Subspace:
             raise ValueError(
                 f"membership test needs a homogeneous polynomial of degree "
                 f"{self.degree}, got {poly}")
-        return self.contains_vector(poly.coords(self.degree))
+        return not any(self.residual(poly))
 
     def contains_subspace(self, other: "Subspace"):
         self._check(other)
-        return all(self.contains_vector(r) for r in other.rows)
+        return not any(any(self.residual_of(r)) for r in other._row_entries())
 
     def _check(self, other: "Subspace"):
         if (self.n, self.degree) != (other.n, other.degree):
@@ -416,9 +461,9 @@ class Subspace:
 
     def intersect(self, other: "Subspace"):
         """Intersection: the combinations of this basis that ``other``
-        reduces to zero (``reduce`` is linear)."""
+        reduces to zero (the residual is linear)."""
         self._check(other)
-        return self.kernel_of([other.reduce(r) for r in self.rows])
+        return self.kernel_of([other.residual_of(r) for r in self._row_entries()])
 
     def kernel_of(self, residuals):
         """Kernel of a linear map restricted to this subspace.
@@ -428,20 +473,15 @@ class Subspace:
         with sum_t a_t*residuals[t] = 0.
         """
         eqs = [eq for eq in map(list, zip(*residuals)) if any(eq)]
-        sols = nullspace(eqs, self.dim, self.field)
-        if self.dim == self.ambient_dim:
-            # the basis is the identity, so a solution is its own combination
-            vectors = sols
-        else:
-            vectors = []
-            for sol in sols:
-                v = [self.field.zero] * self.ambient_dim
-                for coeff, row in zip(sol, self.rows):
-                    if coeff:
-                        for c in range(len(v)):
-                            if row[c]:
-                                v[c] = v[c] + coeff * row[c]
-                vectors.append(v)
+        vectors = []
+        for sol in nullspace(eqs, self.dim, self.field):
+            # the rref input: each solution recombined from pivots and tails
+            v = self._dense(zip(self.tails, sol))
+            for a, tail in zip(sol, self.tails.values()):
+                if a:
+                    for c, x in tail:
+                        v[c] += a * x
+            vectors.append(v)
         return Subspace.from_vectors(vectors, self.n, self.degree, self.field)
 
     def __add__(self, other):
@@ -452,23 +492,24 @@ class Subspace:
                                      self.n, self.degree, self.field)
 
     def equal(self, other: "Subspace"):
-        """Equality with shape checking: same component, identical RREF rows."""
+        """Equality with shape checking: same component, identical tails."""
         self._check(other)
-        return self.rows == other.rows
+        return self.tails == other.tails
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.n == other.n and self.degree == other.degree
-                and self.field == other.field and self.rows == other.rows)
+        return ((self.n, self.degree, self.field, self.tails)
+                == (other.n, other.degree, other.field, other.tails))
 
     def __hash__(self):
         return hash((self.n, self.degree, self.field,
-                     tuple(tuple(r) for r in self.rows)))
+                     tuple((p, tuple(tail)) for p, tail in self.tails.items())))
 
     def basis_polys(self):
-        return [NCPoly.from_coords(self.n, self.degree, r, self.field)
-                for r in self.rows]
+        n, d = self.n, self.degree
+        return [NCPoly(n, self.field, {index_word(c, d, n): v for c, v in entries})
+                for entries in self._row_entries()]
 
     def __repr__(self):
         return (f"<Subspace dim={self.dim} of degree-{self.degree} "
@@ -503,9 +544,6 @@ def preimage(images, targets, domain_degree, n, field):
             if p and not p.is_homogeneous(t.degree):
                 raise ValueError(
                     f"image {p} is not homogeneous of degree {t.degree}")
-            if t.dim == t.ambient_dim:
-                res.extend([field.zero] * t.ambient_dim)
-            else:
-                res.extend(t.reduce(p.coords(t.degree)))
+            res.extend(t.residual(p))
         residuals.append(res)
     return Subspace.full(n, domain_degree, field).kernel_of(residuals)

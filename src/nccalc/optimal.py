@@ -94,7 +94,7 @@ from dataclasses import dataclass
 
 from .calculus import differential, word_partials
 from .commrule import CommRule, NonHomogeneousRuleError
-from .freealg import NCPoly, all_words, index_word, word_index
+from .freealg import NCPoly, all_words, format_poly, index_word
 from .linalg import Subspace
 # perfbench's tracer test reads nccalc.optimal.nullspace, so keep the binding
 from .linalg import nullspace  # noqa: F401
@@ -113,57 +113,14 @@ def _require_homogeneous(rule: CommRule):
             "(every image entry a linear form)")
 
 
-class _Residuals:
-    """Reduction modulo a subspace, in the coordinates of its free columns.
-
-    ``free`` lists the subspace's non-pivot columns (its normal words).
-    A polynomial's residual is the vector over ``free`` left after
-    subtracting its projection along the echelon basis; it is zero
-    exactly when the polynomial lies in the subspace.
-    """
-
-    __slots__ = ("n", "degree", "zero", "free", "position", "tails")
-
-    def __init__(self, space: Subspace):
-        pivots = set(space.pivots)
-        self.n, self.degree, self.zero = space.n, space.degree, space.field.zero
-        self.free = [c for c in range(space.ambient_dim) if c not in pivots]
-        self.position = {c: t for t, c in enumerate(self.free)}
-        # a pivot word equals minus its row's free part, modulo the subspace
-        self.tails = {p: [(t, row[c]) for t, c in enumerate(self.free) if row[c]]
-                      for row, p in zip(space.rows, space.pivots)}
-
-    def of(self, poly: NCPoly) -> list:
-        d, n = self.degree, self.n
-        return self.of_entries([(word_index(w, d, n), c)
-                                for w, c in poly.terms.items()])
-
-    def of_entries(self, entries) -> list:
-        """Residual of the vector with the given (column, value) entries,
-        which name each column at most once."""
-        vec = [self.zero] * len(self.free)
-        position = self.position
-        pivots = []
-        for col, c in entries:
-            t = position.get(col)
-            if t is None:
-                pivots.append((col, c))
-            else:
-                vec[t] = c
-        for col, c in pivots:
-            for t, v in self.tails[col]:
-                vec[t] -= c * v
-        return vec
-
-
-def _derivative_kernel(rule: CommRule, prev: _Residuals, s: int, words) -> Subspace:
+def _derivative_kernel(rule: CommRule, prev: Subspace, s: int, words) -> Subspace:
     """Combinations of the degree-s words at the given columns whose every
     partial derivative reduces to zero modulo ``prev``."""
     n = rule.n
     residuals = []
     for col in words:
         parts = word_partials(rule, index_word(col, s, n))
-        residuals.append([x for p in parts for x in prev.of(p)])
+        residuals.append([x for p in parts for x in prev.residual(p)])
     return Subspace.coordinate(n, s, rule.field, words).kernel_of(residuals)
 
 
@@ -174,29 +131,29 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
         raise ValueError(f"the derivative-preimage step starts at degree 2, got {s}")
     if prev.degree != s - 1 or prev.n != rule.n or prev.field != rule.field:
         raise ValueError(f"previous component must live at degree {s - 1}")
-    return _derivative_kernel(rule, _Residuals(prev), s, range(rule.n ** s))
+    return _derivative_kernel(rule, prev, s, range(rule.n ** s))
 
 
-def _closed_complement(rule: CommRule, lower: _Residuals, space: Subspace):
+def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
     """Largest C <= ``space`` such that every entry of A(C) lies in
     lower + C, for a subspace ``lower`` closed under those entries and
     a ``space`` spanned inside its free columns.  Returns (C, rounds).
     """
-    size = len(lower.free)
+    free = lower.free
+    size = len(free)
     rounds = 0
     # the zero space is closed, and so is one that fills lower's free
     # columns: then lower + C is the whole degree-s component
     while space.dim and space.dim < size:
         # an entry lies in lower + C exactly when its residual modulo
         # lower, supported on lower's free columns, lies in C
-        within = _Residuals(space)
         residuals = []
         for b in space.basis_polys():
             res = []
             for row in rule.apply(b).rows:
                 for e in row:
-                    res += within.of_entries(
-                        [(lower.free[t], v) for t, v in enumerate(lower.of(e)) if v])
+                    res += space.residual_of(
+                        [(free[t], v) for t, v in enumerate(lower.residual(e)) if v])
             residuals.append(res)
         rounds += 1
         if not any(map(any, residuals)):
@@ -221,21 +178,23 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
     loop terminates within dim(space) + 1 rounds.
     """
     _require_homogeneous(rule)
-    lower = _Residuals(Subspace.zero(space.n, space.degree, space.field))
-    return _closed_complement(rule, lower, space)[0]
+    return _closed_complement(rule, Subspace.zero(space.n, space.degree, space.field),
+                              space)[0]
 
 
 def _ideal_slice(prev: Subspace) -> Subspace:
-    """L_s = sum_i x^i*prev + prev*x^i, by shifting prev's echelon rows."""
+    """L_s = sum_i x^i*prev + prev*x^i, by shifting prev's pivots and tails
+    into the dense rows that ``rref`` takes."""
     n, field, m = prev.n, prev.field, prev.ambient_dim
-    zero = field.zero
+    zero, one = field.zero, field.one
     vectors = []
-    for row in prev.rows:
+    for p, tail in prev.tails.items():
         for a in range(n):
-            left = [zero] * (n * m)
-            left[a * m:(a + 1) * m] = row      # x^a * w sits at a*n^(s-1) + w
-            right = [zero] * (n * m)
-            right[a::n] = row                  # w * x^a sits at n*w + a
+            left = [zero] * (n * m)            # x^a * w sits at a*n^(s-1) + w
+            right = [zero] * (n * m)           # w * x^a sits at n*w + a
+            left[a * m + p] = right[n * p + a] = one
+            for c, v in tail:
+                left[a * m + c] = right[n * c + a] = v
             vectors += (left, right)
     return Subspace.from_vectors(vectors, n, prev.degree + 1, field)
 
@@ -281,26 +240,20 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     log = logging.getLogger("nccalc")
     n, field = rule.n, rule.field
     comps = [Subspace.zero(n, 1, field)]
-    prev = _Residuals(comps[0])
     for s in range(2, max_degree + 1):
         l_s = _ideal_slice(comps[-1])
-        lower = _Residuals(l_s)
-        u_c = _derivative_kernel(rule, prev, s, lower.free)
-        c_s, rounds = _closed_complement(rule, lower, u_c)
+        u_c = _derivative_kernel(rule, comps[-1], s, l_s.free)
+        c_s, rounds = _closed_complement(rule, l_s, u_c)
         i_s = l_s + c_s
-        reduced = _Residuals(i_s)
         # ideal-slice check: every echelon row of L_s reduces to zero mod I_s
-        for p, tail in lower.tails.items():
-            row = [(p, field.one)] + [(lower.free[t], v) for t, v in tail]
-            if any(reduced.of_entries(row)):
-                raise IdealPropertyViolation(
-                    f"degree-{s} component is not an ideal slice: it misses "
-                    f"part of x^i*I_{s - 1} + I_{s - 1}*x^i")
+        if not i_s.contains_subspace(l_s):
+            raise IdealPropertyViolation(
+                f"degree-{s} component is not an ideal slice: it misses "
+                f"part of x^i*I_{s - 1} + I_{s - 1}*x^i")
         log.debug("degree %d: dim L=%d normal words=%d dim U=%d "
                   "invariant rounds=%d dim I=%d", s, l_s.dim,
-                  len(lower.free), l_s.dim + u_c.dim, rounds, i_s.dim)
+                  len(l_s.free), l_s.dim + u_c.dim, rounds, i_s.dim)
         comps.append(i_s)
-        prev = reduced
     return IdealFiltration(rule, comps, max_degree)
 
 
@@ -374,28 +327,31 @@ class ConsistencyReport:
         return not self.violations
 
 
-def _closure_violations(rule: CommRule, d: int, elements, below: _Residuals,
-                        within: _Residuals) -> list:
+def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
+                        within: Subspace, names=None) -> list:
     """Closure failures of degree-d elements: every derivative must reduce
     to zero modulo ``below`` (the slice one degree down) and every image
-    entry modulo ``within`` (the degree-d slice)."""
+    entry modulo ``within`` (the degree-d slice).  Elements are labelled
+    with the generator ``names`` (x1..xn by default)."""
     violations = []
     for b in elements:
-        label = str(b)
+        label = format_poly(b, names)
         for k, p in enumerate(differential(rule, b).components, 1):
-            if p and any(below.of(p)):
+            if p and any(below.residual(p)):
                 violations.append(Violation(d, label, "partial", k))
         for k, row in enumerate(rule.apply(b).rows, 1):
             for i, e in enumerate(row, 1):
-                if e and any(within.of(e)):
+                if e and any(within.residual(e)):
                     violations.append(Violation(d, label, "entry", k, i))
     return violations
 
 
-def check_same_degree_consistency(rule: CommRule, relations) -> ConsistencyReport:
+def check_same_degree_consistency(rule: CommRule, relations, *,
+                                  names=None) -> ConsistencyReport:
     """Closure check for relations sharing one degree: every derivative of
     every relation must vanish identically, and every image entry of a
-    relation must stay in the relations' span."""
+    relation must stay in the relations' span.  Violations name the
+    relations with the generator ``names`` (x1..xn by default)."""
     _require_homogeneous(rule)
     rels = [r for r in relations if r]
     if not rels:
@@ -409,13 +365,16 @@ def check_same_degree_consistency(rule: CommRule, relations) -> ConsistencyRepor
         raise ValueError(
             f"relations mix degrees {sorted(degs)}; use the degree-bounded check")
     d = degs.pop()
-    below = _Residuals(Subspace.zero(rule.n, d - 1, rule.field))
-    within = _Residuals(ideal_component(rels, d))
-    violations = _closure_violations(rule, d, rels, below, within)
+    if d == 0:
+        raise ValueError("constant ideal generators are not supported")
+    below = Subspace.zero(rule.n, d - 1, rule.field)
+    violations = _closure_violations(rule, d, rels, below,
+                                     ideal_component(rels, d), names)
     return ConsistencyReport("same-degree", d, tuple(violations))
 
 
-def check_consistent_ideal(rule: CommRule, generators, max_degree: int) -> ConsistencyReport:
+def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
+                           names=None) -> ConsistencyReport:
     """Degree-bounded closure check of the two-sided ideal J the generators
     produce: derivatives must drop into the next slice down and image
     entries must stay in their slice, for every degree up to the bound.
@@ -425,33 +384,31 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int) -> Consi
     J_{deg r}, every slice up to the bound passes (see the module
     docstring), so the report is consistent without enumerating the
     slices.  Otherwise every basis element of J_1..J_S is checked, degree
-    by degree, and all violations are listed in that order.
+    by degree, and all violations are listed in that order.  Violations
+    name the elements with the generator ``names`` (x1..xn by default).
     """
     _require_homogeneous(rule)
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     gens = [g for g in generators if g]
     if not gens:
         return ConsistencyReport("degree-bounded", max_degree, ())
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     gens, n, field = _ideal_generators(gens, rule.n, rule.field)
-    slices = {}
+    slices = {0: Subspace.zero(n, 0, field)}
 
     def slice_at(d):
-        """(J_d, its residuals), built once per degree."""
-        got = slices.get(d)
-        if got is None:
-            space = ideal_component(gens, d, n, field) if d else Subspace.zero(n, 0, field)
-            got = slices[d] = (space, _Residuals(space))
-        return got
+        """J_d, built once per degree."""
+        if d not in slices:
+            slices[d] = ideal_component(gens, d, n, field)
+        return slices[d]
 
-    if not any(_closure_violations(rule, d, [r], slice_at(d - 1)[1], slice_at(d)[1])
+    if not any(_closure_violations(rule, d, [r], slice_at(d - 1), slice_at(d), names)
                for r in gens for d in (r.degree(),) if d <= max_degree):
         return ConsistencyReport("degree-bounded", max_degree, ())
     violations = []
     for d in range(1, max_degree + 1):
-        slice_d, within = slice_at(d)
-        violations += _closure_violations(rule, d, slice_d.basis_polys(),
-                                          slice_at(d - 1)[1], within)
+        violations += _closure_violations(rule, d, slice_at(d).basis_polys(),
+                                          slice_at(d - 1), slice_at(d), names)
     return ConsistencyReport("degree-bounded", max_degree, tuple(violations))
 
 

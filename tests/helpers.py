@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the code paths they are used to check:
 the rightmost-anchored derivative recursion only uses apply(), the
 per-word derivative sum only uses the memoized word table, the
-commutative-evaluation check only uses scalar arithmetic, and the grid
-intersection enumerates small coefficient combinations directly.
+commutative-evaluation check only uses scalar arithmetic, the grid
+intersection enumerates small coefficient combinations directly, and the
+dense reduction walks whole echelon rows.
 """
 
 from fractions import Fraction
@@ -248,6 +249,19 @@ def grid_intersection(sub1, sub2, coeffs=range(-2, 3)):
         if sub2.contains(v):
             found.append(v)
     return Subspace.span(found, sub1.degree, n=sub1.n, field=sub1.field)
+
+
+def dense_reduce(rows, pivots, vec):
+    """Reduction of a dense vector modulo the span of echelon ``rows`` by
+    the dense walk: subtract vec[p] times each row, in pivot order."""
+    vec = list(vec)
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c:
+            for j in range(p, len(vec)):
+                if row[j]:
+                    vec[j] = vec[j] - c * row[j]
+    return vec
 
 
 def dense_optimal_ideal(rule, max_degree):

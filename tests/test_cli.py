@@ -198,6 +198,38 @@ def test_check_lists_every_violation_of_a_failing_ideal(tmp_path):
         "968fc1001d52f33244658b8819ee59cda932d969a22b85bb0c75e70ab5893b54")
 
 
+def test_check_refuses_constant_relations(tmp_path):
+    path = write_rule(tmp_path)
+    for text in ("1\n", "2\n3\n"):
+        rel = tmp_path / "rels.txt"
+        rel.write_text(text)
+        for bound in ([], ["--max-degree", "3"]):
+            code, out, err = run("check", "--rule", path, "--relations", str(rel), *bound)
+            assert code == 2
+            assert out == ""
+            assert "constant ideal generators are not supported" in err
+            assert "Traceback" not in err
+
+
+def test_check_labels_violations_with_the_rule_names(tmp_path):
+    doc = {"n": 2, "field": "Q", "vars": ["a", "b"],
+           "A": [[["3*a", "0"], ["0", "1/2*a"]],
+                 [["2*b", "0"], ["0", "3*b"]]]}
+    path = write_rule(tmp_path, doc=doc)
+    rel = tmp_path / "rels.txt"
+    rel.write_text("a*b - b*a\n")
+    code, out, _ = run("check", "--rule", path, "--relations", str(rel))
+    assert code == 0
+    assert out.splitlines()[3] == "  degree 2: derivative 1 of a*b - b*a leaves the ideal"
+    code, out, _ = run("check", "--rule", path, "--relations", str(rel),
+                       "--max-degree", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "verdict: inconsistent"
+    assert "  degree 3: derivative 1 of a^2*b - b*a^2 leaves the ideal" in lines
+    assert not any("x1" in line or "x2" in line for line in lines)
+
+
 def test_check_mixed_degrees_need_bound(tmp_path):
     path = write_rule(tmp_path)
     rel = tmp_path / "rels.txt"

@@ -16,7 +16,7 @@ from nccalc import (
     word_partials,
 )
 from nccalc import linalg
-from helpers import grid_intersection, random_poly
+from helpers import dense_reduce, grid_intersection, random_poly
 
 
 def frac_rows(rows):
@@ -371,3 +371,63 @@ def test_rref_does_not_modify_its_input():
         copy = [list(r) for r in rows]
         rref(rows)
         assert rows == copy
+
+
+# ---- pivots-plus-tails storage against the dense echelon rows ----
+
+def seeded_spans(rng, n, s, field):
+    """(label, spanning rows) of zero, full, coordinate and low-rank
+    subspaces of the degree-s component over n generators."""
+    amb = n ** s
+    unit = lambda c: [field.one if j == c else field.zero for j in range(amb)]
+    cols = sorted(rng.sample(range(amb), rng.randint(1, amb)))
+    yield "zero", []
+    yield "full", [unit(c) for c in range(amb)]
+    yield "coordinate", [unit(c) for c in cols]
+    for _ in range(3):
+        yield "low-rank", low_rank_rows(rng, rng.randint(1, min(amb, 6)), amb, field)
+
+
+def test_tails_match_dense_reference():
+    rng = random.Random(31)
+    for field in (QQ, GF(10007)):
+        for n, s in [(2, s) for s in range(1, 5)] + [(3, s) for s in range(1, 5)]:
+            amb = n ** s
+            seen = []
+            for label, spanning in seeded_spans(rng, n, s, field):
+                W = Subspace.from_vectors(spanning, n, s, field)
+                rows, pivots = linalg._rref_fraction(spanning)
+                assert (W.rows, W.pivots) == (rows, pivots) == rref(spanning), label
+                for earlier, earlier_rows in seen:
+                    assert (W == earlier) == W.equal(earlier) == (rows == earlier_rows)
+                seen.append((W, rows))
+                assert W.free == [c for c in range(amb) if c not in pivots]
+                assert W.basis_polys() == [NCPoly.from_coords(n, s, r, field) for r in rows]
+                # vectors in the span and random sparse ones
+                vectors = [[sum((a * r[j] for a, r in zip(coeffs, rows)), field.zero)
+                            for j in range(amb)]
+                           for coeffs in random_rows(rng, 2, len(rows), field)]
+                for _ in range(4):
+                    v = [field.zero] * amb
+                    for c in rng.sample(range(amb), rng.randint(1, min(amb, 5))):
+                        v[c] = field.of(rng.randint(-4, 4))
+                    vectors.append(v)
+                for v in vectors:
+                    dense = dense_reduce(rows, pivots, v)
+                    assert W.reduce(v) == dense
+                    poly = NCPoly.from_coords(n, s, v, field)
+                    assert W.residual(poly) == [dense[c] for c in W.free]
+                    assert W.residual_of([(c, x) for c, x in enumerate(v) if x]) == \
+                        W.residual(poly)
+                    assert W.contains(poly) == (not any(dense))
+                # the same span from another spanning set: shuffled, rescaled
+                # and with a redundant sum appended
+                other = [[field.of(3) * x for x in r] for r in spanning]
+                rng.shuffle(other)
+                if other:
+                    other.append([a + b for a, b in zip(other[0], other[-1])])
+                W2 = Subspace.from_vectors(other, n, s, field)
+                assert W2 == W and W2.equal(W) and hash(W2) == hash(W)
+                if label in ("zero", "full", "coordinate"):
+                    W3 = Subspace.coordinate(n, s, field, pivots)
+                    assert W3 == W and hash(W3) == hash(W)

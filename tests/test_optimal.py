@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,42 @@ def test_degree_bounded_consistency_fixtures():
     rz = builtin("ex3.2-zero", n=2)
     bad = check_consistent_ideal(rz, [x1], 3)
     assert bad.verdict is False
+
+
+def test_constant_relations_are_refused_in_both_modes():
+    one = NCPoly.constant(2, 1)
+    r = builtin("ex3.5", mu=1, lam=1)
+    for rels in ([one], [2 * one, 3 * one]):
+        with pytest.raises(ValueError, match="constant ideal generators are not supported"):
+            check_same_degree_consistency(r, rels)
+        with pytest.raises(ValueError, match="constant ideal generators are not supported"):
+            check_consistent_ideal(r, rels, 3)
+
+
+def test_degree_bound_is_checked_before_the_empty_shortcut():
+    x1, x2 = NCPoly.gen(2, 1), NCPoly.gen(2, 2)
+    r = builtin("ex3.5", mu=1, lam=1)
+    for gens in ([], [NCPoly.zero(2)], [x1 * x2 - x2 * x1]):
+        for bound in (0, -2):
+            with pytest.raises(ValueError, match="max_degree must be at least 1"):
+                check_consistent_ideal(r, gens, bound)
+    rep = check_consistent_ideal(r, [], 1)
+    assert rep.verdict is True and rep.checked_degree == 1
+
+
+def test_violations_are_labelled_with_the_given_names():
+    x1, x2 = NCPoly.gen(2, 1), NCPoly.gen(2, 2)
+    r = builtin("ex3.5", mu=1, lam=1)
+    comm = x1 * x2 - x2 * x1
+    for report in (lambda **kw: check_same_degree_consistency(r, [comm], **kw),
+                   lambda **kw: check_consistent_ideal(r, [comm], 3, **kw)):
+        default, named = report(), report(names=("a", "b"))
+        assert default.violations and default == report(names=None)
+        assert default.violations[0].source == "x1*x2 - x2*x1"
+        assert named.violations[0].source == "a*b - b*a"
+        assert named.violations == tuple(
+            replace(v, source=v.source.replace("x1", "a").replace("x2", "b"))
+            for v in default.violations)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["Q", "Fp10007"])
