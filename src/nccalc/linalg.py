@@ -5,9 +5,13 @@ Subspace is the canonical RREF basis of a subspace of a homogeneous
 component, held as pivots plus tails: each pivot word's row is nonzero
 only there and on the free columns (the normal words).  A residual is a
 list over the normal words, found by replacing each pivot word with
-minus its tail; dense rows of length n^s exist only as ``rref`` input
-and on request.  Preimages, intersections and the invariant-subspace
+minus its tail.  Preimages, intersections and the invariant-subspace
 rounds of ``optimal`` all take one kernel step, ``Subspace.kernel_of``.
+A sum is a block elimination: the added vectors' residuals, which live
+on the free columns, are eliminated alone and their pivots are then
+cleared from the old tails.  Dense rows of length n^s remain only as the
+``rref`` input of ``from_vectors`` (which ``kernel_of`` recombines its
+solutions into) and on request (``rows``).
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.  Over
@@ -56,13 +60,16 @@ def rref(rows):
     normalized to one and cleared above and below.  The result is the
     canonical basis of the row space.  Input rows are not modified.
 
-    Rows of ``Fraction`` or of ``FpElement`` over one modulus are
-    eliminated on ints, as the module docstring describes; any other
-    entries in their own arithmetic.
+    Rows of ``int`` and ``Fraction`` entries, or of ``FpElement`` over
+    one modulus, are eliminated on ints as the module docstring
+    describes, and give ``Fraction`` or ``FpElement`` entries; any other
+    entries are eliminated in their own arithmetic.
     """
     rows = [list(r) for r in rows]
     kinds = set(map(type, chain.from_iterable(rows)))
-    if kinds == {Fraction}:
+    if kinds and kinds <= {int, Fraction}:
+        if int in kinds:
+            rows = [[Fraction(c) for c in r] for r in rows]
         return _rref_rational(rows)
     if kinds == {FpElement}:
         moduli = set(map(attrgetter("p"), chain.from_iterable(rows)))
@@ -305,7 +312,9 @@ class Subspace:
     ``tails`` maps each pivot column of the canonical reduced-echelon
     basis, in increasing order, to the nonzero ``(column, value)`` entries
     of its row on the free columns (its pivot entry is one).  ``pivots``,
-    ``free`` and the dense ``rows`` are derived from it.
+    ``free`` and the dense ``rows`` are derived from it.  Sums extend the
+    tails by block elimination on the free columns; only ``from_vectors``
+    and ``kernel_of``, which goes through it, eliminate dense rows.
     """
 
     __slots__ = ("n", "degree", "field", "tails", "free", "_position")
@@ -484,12 +493,49 @@ class Subspace:
             vectors.append(v)
         return Subspace.from_vectors(vectors, self.n, self.degree, self.field)
 
+    def _extended(self, rows):
+        """Span of this subspace and the vectors with the given (column,
+        value) entries, by block elimination on the free columns.
+
+        Returns ``(span, residuals)``, where ``residuals`` counts the
+        nonzero residuals handed to ``rref``.  Each vector is reduced
+        modulo this subspace onto ``free``; the residuals' RREF gives the
+        new pivot rows, whose pivots are then eliminated from the old
+        tails.  No row handed to ``rref`` is longer than ``free``.
+        """
+        residuals = [r for r in map(self.residual_of, rows) if any(r)]
+        if not residuals:
+            return self, 0
+        red, positions = rref(residuals)
+        free = self.free
+        taken = set(positions)
+        rest = [t for t in range(len(free)) if t not in taken]
+        # the new pivot rows: one at their pivot, zero on the other new pivots
+        new = {free[t]: [(free[j], row[j]) for j in rest if row[j]]
+               for row, t in zip(red, positions)}
+        position = self._position
+        tails = {}
+        for p, tail in self.tails.items():
+            if any(c in new for c, _ in tail):
+                # back substitution: clear the new pivot columns of the old row
+                vec = [self.field.zero] * len(free)
+                for c, v in tail:
+                    if c in new:
+                        for j, x in new[c]:
+                            vec[position[j]] -= v * x
+                    else:
+                        vec[position[c]] += v
+                tail = [(free[j], vec[j]) for j in rest if vec[j]]
+            tails[p] = tail
+        tails.update(new)
+        return Subspace(self.n, self.degree, self.field,
+                        {p: tails[p] for p in sorted(tails)}), len(residuals)
+
     def __add__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         self._check(other)
-        return Subspace.from_vectors(self.rows + other.rows,
-                                     self.n, self.degree, self.field)
+        return self._extended(other._row_entries())[0]
 
     def equal(self, other: "Subspace"):
         """Equality with shape checking: same component, identical tails."""

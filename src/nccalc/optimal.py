@@ -51,6 +51,20 @@ modulo L_s, which lives on the normal words, lies in C_t.  Each round
 either certifies closure or drops dim C_t, and I_s = L_s (+) C_t at the
 fixpoint.
 
+L_s itself takes no elimination of dense rows.  Write m = n^(s-1); the
+word x^a * w sits at column a*m + w, so the left shifts x^a * I_{s-1}
+of I_{s-1}'s echelon rows fill the disjoint column blocks
+[a*m, (a+1)*m), in increasing order of a.  Inside its block each
+shifted row keeps its pivot and its tail on the shifted free columns,
+and it is zero in every other block.  So the left shifts already form
+the canonical reduced echelon basis of their span, with pivots a*m + p
+and free columns a*m + c for the normal words c of degree s-1.  Only
+the right shifts I_{s-1} * x^b are reduced modulo them, onto those
+n*|N_{s-1}| free columns, and eliminated there; their new pivots are
+then cleared from the left shifts' tails.  Since C lies in L_s's free
+columns, I_s = L_s (+) C_t is the same block step with C_t's rows as
+the residuals.
+
 The construction re-verifies itself as it runs: a round that does not
 shrink, or an I_s that misses part of L_s, raises instead of returning
 a non-ideal.
@@ -182,21 +196,23 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
                               space)[0]
 
 
-def _ideal_slice(prev: Subspace) -> Subspace:
-    """L_s = sum_i x^i*prev + prev*x^i, by shifting prev's pivots and tails
-    into the dense rows that ``rref`` takes."""
+def _ideal_slice(prev: Subspace):
+    """L_s = sum_i x^i*prev + prev*x^i, from prev's pivots and tails.
+
+    The left shifts are already a canonical reduced echelon basis (see
+    the module docstring), so only the right shifts are eliminated, on
+    the left shifts' free columns.  Returns ``(L_s, residuals)``, the
+    number of right shifts whose residual went to ``rref``.
+    """
     n, field, m = prev.n, prev.field, prev.ambient_dim
-    zero, one = field.zero, field.one
-    vectors = []
-    for p, tail in prev.tails.items():
-        for a in range(n):
-            left = [zero] * (n * m)            # x^a * w sits at a*n^(s-1) + w
-            right = [zero] * (n * m)           # w * x^a sits at n*w + a
-            left[a * m + p] = right[n * p + a] = one
-            for c, v in tail:
-                left[a * m + c] = right[n * c + a] = v
-            vectors += (left, right)
-    return Subspace.from_vectors(vectors, n, prev.degree + 1, field)
+    one = field.one
+    # x^a * w sits at a*n^(s-1) + w, and w * x^a at n*w + a
+    left = Subspace(n, prev.degree + 1, field,
+                    {a * m + p: [(a * m + c, v) for c, v in tail]
+                     for a in range(n) for p, tail in prev.tails.items()})
+    right = [[(n * p + a, one)] + [(n * c + a, v) for c, v in tail]
+             for p, tail in prev.tails.items() for a in range(n)]
+    return left._extended(right)
 
 
 class IdealFiltration:
@@ -228,6 +244,7 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     """Build the filtration degree by degree up to max_degree.
 
     Logs one DEBUG record per degree s >= 2 on the ``nccalc`` logger:
+    how many right-shift residuals went to ``rref`` and their rank,
     dim L_s, the number of normal words, dim U_s, the invariant rounds
     and dim I_s.
     """
@@ -241,7 +258,7 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     n, field = rule.n, rule.field
     comps = [Subspace.zero(n, 1, field)]
     for s in range(2, max_degree + 1):
-        l_s = _ideal_slice(comps[-1])
+        l_s, shifted = _ideal_slice(comps[-1])
         u_c = _derivative_kernel(rule, comps[-1], s, l_s.free)
         c_s, rounds = _closed_complement(rule, l_s, u_c)
         i_s = l_s + c_s
@@ -250,8 +267,11 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
             raise IdealPropertyViolation(
                 f"degree-{s} component is not an ideal slice: it misses "
                 f"part of x^i*I_{s - 1} + I_{s - 1}*x^i")
-        log.debug("degree %d: dim L=%d normal words=%d dim U=%d "
-                  "invariant rounds=%d dim I=%d", s, l_s.dim,
+        # the left shifts alone have dim n*dim I_{s-1}; the right shifts'
+        # residuals add their rank
+        log.debug("degree %d: right-shift residuals=%d rank=%d dim L=%d "
+                  "normal words=%d dim U=%d invariant rounds=%d dim I=%d",
+                  s, shifted, l_s.dim - n * comps[-1].dim, l_s.dim,
                   len(l_s.free), l_s.dim + u_c.dim, rounds, i_s.dim)
         comps.append(i_s)
     return IdealFiltration(rule, comps, max_degree)

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the code paths they are used to check:
 the rightmost-anchored derivative recursion only uses apply(), the
 per-word derivative sum only uses the memoized word table, the
 commutative-evaluation check only uses scalar arithmetic, the grid
-intersection enumerates small coefficient combinations directly, and the
-dense reduction walks whole echelon rows.
+intersection enumerates small coefficient combinations directly, the
+dense reduction walks whole echelon rows, and the dense sum and ideal
+slice eliminate whole echelon rows in one ``rref``.
 """
 
 from fractions import Fraction
@@ -262,6 +263,26 @@ def dense_reduce(rows, pivots, vec):
                 if row[j]:
                     vec[j] = vec[j] - c * row[j]
     return vec
+
+
+def dense_sum(a, b):
+    """a + b by one ``rref`` of both subspaces' dense echelon rows."""
+    return Subspace.from_vectors(a.rows + b.rows, a.n, a.degree, a.field)
+
+
+def dense_ideal_slice(prev):
+    """sum_i x^i*prev + prev*x^i by one ``rref`` of the dense shifts of
+    prev's echelon rows."""
+    n, m = prev.n, prev.ambient_dim
+    vectors = []
+    for row in prev.rows:
+        for a in range(n):
+            left = [prev.field.zero] * (n * m)     # x^a * w sits at a*n^(s-1) + w
+            right = list(left)                     # w * x^a sits at n*w + a
+            for c, v in enumerate(row):
+                left[a * m + c] = right[n * c + a] = v
+            vectors += (left, right)
+    return Subspace.from_vectors(vectors, n, prev.degree + 1, prev.field)
 
 
 def dense_optimal_ideal(rule, max_degree):

@@ -3,7 +3,8 @@
 ``helpers.dense_optimal_ideal`` builds every component from the full
 derivative preimage U_s and runs the invariant rounds on all of it; the
 library works on the normal words of L_s only.  The two must agree on
-the echelon rows and pivots of every component.
+the echelon rows and pivots of every component.  Likewise L_s itself,
+built by block elimination, must match one dense ``rref`` of the shifts.
 """
 
 import logging
@@ -11,9 +12,10 @@ import random
 
 import pytest
 
-from nccalc import GF, QQ, IdealPropertyViolation, Subspace, optimal_ideal
+from nccalc import GF, QQ, IdealPropertyViolation, Subspace, linalg, optimal_ideal
 from nccalc.examples import build_example, example_names
-from helpers import dense_optimal_ideal, random_invertible, rule_over
+from nccalc.optimal import _ideal_slice
+from helpers import dense_ideal_slice, dense_optimal_ideal, random_invertible, rule_over
 from test_acceptance import _dim_pool
 
 FP = GF(10007)
@@ -56,11 +58,15 @@ def test_debug_log_has_one_record_per_degree(caplog):
     caplog.set_level(logging.DEBUG, logger="nccalc")
     optimal_ideal(build_example("thm4.1-I"), 4)
     messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
-    # from degree 3 on U_s = L_s, so no invariant round runs
+    # from degree 3 on U_s = L_s, so no invariant round runs; the left
+    # shifts give dim L minus the right shifts' rank
     assert messages == [
-        "degree 2: dim L=0 normal words=4 dim U=1 invariant rounds=1 dim I=1",
-        "degree 3: dim L=4 normal words=4 dim U=4 invariant rounds=0 dim I=4",
-        "degree 4: dim L=11 normal words=5 dim U=11 invariant rounds=0 dim I=11",
+        "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=4 "
+        "dim U=1 invariant rounds=1 dim I=1",
+        "degree 3: right-shift residuals=2 rank=2 dim L=4 normal words=4 "
+        "dim U=4 invariant rounds=0 dim I=4",
+        "degree 4: right-shift residuals=6 rank=3 dim L=11 normal words=5 "
+        "dim U=11 invariant rounds=0 dim I=11",
     ]
 
 
@@ -71,3 +77,28 @@ def test_ideal_slice_check_catches_a_component_missing_l_s(monkeypatch):
     monkeypatch.setattr(Subspace, "__add__", lambda self, other: other)
     with pytest.raises(IdealPropertyViolation, match="not an ideal slice"):
         optimal_ideal(rule, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+@pytest.mark.parametrize("name", example_names())
+def test_ideal_slice_matches_dense_shifts(name, field):
+    rule = rule_over(build_example(name), field)
+    for prev in optimal_ideal(rule, 8).components:
+        got, _ = _ideal_slice(prev)
+        assert list(got.tails.items()) == list(dense_ideal_slice(prev).tails.items())
+
+
+def test_filtration_eliminates_only_small_blocks(monkeypatch):
+    cells, widths = [], []
+    original = linalg.rref
+
+    def spy(rows):
+        rows = [list(r) for r in rows]
+        cells.append(sum(map(len, rows)))
+        widths.extend(map(len, rows))
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    optimal_ideal(build_example("thm4.1-I"), 9)
+    # one dense elimination of L_9 alone takes about 2 * 502 rows of 512
+    assert sum(cells) < 20_000 and max(widths) <= 64

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -16,7 +17,7 @@ from nccalc import (
     word_partials,
 )
 from nccalc import linalg
-from helpers import dense_reduce, grid_intersection, random_poly
+from helpers import dense_reduce, dense_sum, grid_intersection, random_poly
 
 
 def frac_rows(rows):
@@ -404,9 +405,7 @@ def test_tails_match_dense_reference():
                 assert W.free == [c for c in range(amb) if c not in pivots]
                 assert W.basis_polys() == [NCPoly.from_coords(n, s, r, field) for r in rows]
                 # vectors in the span and random sparse ones
-                vectors = [[sum((a * r[j] for a, r in zip(coeffs, rows)), field.zero)
-                            for j in range(amb)]
-                           for coeffs in random_rows(rng, 2, len(rows), field)]
+                vectors = combinations(rng, W, 2, field)
                 for _ in range(4):
                     v = [field.zero] * amb
                     for c in rng.sample(range(amb), rng.randint(1, min(amb, 5))):
@@ -431,3 +430,68 @@ def test_tails_match_dense_reference():
                 if label in ("zero", "full", "coordinate"):
                     W3 = Subspace.coordinate(n, s, field, pivots)
                     assert W3 == W and hash(W3) == hash(W)
+
+
+# ---- the block-elimination sum against one dense rref ----
+
+def assert_sum_matches_dense(a, b, label):
+    got = a + b
+    assert list(got.tails.items()) == list(dense_sum(a, b).tails.items()), label
+    kind = type(a.field.one)
+    assert all(type(v) is kind for tail in got.tails.values() for _, v in tail), label
+
+
+def combinations(rng, W, count, field):
+    """``count`` random combinations of W's echelon rows, as dense vectors."""
+    rows = W.rows
+    return [[sum((a * r[j] for a, r in zip(coeffs, rows)), field.zero)
+             for j in range(W.ambient_dim)]
+            for coeffs in random_rows(rng, count, len(rows), field)]
+
+
+def test_sum_matches_dense_reference():
+    rng = random.Random(32)
+    for field in (QQ, GF(10007)):
+        for n, s in [(2, s) for s in range(1, 5)] + [(3, s) for s in range(1, 5)]:
+            spans = [(label, Subspace.from_vectors(spanning, n, s, field))
+                     for label, spanning in seeded_spans(rng, n, s, field)]
+            for la, a in spans:
+                for lb, b in spans:
+                    assert_sum_matches_dense(a, b, f"{la} + {lb}")
+                if not a.dim:
+                    continue
+                # a subspace of a, a superspace of it, one that overlaps it,
+                # and the coordinate span of its pivots (every row hits a pivot)
+                amb = a.ambient_dim
+                inner = Subspace.from_vectors(combinations(rng, a, 2, field), n, s, field)
+                fresh = low_rank_rows(rng, 3, amb, field)
+                outer = Subspace.from_vectors(a.rows + fresh, n, s, field)
+                overlap = Subspace.from_vectors(combinations(rng, a, 1, field) + fresh,
+                                                n, s, field)
+                hit = Subspace.coordinate(n, s, field, a.pivots)
+                for lb, b in [("inner", inner), ("outer", outer),
+                              ("overlap", overlap), ("pivots", hit)]:
+                    assert_sum_matches_dense(a, b, f"{la} + {lb}")
+                    assert_sum_matches_dense(b, a, f"{lb} + {la}")
+                assert a + inner == a and inner + a == a and a + outer == outer
+
+
+def test_int_rows_give_exact_results():
+    assert rref([[2, 1]]) == ([[Fraction(1), Fraction(1, 2)]], [0])
+    assert nullspace([[2, 1]], 2, QQ) == [[Fraction(-1, 2), Fraction(1)]]
+    rng = random.Random(33)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5:
+            rows[0][0] = Fraction(rng.randint(-4, 4), 3)   # mixed int and Fraction
+        red, pivots = rref(rows)
+        assert (red, pivots) == linalg._rref_fraction(frac_rows(rows))
+        basis = nullspace(rows, ncols, QQ)
+        W = Subspace.from_vectors(rows, ncols, 1, QQ)
+        assert W.rows == red
+        for vec in basis:
+            assert all(sum(c * v for c, v in zip(row, vec)) == 0 for row in rows)
+        entries = (list(chain.from_iterable(red)) + list(chain.from_iterable(basis))
+                   + [v for tail in W.tails.values() for _, v in tail])
+        assert not any(isinstance(c, float) for c in entries)
