@@ -18,37 +18,103 @@ step: prepending x^a to the n derivatives of w.
 * ``word_partials`` memoizes the derivatives of single words per suffix
   on the rule instance: the filtration asks for the same normal words
   degree after degree.
+
+The prepend step runs on plain ``int`` coefficients, never on field
+objects, so no multiply-add builds a ``Fraction`` or normalises by a gcd.
+Over F_p the coefficients are the residues, reduced mod p once per trie
+node.  Over Q the images are scaled once per rule by L, the lcm of their
+coefficients' denominators (``_int_images``, cached on the rule), and
+every value carries a known power of L: since (L*A)*(L^m*D) =
+L^(m+1)*(A*D), a node of depth t in the trie of f carries
+den(f)*L^(top-1-t) times its true value (den(f) the lcm of f's
+denominators, top its longest word length), and a word of length m
+carries L^(m-1).  Each output coefficient is divided by its scale once,
+when it is turned back into a field element.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import chain
+from math import lcm
+
 from .commrule import CommRule
-from .freealg import NCPoly
+from .fields import FpElement, PrimeField
+from .freealg import NCPoly, check_letters
 
 
-def _prepend(images, a, sub, acc):
+def _int_images(rule: CommRule):
+    """The rule's images on ints, cached on the rule: (L, p, table).
+
+    Over Q, L is the lcm of the image coefficients' denominators and p is
+    None; over F_p, L is 1.  table[a-1][k] lists (j, terms) for the
+    nonzero entries A(x^a)^j_k, with terms the (word, int) pairs of the
+    entry scaled by L (over Q) or its residues (over F_p).
+    """
+    got = rule._int_images
+    if got is None:
+        field = rule.field
+        if isinstance(field, PrimeField):
+            scale, p = 1, field.p
+        else:
+            scale = lcm(*(c.denominator for m in rule.images for row in m.rows
+                          for e in row for c in e.terms.values()))
+            p = None
+        table = tuple(tuple(tuple((j, tuple(_to_ints(e.terms, scale, p).items()))
+                                  for j, e in enumerate(row) if e)
+                            for row in m.rows) for m in rule.images)
+        got = rule._int_images = (scale, p, table)
+    return got
+
+
+def _prepend(table, a, sub, acc):
     """Add sum_j A(x^a)^j_k * sub[j] into acc[k] for every k.
 
-    ``sub`` and ``acc`` are lists of n term dicts without zero values;
-    ``acc`` is updated in place and stays free of zeros.
+    ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
+    is updated in place and may gain zero values.
     """
-    for row, out in zip(images[a - 1].rows, acc):
+    for row, out in zip(table[a - 1], acc):
         get = out.get
-        for e, d in zip(row, sub):
+        for j, entry in row:
+            d = sub[j]
             if not d:
                 continue
-            for v, x in e.terms.items():
+            for v, x in entry:
                 for u, c in d.items():
                     key = v + u
-                    s = get(key)
-                    if s is None:
-                        out[key] = x * c
-                    else:
-                        s = s + x * c
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
+                    out[key] = get(key, 0) + x * c
+
+
+def _reduced(acc, p):
+    """The residues mod p of acc's values, zeros dropped."""
+    return [{u: r for u, c in d.items() if (r := c % p)} for d in acc]
+
+
+def _to_ints(terms, scale, p):
+    """Field coefficients as ints: ``scale`` times their values over Q
+    (exact when scale clears every denominator), residues over F_p."""
+    if p is not None:
+        return {u: c.val for u, c in terms.items()}
+    if scale == 1:
+        return {u: c.numerator for u, c in terms.items()}
+    return {u: c.numerator * (scale // c.denominator) for u, c in terms.items()}
+
+
+def _to_field(ints, scale, p):
+    """Field coefficients from ints carrying ``scale`` times their value
+    over Q (residues over F_p), zeros dropped."""
+    if p is not None:
+        return {u: FpElement(c, p) for u, c in ints.items() if c}
+    if scale == 1:
+        return {u: Fraction(c) for u, c in ints.items() if c}
+    return {u: Fraction(c, scale) for u, c in ints.items() if c}
+
+
+def _poly(rule: CommRule, terms) -> NCPoly:
+    # terms come from _to_field, already free of zeros
+    p = NCPoly.__new__(NCPoly)
+    p.n, p.field, p.terms = rule.n, rule.field, terms
+    return p
 
 
 def word_partials(rule: CommRule, w) -> tuple:
@@ -58,57 +124,84 @@ def word_partials(rule: CommRule, w) -> tuple:
     cached suffix of w, one letter at a time, in a loop.
     """
     cache = rule._word_partials
-    n, field = rule.n, rule.field
-    start = 0
     got = cache.get(w)
+    if got is not None:
+        return got
+    n = rule.n
+    check_letters(w, n)
+    start = 0
     while got is None and start < len(w):
         start += 1
         got = cache.get(w[start:])
     if got is None:
-        got = cache[()] = (NCPoly.zero(n, field),) * n
+        got = cache[()] = (NCPoly.zero(n, rule.field),) * n
+    scale, p, table = _int_images(rule)
+    # the cached suffix carries L^(length - 1) times its value
+    sub = [_to_ints(d.terms, scale ** max(len(w) - start - 1, 0), p) for d in got]
     for i in range(start - 1, -1, -1):
         a = w[i]
+        mult = scale ** (len(w) - i - 1)
         acc = [{} for _ in range(n)]
-        acc[a - 1][w[i + 1:]] = field.one
-        _prepend(rule.images, a, [p.terms for p in got], acc)
-        got = cache[w[i:]] = tuple(NCPoly(n, field, t) for t in acc)
+        acc[a - 1][w[i + 1:]] = mult
+        _prepend(table, a, sub, acc)
+        if p is not None:
+            acc = _reduced(acc, p)
+        got = cache[w[i:]] = tuple(_poly(rule, _to_field(d, mult, p)) for d in acc)
+        sub = acc
     return got
 
 
-def _partials(rule: CommRule, f: NCPoly) -> list:
-    """All n partial derivatives of f as term dicts, indexed by k-1.
+def _partials(rule: CommRule, f: NCPoly):
+    """All n partial derivatives of f on ints, as (parts, D, p).
 
-    The node of a prefix p stands for f_p = sum c_w * u over the words
-    w = p*u of f.  Level L holds D(f_p) for the prefixes of length L;
+    parts[k-1] maps words to D times their coefficient over Q (p is
+    None), or to their residue mod p over F_p (D = 1); ``_to_field``
+    turns it into field coefficients.
+
+    The node of a prefix q stands for f_q = sum c_w * u over the words
+    w = q*u of f.  Level t holds D(f_q) for the prefixes of length t;
     each is built from its children's by the first-letter rule.
     """
     if f.n != rule.n:
         raise ValueError(f"polynomial has {f.n} generators, rule has {rule.n}")
     if f.field != rule.field:
         raise ValueError("polynomial and rule coefficient fields differ")
-    n, images, terms = rule.n, rule.images, f.terms
+    n, terms = rule.n, f.terms
+    check_letters(sorted(set(chain.from_iterable(terms))), n)
+    scale, p, table = _int_images(rule)
+    den = 1 if p is not None else lcm(*(c.denominator for c in terms.values()))
+    terms = _to_ints(terms, den, p)
+    top = max(map(len, terms), default=0)
+    # terms carry den times their value; a node at depth t carries
+    # den * L^(top-1-t) times its value
+    mult = 1
     level = {}
-    for depth in range(max(map(len, terms), default=0) - 1, -1, -1):
+    for depth in range(top - 1, -1, -1):
         nodes = {}
         for w, c in terms.items():
             if len(w) > depth:
-                p = w[:depth]
-                acc = nodes.get(p)
+                q = w[:depth]
+                acc = nodes.get(q)
                 if acc is None:
-                    acc = nodes[p] = [{} for _ in range(n)]
-                # delta part: the suffixes after p*x^a are distinct keys
-                acc[w[depth] - 1][w[depth + 1:]] = c
+                    acc = nodes[q] = [{} for _ in range(n)]
+                # delta part: the suffixes after q*x^a are distinct keys
+                acc[w[depth] - 1][w[depth + 1:]] = c * mult
         for q, sub in level.items():
-            _prepend(images, q[depth], sub, nodes[q[:depth]])
+            _prepend(table, q[depth], sub, nodes[q[:depth]])
+        if p is not None:
+            nodes = {q: _reduced(acc, p) for q, acc in nodes.items()}
         level = nodes
-    return level.get((), [{}] * n)
+        if depth:
+            mult *= scale
+    return level.get((), [{}] * n), den * mult, p
 
 
 def partial(rule: CommRule, k: int, f: NCPoly) -> NCPoly:
     """The k-th partial derivative of f under the rule."""
     if not 1 <= k <= rule.n:
         raise ValueError(f"derivative index {k} out of range 1..{rule.n}")
-    return NCPoly(rule.n, rule.field, _partials(rule, f)[k - 1])
+    parts, scale, p = _partials(rule, f)
+    return _poly(rule, _to_field(parts[k - 1], scale, p))
 
 
 class _Components:
@@ -192,7 +285,8 @@ class VectorField(_Components):
 
 def differential(rule: CommRule, f: NCPoly) -> OneForm:
     """d f as a one-form: component k is the k-th partial derivative."""
-    return OneForm(NCPoly(rule.n, rule.field, t) for t in _partials(rule, f))
+    parts, scale, p = _partials(rule, f)
+    return OneForm(_poly(rule, _to_field(d, scale, p)) for d in parts)
 
 
 def left_mul_form(rule: CommRule, f: NCPoly, omega: OneForm) -> OneForm:
@@ -216,10 +310,11 @@ def vf_apply(rule: CommRule, y: VectorField, u: NCPoly) -> NCPoly:
     """Evaluate the field: Y(u) = sum_i Y^i * D_i(u)."""
     if y.n != rule.n or y.field != rule.field:
         raise ValueError("vector field and rule disagree on algebra")
+    parts, scale, p = _partials(rule, u)
     acc = NCPoly.zero(rule.n, rule.field)
-    for c, d in zip(y.components, _partials(rule, u)):
+    for c, d in zip(y.components, parts):
         if c and d:
-            acc = acc + c * NCPoly(rule.n, rule.field, d)
+            acc = acc + c * _poly(rule, _to_field(d, scale, p))
     return acc
 
 

@@ -121,12 +121,13 @@ class CommRule:
     (zero or homogeneous of degree 1); only such rules feed the ideal
     construction, while derivatives work for any rule.
 
-    Instances are immutable.  The per-word caches only memoize pure
-    results, so concurrent use can at worst duplicate work.
+    Instances are immutable.  The per-word caches and the integer form
+    of the images (``calculus`` fills ``_int_images`` on first use) only
+    memoize pure results, so concurrent use can at worst duplicate work.
     """
 
     __slots__ = ("n", "field", "images", "homogeneous",
-                 "_word_matrices", "_word_partials")
+                 "_word_matrices", "_word_partials", "_int_images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -148,6 +149,7 @@ class CommRule:
             e.is_homogeneous(1) for m in images for r in m.rows for e in r)
         self._word_matrices = {}
         self._word_partials = {}
+        self._int_images = None
 
     @classmethod
     def from_tensor(cls, n, entries, field=QQ):

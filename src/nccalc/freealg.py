@@ -26,6 +26,13 @@ def word_key(w: Word):
     return (len(w), w)
 
 
+def check_letters(letters, n: int):
+    """Raise ValueError unless every letter is a generator index 1..n."""
+    for a in letters:
+        if not 1 <= a <= n:
+            raise ValueError(f"letter {a} out of range 1..{n}")
+
+
 def word_index(w: Word, s: int, n: int) -> int:
     """Index of a degree-s word in the canonical enumeration of n^s monomials."""
     if len(w) != s:
@@ -91,7 +98,9 @@ class NCPoly:
 
     @classmethod
     def from_word(cls, n, w, field=QQ, coeff=None):
-        return cls(n, field, {tuple(w): field.one if coeff is None else field.of(coeff)})
+        w = tuple(w)
+        check_letters(w, n)
+        return cls(n, field, {w: field.one if coeff is None else field.of(coeff)})
 
     @classmethod
     def constant(cls, n, c, field=QQ):

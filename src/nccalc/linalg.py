@@ -65,7 +65,8 @@ def rref(rows):
     describes, and give ``Fraction`` or ``FpElement`` entries; any other
     entries are eliminated in their own arithmetic.
     """
-    rows = [list(r) for r in rows]
+    # no path writes to an input row, so lists are read in place
+    rows = [r if isinstance(r, list) else list(r) for r in rows]
     kinds = set(map(type, chain.from_iterable(rows)))
     if kinds and kinds <= {int, Fraction}:
         if int in kinds:

@@ -3,6 +3,7 @@
 Oracles here deliberately avoid the code paths they are used to check:
 the rightmost-anchored derivative recursion only uses apply(), the
 per-word derivative sum only uses the memoized word table, the
+field-element trie pass only uses the coefficients' own arithmetic, the
 commutative-evaluation check only uses scalar arithmetic, the grid
 intersection enumerates small coefficient combinations directly, the
 dense reduction walks whole echelon rows, and the dense sum and ideal
@@ -31,6 +32,43 @@ def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
         c = Fraction(rng.randint(lo, hi))
         if not nonzero or c != 0:
             return c
+
+
+def rand_proper_fraction(rng, field=QQ, lo=-6, hi=6, nonzero=False):
+    """A field element drawn as num/den with den in 2..7: never a
+    denominator multiple of the field's characteristic."""
+    char = getattr(field, "p", 0)
+    dens = [d for d in range(2, 8) if not char or d % char]
+    while True:
+        c = field.of(Fraction(rng.randint(lo, hi), rng.choice(dens)))
+        if not nonzero or c != 0:
+            return c
+
+
+def random_fraction_poly(rng, n, max_deg, field=QQ):
+    """Mixed-degree polynomial with coefficients of denominators 2..7,
+    usually with a constant term, sometimes zero."""
+    if rng.random() < 0.1:
+        return NCPoly.zero(n, field)
+    terms = {}
+    if rng.random() < 0.7:
+        terms[()] = rand_proper_fraction(rng, field, nonzero=True)
+    for _ in range(rng.randint(1, 5)):
+        w = tuple(rng.randint(1, n) for _ in range(rng.randint(1, max_deg)))
+        terms[w] = rand_proper_fraction(rng, field, nonzero=True)
+    return NCPoly(n, field, terms)
+
+
+def random_fraction_rule(rng, n, field=QQ):
+    """Non-homogeneous rule whose image entries have coefficients of
+    denominators 2..7, constant terms and terms up to degree 2."""
+    images = []
+    for _ in range(n):
+        rows = [[NCPoly.zero(n, field) if rng.random() < 0.4 else
+                 random_fraction_poly(rng, n, 2, field) for _ in range(n)]
+                for _ in range(n)]
+        images.append(MatrixPoly(rows))
+    return CommRule(images)
 
 
 def rand_scalar(rng, field=QQ, lo=-4, hi=4, nonzero=False):
@@ -166,6 +204,28 @@ def _word_partial_rightmost(rule, k, w):
     i = w[-1]
     rec = _word_partial_rightmost(rule, k, w[:-1]) * NCPoly.gen(n, i, field)
     return rec + rule.apply(head).entry(k, i)
+
+
+def field_partials(rule, f):
+    """All n derivatives of f by the prefix-trie pass with every
+    multiply-add on field elements: an oracle for the integer kernel of
+    ``calculus``, with none of its scaling."""
+    n, field, terms = rule.n, rule.field, f.terms
+    level = {}
+    for depth in range(max(map(len, terms), default=0) - 1, -1, -1):
+        nodes = {}
+        for w, c in terms.items():
+            if len(w) > depth:
+                acc = nodes.setdefault(w[:depth], [{} for _ in range(n)])
+                acc[w[depth] - 1][w[depth + 1:]] = c
+        for q, sub in level.items():
+            for row, out in zip(rule.images[q[depth] - 1].rows, nodes[q[:depth]]):
+                for e, d in zip(row, sub):
+                    for v, x in e.terms.items():
+                        for u, c in d.items():
+                            out[v + u] = out.get(v + u, field.zero) + x * c
+        level = nodes
+    return [NCPoly(n, field, t) for t in level.get((), [{}] * n)]
 
 
 def word_table_partials(rule, f):

@@ -5,6 +5,7 @@ import pytest
 
 from nccalc import (
     GF,
+    FpElement,
     QQ,
     CommRule,
     MatrixPoly,
@@ -23,8 +24,11 @@ from nccalc import (
 )
 from nccalc.examples import build_example
 from helpers import (
+    field_partials,
     partial_rightmost,
     random_any_rule,
+    random_fraction_poly,
+    random_fraction_rule,
     random_homogeneous_rule,
     random_poly,
     random_q_grid,
@@ -367,3 +371,119 @@ def test_word_partials_table_matches_whole_polynomial_derivatives():
         for w, parts in rule._word_partials.items():
             f = NCPoly.from_word(2, w)
             assert parts == tuple(partial(fresh, k, f) for k in (1, 2))
+
+
+def _same_terms(got, want):
+    """Equal polynomials whose coefficients all have the field's own type."""
+    kind = Fraction if got.field == QQ else FpElement
+    assert got.terms == want.terms
+    assert all(type(c) is kind for c in got.terms.values())
+
+
+@pytest.mark.parametrize("field", [QQ, FP, GF(2), GF(3)],
+                         ids=["Q", "Fp10007", "Fp2", "Fp3"])
+def test_fractional_draws_match_rightmost_oracle(field):
+    # rules and polynomials with denominators 2..7 exercise the scaling by
+    # the lcm of the image denominators and of the polynomial's; over F_2
+    # and F_3 the integer sums often cancel modulo p
+    rng = random.Random(9100 + getattr(field, "p", 0))
+    for n in (2, 2, 2, 3):
+        rule = random_fraction_rule(rng, n, field)
+        polys = [NCPoly.zero(n, field)]
+        polys += [random_fraction_poly(rng, n, 4 if n == 2 else 3, field) for _ in range(6)]
+        for f in polys:
+            want = [partial_rightmost(rule, k, f) for k in range(1, n + 1)]
+            assert field_partials(rule, f) == want
+            for k in range(1, n + 1):
+                _same_terms(partial(rule, k, f), want[k - 1])
+            for got, w in zip(differential(rule, f).components, want):
+                _same_terms(got, w)
+            for got, w in zip(word_table_partials(rule, f), want):
+                _same_terms(got, w)
+            y = VectorField(random_fraction_poly(rng, n, 2, field) for _ in range(n))
+            expected = NCPoly.zero(n, field)
+            for c, d in zip(y.components, want):
+                expected = expected + c * d
+            _same_terms(vf_apply(rule, y, f), expected)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sums_that_vanish_mod_p(p):
+    # the commutative rule: D_1(x1^p) = p * x1^(p-1), zero in F_p
+    field = GF(p)
+    rule = builtin("ex3.1-diag", field, q=[[1, 1], [1, 1]])
+    x1 = NCPoly.gen(2, 1, field)
+    assert partial(rule, 1, x1 ** p) == NCPoly.zero(2, field)
+    assert word_partials(rule, (1,) * p) == (NCPoly.zero(2, field),) * 2
+    assert partial(rule, 1, x1 ** (p + 1)) == x1 ** p
+
+
+def test_invalid_letters_are_refused():
+    rule = build_example("thm4.1-I")
+    for w in ((0,), (3,), (1, 2, 0), (1, 3, 2)):
+        bad = next(a for a in w if not 1 <= a <= 2)
+        with pytest.raises(ValueError, match=f"letter {bad} out of range 1..2"):
+            word_partials(rule, w)
+        with pytest.raises(ValueError, match=f"letter {bad} out of range 1..2"):
+            NCPoly.from_word(2, w)
+        # a polynomial built around from_word is refused by the derivative
+        with pytest.raises(ValueError, match=f"letter {bad} out of range 1..2"):
+            partial(rule, 1, NCPoly(2, QQ, {w: Fraction(1)}))
+    assert rule._word_partials == {}
+
+
+# a diagonal rule whose image denominators have lcm L = 420
+_Q_GRID = [[Fraction(2, 3), Fraction(5, 7)], [Fraction(7, 5), Fraction(3, 4)]]
+
+
+def _geometric(q, m):
+    return (1 - q ** m) / (1 - q)
+
+
+def test_long_words_under_a_scaled_rule():
+    # D_k(x^a * w) = delta_ak * w + q[k][a] * x^a * D_k(w) for the diagonal
+    # rule, so D(x1^a * x2^b) has a closed form; words of 1600 letters carry
+    # L^1599, an int of about 4200 digits, and need no recursion
+    rule = builtin("ex3.1-diag", q=_Q_GRID)
+    assert rule._int_images is None
+    (q11, q12), (q21, q22) = _Q_GRID
+    a, b = 900, 700
+    w = (1,) * a + (2,) * b
+    d1 = _geometric(q11, a) * NCPoly.from_word(2, w[1:])
+    d2 = q21 ** a * _geometric(q22, b) * NCPoly.from_word(2, w[:-1])
+    assert word_partials(rule, w) == (d1, d2)
+    assert rule._int_images[0] == 420
+    # one letter more, from the cached suffix
+    x2 = NCPoly.gen(2, 2)
+    assert word_partials(rule, (2,) + w) == (q12 * x2 * d1,
+                                             NCPoly.from_word(2, w) + q22 * x2 * d2)
+    # the prefix-trie pass on a fractional polynomial of long words
+    v = (2,) * 1500
+    f = Fraction(3, 5) * NCPoly.from_word(2, w) - Fraction(1, 6) * NCPoly.from_word(2, v)
+    fresh = builtin("ex3.1-diag", q=_Q_GRID)
+    assert partial(fresh, 1, f) == Fraction(3, 5) * d1
+    assert partial(fresh, 2, f) == (Fraction(3, 5) * d2 - Fraction(1, 6)
+                                    * _geometric(q22, 1500) * NCPoly.from_word(2, v[1:]))
+
+
+def test_long_word_prefix_matches_oracle():
+    # a 1500-letter word of one letter after a 200-letter mixed prefix;
+    # the prefix alone is checked against the rightmost-letter oracle and
+    # the whole word against the closed form of the diagonal rule
+    rng = random.Random(1500)
+    rule = builtin("ex3.1-diag", q=_Q_GRID)
+    prefix = tuple(rng.randint(1, 2) for _ in range(200))
+    w = prefix + (1,) * 1300
+    parts = word_partials(rule, w)
+    f = NCPoly.from_word(2, prefix)
+    assert word_partials(rule, prefix) == tuple(
+        partial_rightmost(rule, k, f) for k in (1, 2))
+    for k in (1, 2):
+        want = NCPoly.zero(2)
+        c = Fraction(1)
+        for i, a in enumerate(w):
+            if a == k:
+                want = want + c * NCPoly.from_word(2, w[:i] + w[i + 1:])
+            c *= _Q_GRID[k - 1][a - 1]
+        assert parts[k - 1] == want
+        assert partial(builtin("ex3.1-diag", q=_Q_GRID), k, NCPoly.from_word(2, w)) == want
