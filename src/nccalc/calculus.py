@@ -19,13 +19,9 @@ step: prepending x^a to the n derivatives of w.
   on the rule instance: the filtration asks for the same normal words
   degree after degree.
 
-The prepend step runs on plain ``int`` coefficients, never on field
-objects, so no multiply-add builds a ``Fraction`` or normalises by a gcd.
-Over F_p the coefficients are the residues, reduced mod p once per trie
-node.  Over Q the images are scaled once per rule by L, the lcm of their
-coefficients' denominators (``_int_images``, cached on the rule), and
-every value carries a known power of L: since (L*A)*(L^m*D) =
-L^(m+1)*(A*D), a node of depth t in the trie of f carries
+The prepend step runs on the rule's integer form (``commrule``): over Q
+every value carries a known power of L, the lcm of the image
+coefficients' denominators.  A node of depth t in the trie of f carries
 den(f)*L^(top-1-t) times its true value (den(f) the lcm of f's
 denominators, top its longest word length), and a word of length m
 carries L^(m-1).  Each output coefficient is divided by its scale once,
@@ -34,87 +30,9 @@ when it is turned back into a field element.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
-from math import lcm
-
-from .commrule import CommRule
-from .fields import FpElement, PrimeField
+from .commrule import (CommRule, _int_images, _int_terms, _poly, _prepend,
+                       _reduced, _to_field, _to_ints)
 from .freealg import NCPoly, check_letters
-
-
-def _int_images(rule: CommRule):
-    """The rule's images on ints, cached on the rule: (L, p, table).
-
-    Over Q, L is the lcm of the image coefficients' denominators and p is
-    None; over F_p, L is 1.  table[a-1][k] lists (j, terms) for the
-    nonzero entries A(x^a)^j_k, with terms the (word, int) pairs of the
-    entry scaled by L (over Q) or its residues (over F_p).
-    """
-    got = rule._int_images
-    if got is None:
-        field = rule.field
-        if isinstance(field, PrimeField):
-            scale, p = 1, field.p
-        else:
-            scale = lcm(*(c.denominator for m in rule.images for row in m.rows
-                          for e in row for c in e.terms.values()))
-            p = None
-        table = tuple(tuple(tuple((j, tuple(_to_ints(e.terms, scale, p).items()))
-                                  for j, e in enumerate(row) if e)
-                            for row in m.rows) for m in rule.images)
-        got = rule._int_images = (scale, p, table)
-    return got
-
-
-def _prepend(table, a, sub, acc):
-    """Add sum_j A(x^a)^j_k * sub[j] into acc[k] for every k.
-
-    ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
-    is updated in place and may gain zero values.
-    """
-    for row, out in zip(table[a - 1], acc):
-        get = out.get
-        for j, entry in row:
-            d = sub[j]
-            if not d:
-                continue
-            for v, x in entry:
-                for u, c in d.items():
-                    key = v + u
-                    out[key] = get(key, 0) + x * c
-
-
-def _reduced(acc, p):
-    """The residues mod p of acc's values, zeros dropped."""
-    return [{u: r for u, c in d.items() if (r := c % p)} for d in acc]
-
-
-def _to_ints(terms, scale, p):
-    """Field coefficients as ints: ``scale`` times their values over Q
-    (exact when scale clears every denominator), residues over F_p."""
-    if p is not None:
-        return {u: c.val for u, c in terms.items()}
-    if scale == 1:
-        return {u: c.numerator for u, c in terms.items()}
-    return {u: c.numerator * (scale // c.denominator) for u, c in terms.items()}
-
-
-def _to_field(ints, scale, p):
-    """Field coefficients from ints carrying ``scale`` times their value
-    over Q (residues over F_p), zeros dropped."""
-    if p is not None:
-        return {u: FpElement(c, p) for u, c in ints.items() if c}
-    if scale == 1:
-        return {u: Fraction(c) for u, c in ints.items() if c}
-    return {u: Fraction(c, scale) for u, c in ints.items() if c}
-
-
-def _poly(rule: CommRule, terms) -> NCPoly:
-    # terms come from _to_field, already free of zeros
-    p = NCPoly.__new__(NCPoly)
-    p.n, p.field, p.terms = rule.n, rule.field, terms
-    return p
 
 
 def word_partials(rule: CommRule, w) -> tuple:
@@ -162,18 +80,10 @@ def _partials(rule: CommRule, f: NCPoly):
     w = q*u of f.  Level t holds D(f_q) for the prefixes of length t;
     each is built from its children's by the first-letter rule.
     """
-    if f.n != rule.n:
-        raise ValueError(f"polynomial has {f.n} generators, rule has {rule.n}")
-    if f.field != rule.field:
-        raise ValueError("polynomial and rule coefficient fields differ")
-    n, terms = rule.n, f.terms
-    check_letters(sorted(set(chain.from_iterable(terms))), n)
+    n = rule.n
     scale, p, table = _int_images(rule)
-    den = 1 if p is not None else lcm(*(c.denominator for c in terms.values()))
-    terms = _to_ints(terms, den, p)
-    top = max(map(len, terms), default=0)
-    # terms carry den times their value; a node at depth t carries
-    # den * L^(top-1-t) times its value
+    terms, den, top = _int_terms(rule, f)
+    # a node at depth t carries den * L^(top-1-t) times its value
     mult = 1
     level = {}
     for depth in range(top - 1, -1, -1):

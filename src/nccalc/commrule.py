@@ -10,12 +10,27 @@ column, so extending A to products of generators is ordinary matrix
 multiplication.  That single convention is what keeps every formula in
 this package free of transpositions; it matches how the matrices are
 conventionally displayed.
+
+The rule's arithmetic runs on plain ``int`` coefficients, never on field
+objects, so no multiply-add builds a ``Fraction`` or normalises by a
+gcd.  Over F_p the ints are the residues, reduced mod p once per step.
+Over Q the images are scaled once per rule by L, the lcm of their
+coefficients' denominators (``_int_images``, cached on the rule), and
+every value carries a known power of L: since (L*A)*(L^m*B) =
+L^(m+1)*(A*B), one factor of L per letter.  Each output coefficient is
+divided by its scale once, when it is turned back into a field element.
+``CommRule.apply`` and the derivatives of ``calculus`` share this form
+and its one step, ``_prepend``.
 """
 
 from __future__ import annotations
 
-from .fields import QQ
-from .freealg import NCPoly
+from fractions import Fraction
+from itertools import chain
+from math import lcm
+
+from .fields import QQ, FpElement, PrimeField
+from .freealg import NCPoly, check_letters
 from .linalg import invert_matrix
 
 
@@ -121,13 +136,15 @@ class CommRule:
     (zero or homogeneous of degree 1); only such rules feed the ideal
     construction, while derivatives work for any rule.
 
-    Instances are immutable.  The per-word caches and the integer form
-    of the images (``calculus`` fills ``_int_images`` on first use) only
-    memoize pure results, so concurrent use can at worst duplicate work.
+    Instances are immutable.  The integer form of the images
+    (``_int_images``, filled on first use) and the derivative table of
+    single words (``calculus.word_partials`` fills ``_word_partials``)
+    only memoize pure results, so concurrent use can at worst duplicate
+    work.
     """
 
     __slots__ = ("n", "field", "images", "homogeneous",
-                 "_word_matrices", "_word_partials", "_int_images")
+                 "_word_partials", "_int_images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -147,7 +164,6 @@ class CommRule:
         self.images = images
         self.homogeneous = all(
             e.is_homogeneous(1) for m in images for r in m.rows for e in r)
-        self._word_matrices = {}
         self._word_partials = {}
         self._int_images = None
 
@@ -183,31 +199,44 @@ class CommRule:
         entry = self.image(j).entry(k, i)
         return entry.terms.get((l,), self.field.zero)
 
-    def _matrix_of_word(self, w):
-        """A(w), memoized per prefix: filled from the longest cached prefix
-        of w, one letter at a time, in a loop."""
-        cache = self._word_matrices
-        end = len(w)
-        m = cache.get(w)
-        while m is None and end:
-            end -= 1
-            m = cache.get(w[:end])
-        if m is None:
-            m = cache[()] = MatrixPoly.identity(self.n, self.field)
-        for i in range(end, len(w)):
-            m = cache[w[:i + 1]] = m * self.images[w[i] - 1]
-        return m
-
     def apply(self, f: NCPoly) -> MatrixPoly:
-        """The unital homomorphism into matrices, extended linearly."""
-        if f.n != self.n:
-            raise ValueError(f"polynomial has {f.n} generators, rule has {self.n}")
-        if f.field != self.field:
-            raise ValueError("polynomial and rule coefficient fields differ")
-        acc = MatrixPoly.zero(self.n, self.field)
-        for w, c in sorted(f.terms.items(), key=lambda t: (len(t[0]), t[0])):
-            acc = acc + self._matrix_of_word(w).scale(c)
-        return acc
+        """The unital homomorphism into matrices, extended linearly.
+
+        f splits by first letter as f = c + sum_a x^a*f_a, so A(f) =
+        c*I + sum_a A(x^a)*A(f_a).  The pass evaluates that over the
+        prefix trie of f's words, deepest level first, in a loop, on ints:
+        a node at depth t carries den(f)*L^(top-t) times its value (den(f)
+        the lcm of f's denominators, top its longest word length).
+        """
+        n = self.n
+        scale, p, table = _int_images(self)
+        terms, den, top = _int_terms(self, f)
+        # node q holds the columns of A(f_q): cols[i][k] is entry (k, i)
+        mult = 1
+        level = {}
+        for depth in range(top, -1, -1):
+            nodes = {}
+            for w, c in terms.items():
+                if len(w) >= depth:
+                    q = w[:depth]
+                    cols = nodes.get(q)
+                    if cols is None:
+                        cols = nodes[q] = [[{} for _ in range(n)] for _ in range(n)]
+                    if len(w) == depth:
+                        for i in range(n):
+                            cols[i][i][()] = c * mult
+            for q, sub in level.items():
+                for col, out in zip(sub, nodes[q[:depth]]):
+                    _prepend(table, q[depth], col, out)
+            if p is not None:
+                nodes = {q: [_reduced(col, p) for col in cols]
+                         for q, cols in nodes.items()}
+            level = nodes
+            if depth:
+                mult *= scale
+        cols = level.get((), [[{}] * n] * n)
+        return MatrixPoly([[_poly(self, _to_field(col[k], den * mult, p)) for col in cols]
+                           for k in range(n)])
 
     def change_basis(self, alpha) -> "CommRule":
         """The same rule written in new generators z^p = sum_i alpha[p][i] x^i.
@@ -261,6 +290,98 @@ class CommRule:
     def __repr__(self):
         kind = "homogeneous" if self.homogeneous else "general"
         return f"<CommRule n={self.n} {kind} over {self.field!r}>"
+
+
+def _int_images(rule: CommRule):
+    """The rule's images on ints, cached on the rule: (L, p, table).
+
+    Over Q, L is the lcm of the image coefficients' denominators and p is
+    None; over F_p, L is 1.  table[a-1][k] lists (j, terms) for the
+    nonzero entries A(x^a)^j_k, with terms the (word, int) pairs of the
+    entry scaled by L (over Q) or its residues (over F_p).
+    """
+    got = rule._int_images
+    if got is None:
+        field = rule.field
+        if isinstance(field, PrimeField):
+            scale, p = 1, field.p
+        else:
+            scale = lcm(*(c.denominator for m in rule.images for row in m.rows
+                          for e in row for c in e.terms.values()))
+            p = None
+        table = tuple(tuple(tuple((j, tuple(_to_ints(e.terms, scale, p).items()))
+                                  for j, e in enumerate(row) if e)
+                            for row in m.rows) for m in rule.images)
+        got = rule._int_images = (scale, p, table)
+    return got
+
+
+def _int_terms(rule: CommRule, f: NCPoly):
+    """f's terms on ints, checked against the rule: (terms, den, top).
+
+    Over Q the ints carry den, the lcm of f's denominators, times their
+    value; over F_p they are residues and den is 1.  top is the length
+    of f's longest word.
+    """
+    if f.n != rule.n:
+        raise ValueError(f"polynomial has {f.n} generators, rule has {rule.n}")
+    if f.field != rule.field:
+        raise ValueError("polynomial and rule coefficient fields differ")
+    check_letters(sorted(set(chain.from_iterable(f.terms))), rule.n)
+    p = _int_images(rule)[1]
+    den = 1 if p is not None else lcm(*(c.denominator for c in f.terms.values()))
+    terms = _to_ints(f.terms, den, p)
+    return terms, den, max(map(len, terms), default=0)
+
+
+def _prepend(table, a, sub, acc):
+    """Add sum_j A(x^a)^j_k * sub[j] into acc[k] for every k.
+
+    ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
+    is updated in place and may gain zero values.
+    """
+    for row, out in zip(table[a - 1], acc):
+        get = out.get
+        for j, entry in row:
+            d = sub[j]
+            if not d:
+                continue
+            for v, x in entry:
+                for u, c in d.items():
+                    key = v + u
+                    out[key] = get(key, 0) + x * c
+
+
+def _reduced(acc, p):
+    """The residues mod p of acc's values, zeros dropped."""
+    return [{u: r for u, c in d.items() if (r := c % p)} for d in acc]
+
+
+def _to_ints(terms, scale, p):
+    """Field coefficients as ints: ``scale`` times their values over Q
+    (exact when scale clears every denominator), residues over F_p."""
+    if p is not None:
+        return {u: c.val for u, c in terms.items()}
+    if scale == 1:
+        return {u: c.numerator for u, c in terms.items()}
+    return {u: c.numerator * (scale // c.denominator) for u, c in terms.items()}
+
+
+def _to_field(ints, scale, p):
+    """Field coefficients from ints carrying ``scale`` times their value
+    over Q (residues over F_p), zeros dropped."""
+    if p is not None:
+        return {u: FpElement(c, p) for u, c in ints.items() if c}
+    if scale == 1:
+        return {u: Fraction(c) for u, c in ints.items() if c}
+    return {u: Fraction(c, scale) for u, c in ints.items() if c}
+
+
+def _poly(rule: CommRule, terms) -> NCPoly:
+    # terms come from _to_field, already free of zeros
+    p = NCPoly.__new__(NCPoly)
+    p.n, p.field, p.terms = rule.n, rule.field, terms
+    return p
 
 
 def substitute_generators(p: NCPoly, matrix) -> NCPoly:

@@ -10,8 +10,8 @@ rounds of ``optimal`` all take one kernel step, ``Subspace.kernel_of``.
 A sum is a block elimination: the added vectors' residuals, which live
 on the free columns, are eliminated alone and their pivots are then
 cleared from the old tails.  Dense rows of length n^s remain only as the
-``rref`` input of ``from_vectors`` (which ``kernel_of`` recombines its
-solutions into) and on request (``rows``).
+``rref`` input of ``from_vectors``, behind ``span`` and ``kernel_of``
+(which recombines its solutions into them), and on request (``rows``).
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.  Over

@@ -100,6 +100,16 @@ So ``check_consistent_ideal`` checks the generators against the slices at
 their own degrees and answers "consistent" at that cost; only when one
 fails does it check every basis element of J_1..J_S, to list the
 violations.
+
+The slices themselves take the step that builds L_s.  A product u*r*v
+of degree d with u or v nonempty is x^a or x^b times a product of degree
+d - 1, so
+
+    J_d = sum_i (x^i * J_{d-1} + J_{d-1} * x^i) + R_d,    J_0 = 0,
+
+with R_d the span of the generators of degree d.  ``_next_slice`` hands
+the generators' entries to the block elimination together with the
+right shifts.
 """
 
 from __future__ import annotations
@@ -108,7 +118,7 @@ from dataclasses import dataclass
 
 from .calculus import differential, word_partials
 from .commrule import CommRule, NonHomogeneousRuleError
-from .freealg import NCPoly, all_words, format_poly, index_word
+from .freealg import NCPoly, format_poly, index_word, word_index
 from .linalg import Subspace
 # perfbench's tracer test reads nccalc.optimal.nullspace, so keep the binding
 from .linalg import nullspace  # noqa: F401
@@ -196,13 +206,16 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
                               space)[0]
 
 
-def _ideal_slice(prev: Subspace):
-    """L_s = sum_i x^i*prev + prev*x^i, from prev's pivots and tails.
+def _ideal_slice(prev: Subspace, rows=()):
+    """L_s = sum_i x^i*prev + prev*x^i, from prev's pivots and tails,
+    spanned together with the vectors with the given (column, value)
+    entries.
 
     The left shifts are already a canonical reduced echelon basis (see
-    the module docstring), so only the right shifts are eliminated, on
-    the left shifts' free columns.  Returns ``(L_s, residuals)``, the
-    number of right shifts whose residual went to ``rref``.
+    the module docstring), so only the right shifts and ``rows`` are
+    eliminated, on the left shifts' free columns.  Returns ``(L_s,
+    residuals)``, the number of those vectors whose residual went to
+    ``rref``.
     """
     n, field, m = prev.n, prev.field, prev.ambient_dim
     one = field.one
@@ -212,7 +225,7 @@ def _ideal_slice(prev: Subspace):
                      for a in range(n) for p, tail in prev.tails.items()})
     right = [[(n * p + a, one)] + [(n * c + a, v) for c, v in tail]
              for p, tail in prev.tails.items() for a in range(n)]
-    return left._extended(right)
+    return left._extended(right + list(rows))
 
 
 class IdealFiltration:
@@ -302,20 +315,30 @@ def _ideal_generators(generators, n=None, field=None):
     return gens, n, field
 
 
+def _next_slice(prev: Subspace, gens) -> Subspace:
+    """J_d from J_{d-1}: J_d = sum_i x^i*J_{d-1} + J_{d-1}*x^i + R_d, with
+    R_d the span of the degree-d generators."""
+    d, n = prev.degree + 1, prev.n
+    return _ideal_slice(prev, [[(word_index(w, d, n), c) for w, c in g.terms.items()]
+                               for g in gens if g.degree() == d])[0]
+
+
+def _extend_slices(slices, gens, d):
+    """Extend the list J_0, J_1, ... of slices through J_d."""
+    while len(slices) <= d:
+        slices.append(_next_slice(slices[-1], gens))
+
+
 def ideal_component(generators, d: int, n=None, field=None) -> Subspace:
     """Degree-d slice of the two-sided ideal the generators produce:
-    the span of u*g*v over basis words u, v with matching total degree."""
+    the span of u*g*v over basis words u, v with matching total degree,
+    built degree by degree from J_0 = 0 by ``_next_slice``."""
     gens, n, field = _ideal_generators(generators, n, field)
-    vectors = []
-    for g in gens:
-        width = d - g.degree()
-        for a in range(width + 1):
-            for u in all_words(a, n):
-                for v in all_words(width - a, n):
-                    p = NCPoly(n, field,
-                               {u + w + v: c for w, c in g.terms.items()})
-                    vectors.append(p.coords(d))
-    return Subspace.from_vectors(vectors, n, d, field)
+    if d < 0:
+        raise ValueError(f"slice degree must be nonnegative, got {d}")
+    slices = [Subspace.zero(n, 0, field)]
+    _extend_slices(slices, gens, d)
+    return slices[d]
 
 
 @dataclass(frozen=True)
@@ -414,21 +437,17 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
     if not gens:
         return ConsistencyReport("degree-bounded", max_degree, ())
     gens, n, field = _ideal_generators(gens, rule.n, rule.field)
-    slices = {0: Subspace.zero(n, 0, field)}
-
-    def slice_at(d):
-        """J_d, built once per degree."""
-        if d not in slices:
-            slices[d] = ideal_component(gens, d, n, field)
-        return slices[d]
-
-    if not any(_closure_violations(rule, d, [r], slice_at(d - 1), slice_at(d), names)
-               for r in gens for d in (r.degree(),) if d <= max_degree):
+    slices = [Subspace.zero(n, 0, field)]
+    own = [r for r in gens if r.degree() <= max_degree]
+    _extend_slices(slices, gens, max((r.degree() for r in own), default=0))
+    if not any(_closure_violations(rule, d, [r], slices[d - 1], slices[d], names)
+               for r in own for d in (r.degree(),)):
         return ConsistencyReport("degree-bounded", max_degree, ())
+    _extend_slices(slices, gens, max_degree)
     violations = []
     for d in range(1, max_degree + 1):
-        violations += _closure_violations(rule, d, slice_at(d).basis_polys(),
-                                          slice_at(d - 1), slice_at(d), names)
+        violations += _closure_violations(rule, d, slices[d].basis_polys(),
+                                          slices[d - 1], slices[d], names)
     return ConsistencyReport("degree-bounded", max_degree, tuple(violations))
 
 

@@ -9,8 +9,9 @@ left-associative):
     atom     := rational | identifier | "(" expr ")"
     rational := int ("/" uint)?
 
-Identifiers resolve to named scalar parameters first, then to generator
-names.  Printing back through freealg.format_poly uses the canonical
+Parentheses nest at most ``MAX_NESTING`` levels deep; deeper input is a
+syntax error, not a recursion overflow.  Identifiers resolve to named
+scalar parameters first, then to generator names.  Printing back through freealg.format_poly uses the canonical
 term order; parse(print(parse(text))) equals parse(text).
 """
 
@@ -30,6 +31,9 @@ class ExprSyntaxError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+# each level costs the recursive descent four stack frames
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -81,6 +85,7 @@ class _Parser:
         self.field = field
         self.var_map = var_map
         self.params = params
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -164,10 +169,14 @@ class _Parser:
                 self.fail(f"unknown identifier {val!r}", tok)
             return NCPoly.gen(self.n, idx, self.field)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
+            self.depth += 1
             value = self.expr()
             if not self.at_op(")"):
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return value
         self.fail("expected a number, a name, or a parenthesized expression", tok)
 

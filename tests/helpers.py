@@ -1,13 +1,15 @@
 """Shared random generators and independent oracles.
 
 Oracles here deliberately avoid the code paths they are used to check:
-the rightmost-anchored derivative recursion only uses apply(), the
+the matrix homomorphism multiplies the letters' images word by word,
+the rightmost-letter derivative identity only uses that product, the
 per-word derivative sum only uses the memoized word table, the
 field-element trie pass only uses the coefficients' own arithmetic, the
 commutative-evaluation check only uses scalar arithmetic, the grid
 intersection enumerates small coefficient combinations directly, the
-dense reduction walks whole echelon rows, and the dense sum and ideal
-slice eliminate whole echelon rows in one ``rref``.
+dense reduction walks whole echelon rows, the dense sum and ideal slice
+eliminate whole echelon rows in one ``rref``, and the dense ideal
+component eliminates every product u*g*v in one ``rref``.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from nccalc import (
     preimage,
     word_partials,
 )
-from nccalc.optimal import Violation, ideal_component
+from nccalc.optimal import Violation
 
 
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
@@ -184,26 +186,35 @@ def params_match(a, b):
     return True
 
 
-def partial_rightmost(rule, k, f):
-    """Derivative via the rightmost-letter identity; apply() is the only
-    rule-dependent ingredient, so this is independent of the leftmost
-    recursion used by the implementation."""
-    total = NCPoly.zero(rule.n, rule.field)
-    for w, c in f.terms.items():
-        total = total + c * _word_partial_rightmost(rule, k, w)
-    return total
-
-
-def _word_partial_rightmost(rule, k, w):
+def matrix_apply(rule, f):
+    """A(f) as sum_w c_w * A(w), each A(w) the product of its letters'
+    images in ``MatrixPoly`` arithmetic: independent of the integer
+    first-letter pass behind ``CommRule.apply``."""
     n, field = rule.n, rule.field
-    if len(w) == 0:
-        return NCPoly.zero(n, field)
-    if len(w) == 1:
-        return NCPoly.one(n, field) if w[0] == k else NCPoly.zero(n, field)
-    head = NCPoly.from_word(n, w[:-1], field)
-    i = w[-1]
-    rec = _word_partial_rightmost(rule, k, w[:-1]) * NCPoly.gen(n, i, field)
-    return rec + rule.apply(head).entry(k, i)
+    acc = MatrixPoly.zero(n, field)
+    for w, c in f.terms.items():
+        m = MatrixPoly.identity(n, field)
+        for a in w:
+            m = m * rule.images[a - 1]
+        acc = acc + m.scale(c)
+    return acc
+
+
+def partial_rightmost(rule, k, f):
+    """Derivative via the rightmost-letter identity
+    D_k(v*x^i) = D_k(v)*x^i + A(v)^i_k, with A(v) the running product of
+    the letters' images in ``MatrixPoly`` arithmetic; independent of the
+    leftmost recursion used by the implementation."""
+    n, field = rule.n, rule.field
+    total = NCPoly.zero(n, field)
+    for w, c in f.terms.items():
+        d = NCPoly.zero(n, field)
+        head = MatrixPoly.identity(n, field)   # A of the letters read so far
+        for i in w:
+            d = d * NCPoly.gen(n, i, field) + head.entry(k, i)
+            head = head * rule.images[i - 1]
+        total = total + c * d
+    return total
 
 
 def field_partials(rule, f):
@@ -282,7 +293,7 @@ def orbit_stays_inside(rule, start, space):
             return False
         fresh = []
         for b in cur.basis_polys():
-            m = rule.apply(b)
+            m = matrix_apply(rule, b)
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
                     e = m.entry(k, i)
@@ -345,6 +356,22 @@ def dense_ideal_slice(prev):
     return Subspace.from_vectors(vectors, n, prev.degree + 1, prev.field)
 
 
+def dense_ideal_component(generators, d, n, field):
+    """Degree-d slice of the ideal the nonzero generators produce, by one
+    ``rref`` of every product u*g*v over basis words u, v."""
+    vectors = []
+    for g in generators:
+        if not g:
+            continue
+        width = d - g.degree()
+        for a in range(width + 1):
+            for u in all_words(a, n):
+                for v in all_words(width - a, n):
+                    p = NCPoly(n, field, {u + w + v: c for w, c in g.terms.items()})
+                    vectors.append(p.coords(d))
+    return Subspace.from_vectors(vectors, n, d, field)
+
+
 def dense_optimal_ideal(rule, max_degree):
     """Reference filtration built on all n^s words of every degree.
 
@@ -364,7 +391,7 @@ def dense_optimal_ideal(rule, max_degree):
             residuals = []
             for b in space.basis_polys():
                 res = []
-                for row in rule.apply(b).rows:
+                for row in matrix_apply(rule, b).rows:
                     for e in row:
                         res.extend(space.reduce(e.coords(s)))
                 residuals.append(res)
@@ -384,14 +411,15 @@ def dense_optimal_ideal(rule, max_degree):
 
 def dense_closure_violations(rule, d, elements, below, slice_d):
     """The closure check of ``optimal`` with derivatives from the per-word
-    table and one dense ``Subspace.contains`` per polynomial."""
+    table, entries from ``matrix_apply`` and one dense
+    ``Subspace.contains`` per polynomial."""
     out = []
     for b in elements:
         label = str(b)
         for k, p in enumerate(word_table_partials(rule, b), 1):
             if p and not below.contains(p):
                 out.append(Violation(d, label, "partial", k))
-        for k, row in enumerate(rule.apply(b).rows, 1):
+        for k, row in enumerate(matrix_apply(rule, b).rows, 1):
             for i, e in enumerate(row, 1):
                 if e and not slice_d.contains(e):
                     out.append(Violation(d, label, "entry", k, i))
@@ -403,8 +431,8 @@ def dense_same_degree_violations(rule, relations):
     rels = [r for r in relations if r]
     d = rels[0].degree()
     below = Subspace.zero(rule.n, d - 1, rule.field)
-    return tuple(dense_closure_violations(rule, d, rels, below,
-                                          ideal_component(rels, d)))
+    return tuple(dense_closure_violations(
+        rule, d, rels, below, dense_ideal_component(rels, d, rule.n, rule.field)))
 
 
 def dense_consistent_ideal_violations(rule, generators, max_degree):
@@ -413,7 +441,7 @@ def dense_consistent_ideal_violations(rule, generators, max_degree):
     out = []
     below = Subspace.zero(rule.n, 0, rule.field)
     for d in range(1, max_degree + 1):
-        slice_d = ideal_component(gens, d, rule.n, rule.field)
+        slice_d = dense_ideal_component(gens, d, rule.n, rule.field)
         out += dense_closure_violations(rule, d, slice_d.basis_polys(), below, slice_d)
         below = slice_d
     return tuple(out)

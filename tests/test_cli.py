@@ -230,14 +230,15 @@ def test_check_labels_violations_with_the_rule_names(tmp_path):
     assert not any("x1" in line or "x2" in line for line in lines)
 
 
-def test_check_mixed_degrees_need_bound(tmp_path):
+def test_check_mixed_degrees_use_default_bound(tmp_path):
     path = write_rule(tmp_path)
     rel = tmp_path / "rels.txt"
     rel.write_text("x1*x2 - 1/2*x2*x1\nx1*x2*x1\n")
     code, out, _ = run("check", "--rule", path, "--relations", str(rel))
-    # mixed degrees fall back to the bounded mode with a default bound
+    # mixed degrees fall back to the bounded mode, checked up to the
+    # highest relation degree plus three
     assert code == 0
-    assert out.splitlines()[0] == "mode: degree-bounded"
+    assert out.splitlines()[:2] == ["mode: degree-bounded", "checked degree: 6"]
 
 
 def test_classify2_split_rule(tmp_path):
@@ -420,3 +421,34 @@ def test_modulus_beyond_primality_bound_exits_1(tmp_path):
     code, out, err = run("derive", "--rule", path, "--var", "x1", "--expr", "x1^2")
     assert code == 1 and out == ""
     assert "cannot certify" in err and str(big) in err
+
+
+# 400 levels of parentheses overflowed the parser's recursion before
+# nesting was bounded; each entry point now reports a syntax error
+_DEEP = "(" * 400 + "x1" + ")" * 400
+_TOO_DEEP = "parentheses nested deeper than 100 levels (line 1, column 101)"
+
+
+def test_deep_nesting_in_expr_is_a_syntax_error(tmp_path):
+    path = write_rule(tmp_path)
+    code, out, err = run("derive", "--rule", path, "--var", "x1", "--expr", _DEEP)
+    assert (code, out) == (1, "")
+    assert err == f"nccalc: error: {_TOO_DEEP}\n"
+
+
+def test_deep_nesting_in_rule_cell_is_a_syntax_error(tmp_path):
+    doc = {"n": 2, "field": "Q", "vars": ["x1", "x2"],
+           "A": [[["x1", "0"], ["0", _DEEP]], [["x2", "0"], ["0", "x2"]]]}
+    path = write_rule(tmp_path, doc=doc)
+    code, out, err = run("derive", "--rule", path, "--var", "x1", "--expr", "x1")
+    assert (code, out) == (1, "")
+    assert err == f"nccalc: error: A[1][2][2]: {_TOO_DEEP}\n"
+
+
+def test_deep_nesting_in_relations_line_is_a_syntax_error(tmp_path):
+    path = write_rule(tmp_path)
+    rel = tmp_path / "rels.txt"
+    rel.write_text(f"x1*x2 - x2*x1\n{_DEEP}\n")
+    code, out, err = run("check", "--rule", path, "--relations", str(rel))
+    assert (code, out) == (1, "")
+    assert err == f"nccalc: error: relations line 2: {_TOO_DEEP}\n"

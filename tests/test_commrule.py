@@ -10,14 +10,21 @@ from nccalc import (
     CommRule,
     MatrixPoly,
     NCPoly,
+    OneForm,
+    VectorField,
     builtin,
     invert_matrix,
+    left_mul_form,
     optimal_ideal,
     partial,
     substitute_generators,
+    vf_right_action,
 )
 from helpers import (
+    matrix_apply,
     random_any_rule,
+    random_fraction_poly,
+    random_fraction_rule,
     random_homogeneous_rule,
     random_invertible,
     random_poly,
@@ -279,18 +286,63 @@ def test_apply_on_long_words():
                                             [z, Fraction(1, 2**m) * x1**m]])
 
 
-def test_word_matrix_table_matches_image_products():
-    # every prefix entry the table holds, filled from long and short words
-    # in random order, equals the product of the letters' images
+def test_apply_on_words_is_the_product_of_images():
+    # every word of length 0..7, drawn in random order: A(w) is the
+    # product of its letters' images
     rng = random.Random(6300)
     rule = builtin("ex3.5", mu=2, lam=-1)
     for _ in range(40):
-        rule.apply(NCPoly.from_word(2, tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7)))))
-    for w, m in rule._word_matrices.items():
+        w = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7)))
         expected = MatrixPoly.identity(2)
         for a in w:
             expected = expected * rule.image(a)
-        assert m == expected
+        assert rule.apply(NCPoly.from_word(2, w)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=str)
+def test_apply_matches_matrix_products(field):
+    # images with denominators 2..7 (L > 1 over Q), constants and
+    # quadratic terms (non-homogeneous rules); over F_2 and F_3 many sums
+    # cancel
+    rng = random.Random(6301)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        rule = random_fraction_rule(rng, n, field)
+        for _ in range(2):
+            f = random_fraction_poly(rng, n, 4, field)
+            got = rule.apply(f)
+            assert got == matrix_apply(rule, f)
+            assert all(type(c) is type(field.one) for r in got.rows
+                       for e in r for c in e.terms.values())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_apply_sums_that_vanish_mod_p(p):
+    # x1 and x2 share the image x1 at (1, 1), so the first-letter pass
+    # adds p equal terms into one entry: zero in F_p, not over Q
+    entries = [(1, 1, 1, 1, 1), (1, 2, 1, 1, 1)]
+    for field in (GF(p), QQ):
+        rule = CommRule.from_tensor(2, entries, field)
+        x1, x2 = NCPoly.gen(2, 1, field), NCPoly.gen(2, 2, field)
+        for f in (x1 + field.of(p - 1) * x2, x1 * x1 + field.of(p - 1) * x2 * x1):
+            got = rule.apply(f)
+            assert got == matrix_apply(rule, f)
+            assert got.is_zero() == (field is not QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_apply_refuses_invalid_letters(field):
+    rule = builtin("ex3.5", field, mu=1, lam=1)
+    form = OneForm.basis(2, 1, field)
+    y = VectorField.basis(2, 1, field)
+    for w in ((0,), (3,), (1, 2, 0), (1, 3, 2)):
+        bad = next(a for a in w if not 1 <= a <= 2)
+        f = NCPoly(2, field, {w: field.one})
+        for call in (lambda: rule.apply(f),
+                     lambda: left_mul_form(rule, f, form),
+                     lambda: vf_right_action(rule, y, f)):
+            with pytest.raises(ValueError, match=f"letter {bad} out of range 1..2"):
+                call()
 
 
 def test_prime_field_rule():

@@ -27,6 +27,7 @@ from nccalc import (
 from nccalc.examples import build_example
 from helpers import (
     dense_consistent_ideal_violations,
+    dense_ideal_component,
     dense_same_degree_violations,
     orbit_stays_inside,
     random_family_params,
@@ -206,6 +207,8 @@ def test_ideal_component_fixtures():
         ideal_component([x1 + x1 * x2], 3, n=2, field=QQ)
     with pytest.raises(ValueError):
         ideal_component([NCPoly.one(2)], 2, n=2, field=QQ)
+    with pytest.raises(ValueError, match="slice degree must be nonnegative"):
+        ideal_component([g], -1, n=2, field=QQ)
 
 
 def test_non_homogeneous_rule_rejected():
@@ -400,13 +403,13 @@ def test_degree_bounded_check_matches_dense_enumeration(field):
 def test_consistent_ideal_builds_slices_at_generator_degrees_only(monkeypatch):
     import nccalc.optimal as optimal
     built = []
-    real = optimal.ideal_component
+    real = optimal._next_slice
 
-    def spy(generators, d, n=None, field=None):
-        built.append(d)
-        return real(generators, d, n, field)
+    def spy(prev, gens):
+        built.append(prev.degree + 1)
+        return real(prev, gens)
 
-    monkeypatch.setattr(optimal, "ideal_component", spy)
+    monkeypatch.setattr(optimal, "_next_slice", spy)
     x1, x2 = NCPoly.gen(2, 1), NCPoly.gen(2, 2)
     comm = x1 * x2 - x2 * x1
     # a degree-5 generator above the bound plays no part
@@ -419,6 +422,20 @@ def test_consistent_ideal_builds_slices_at_generator_degrees_only(monkeypatch):
     rep = check_consistent_ideal(builtin("ex3.5", mu=1, lam=1), [comm], 5)
     assert not rep.verdict
     assert sorted(built) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_ideal_component_matches_dense_enumeration(field):
+    # random generator sets of mixed degrees, some above d, and d = 0
+    rng = random.Random(4711)
+    for _ in range(12):
+        n = rng.randint(2, 3)
+        top = 5 if n == 2 else 4
+        gens = [random_poly(rng, n, 3, field, homogeneous=rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))]
+        for d in range(top + 1):
+            got = ideal_component(gens, d, n, field)
+            assert got.equal(dense_ideal_component(gens, d, n, field)), (gens, d)
 
 
 def test_is_regular_fixtures():

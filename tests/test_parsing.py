@@ -76,6 +76,18 @@ def test_error_positions():
         p("x1 +\n* x2")
 
 
+def test_nesting_depth_is_bounded():
+    # 100 levels parse; the 101st opening parenthesis is refused where it
+    # stands, on later lines too, and sibling groups do not add up
+    assert p("(" * 100 + "x1" + ")" * 100) == NCPoly.gen(2, 1)
+    assert p(" + ".join(["(" * 100 + "x2" + ")" * 100] * 3)) == 3 * NCPoly.gen(2, 2)
+    with pytest.raises(ExprSyntaxError,
+                       match=r"nested deeper than 100 levels \(line 1, column 101\)"):
+        p("(" * 101 + "x1" + ")" * 101)
+    with pytest.raises(ExprSyntaxError, match=r"\(line 2, column 51\)"):
+        p("(" * 50 + "\n" + "(" * 1000 + "x1")
+
+
 def test_unknown_identifier():
     with pytest.raises(ExprSyntaxError, match="unknown identifier 'q'"):
         p("q*x1")
