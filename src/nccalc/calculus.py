@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .commrule import (CommRule, _int_images, _int_terms, _poly, _prepend,
                        _reduced, _to_field, _to_ints)
-from .freealg import NCPoly, check_letters
+from .freealg import NCPoly, check_letters, dot
 
 
 def word_partials(rule: CommRule, w) -> tuple:
@@ -203,54 +203,25 @@ def left_mul_form(rule: CommRule, f: NCPoly, omega: OneForm) -> OneForm:
     """Left action of f on a form: (f*omega)_k = sum_i A(f)^i_k * omega_i."""
     if omega.n != rule.n or omega.field != rule.field:
         raise ValueError("form and rule disagree on algebra")
-    m = rule.apply(f)
-    comps = []
-    for k in range(rule.n):
-        acc = NCPoly.zero(rule.n, rule.field)
-        for i in range(rule.n):
-            e = m.rows[k][i]
-            o = omega.components[i]
-            if e and o:
-                acc = acc + e * o
-        comps.append(acc)
-    return OneForm(tuple(comps))
+    return OneForm(dot(row, omega.components) for row in rule.apply(f).rows)
 
 
 def vf_apply(rule: CommRule, y: VectorField, u: NCPoly) -> NCPoly:
-    """Evaluate the field: Y(u) = sum_i Y^i * D_i(u)."""
+    """Evaluate the field: Y(u) = <Y, du> = sum_i Y^i * D_i(u)."""
     if y.n != rule.n or y.field != rule.field:
         raise ValueError("vector field and rule disagree on algebra")
-    parts, scale, p = _partials(rule, u)
-    acc = NCPoly.zero(rule.n, rule.field)
-    for c, d in zip(y.components, parts):
-        if c and d:
-            acc = acc + c * _poly(rule, _to_field(d, scale, p))
-    return acc
+    return pairing(y, differential(rule, u))
 
 
 def vf_right_action(rule: CommRule, y: VectorField, v: NCPoly) -> VectorField:
     """The right action of the algebra on fields: (Y.v)^k = sum_i Y^i * A(v)^k_i."""
     if y.n != rule.n or y.field != rule.field:
         raise ValueError("vector field and rule disagree on algebra")
-    m = rule.apply(v)
-    comps = []
-    for k in range(rule.n):
-        acc = NCPoly.zero(rule.n, rule.field)
-        for i in range(rule.n):
-            c = y.components[i]
-            e = m.rows[i][k]
-            if c and e:
-                acc = acc + c * e
-        comps.append(acc)
-    return VectorField(tuple(comps))
+    return VectorField(dot(y.components, col) for col in zip(*rule.apply(v).rows))
 
 
 def pairing(y: VectorField, omega: OneForm) -> NCPoly:
     """The evaluation pairing sum_i Y^i * omega_i."""
     if y.n != omega.n or y.field != omega.field:
         raise ValueError("vector field and form disagree on algebra")
-    acc = NCPoly.zero(y.n, y.field)
-    for c, o in zip(y.components, omega.components):
-        if c and o:
-            acc = acc + c * o
-    return acc
+    return dot(y.components, omega.components)

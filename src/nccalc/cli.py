@@ -182,7 +182,7 @@ def _load_relations(path, doc):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise RuleFileError(f"cannot read relations file: {e}") from None
     rels = []
     for lineno, line in enumerate(lines, 1):

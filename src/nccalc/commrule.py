@@ -30,7 +30,7 @@ from itertools import chain
 from math import lcm
 
 from .fields import QQ, FpElement, PrimeField
-from .freealg import NCPoly, check_letters
+from .freealg import NCPoly, check_letters, dot
 from .linalg import invert_matrix
 
 
@@ -95,20 +95,8 @@ class MatrixPoly:
     def __mul__(self, other):
         if not isinstance(other, MatrixPoly):
             return NotImplemented
-        n = self.n
-        rows = []
-        for k in range(n):
-            row = []
-            for i in range(n):
-                acc = NCPoly.zero(n, self.field)
-                for l in range(n):
-                    a = self.rows[k][l]
-                    b = other.rows[l][i]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return MatrixPoly(rows)
+        cols = tuple(zip(*other.rows))
+        return MatrixPoly([[dot(row, col) for col in cols] for row in self.rows])
 
     def scale(self, c):
         return MatrixPoly([[c * e for e in r] for r in self.rows])
@@ -241,7 +229,7 @@ class CommRule:
     def change_basis(self, alpha) -> "CommRule":
         """The same rule written in new generators z^p = sum_i alpha[p][i] x^i.
 
-        New image entries are alpha^p_q beta^l_m alpha^i_j A(x^q)^j_l with
+        The image of z^p is beta^T * (sum_q alpha[p][q] A(x^q)) * alpha^T,
         beta the inverse matrix, followed by substituting
         x^i = sum_k beta[i][k] z^k inside every polynomial.
         """
@@ -252,31 +240,16 @@ class CommRule:
         beta = invert_matrix(alpha, field)
         if beta is None:
             raise ValueError("change of basis matrix is singular")
-        zero = NCPoly.zero(n, field)
+        # stacks[l][j] lists entry (l, j) of every generator image
+        stacks = [list(zip(*rows)) for rows in zip(*(m.rows for m in self.images))]
+        beta_cols = tuple(zip(*beta))
         new_images = []
-        for p in range(n):
-            rows = []
-            for m in range(n):
-                row = []
-                for i in range(n):
-                    acc = zero
-                    for q in range(n):
-                        a_pq = alpha[p][q]
-                        if not a_pq:
-                            continue
-                        img = self.images[q].rows
-                        for l in range(n):
-                            b_lm = beta[l][m]
-                            if not b_lm:
-                                continue
-                            for j in range(n):
-                                a_ij = alpha[i][j]
-                                e = img[l][j]
-                                if a_ij and e:
-                                    acc = acc + (a_pq * b_lm * a_ij) * e
-                    row.append(substitute_generators(acc, beta))
-                rows.append(row)
-            new_images.append(MatrixPoly(rows))
+        for a_p in alpha:
+            mixed = [[dot(a_p, stack) for stack in row] for row in stacks]
+            right = [[dot(row, a_i) for a_i in alpha] for row in mixed]
+            new_images.append(MatrixPoly(
+                [[substitute_generators(dot(b_m, col), beta) for col in zip(*right)]
+                 for b_m in beta_cols]))
         return CommRule(new_images)
 
     def __eq__(self, other):

@@ -14,7 +14,7 @@ use that ordering.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .fields import QQ, FpElement
 
@@ -205,6 +205,8 @@ class NCPoly:
             return NotImplemented
         if not c:
             return NCPoly(self.n, self.field)
+        if c == 1:
+            return self  # instances are immutable, so they can be shared
         p = NCPoly.__new__(NCPoly)
         p.n, p.field = self.n, self.field
         p.terms = {w: c * t for w, t in self.terms.items()}
@@ -251,6 +253,20 @@ class NCPoly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def dot(xs, ys) -> NCPoly:
+    """sum_i xs[i]*ys[i] over the free algebra, skipping pairs with a zero
+    side.  One side of a pair may be a field scalar; every pair holds a
+    polynomial, and the zero result takes its algebra from the first."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    if acc is None:
+        first = next(v for v in chain(xs, ys) if isinstance(v, NCPoly))
+        return NCPoly.zero(first.n, first.field)
+    return acc
 
 
 class FreeAlgebra:

@@ -122,10 +122,12 @@ def load_rule(path) -> RuleDocument:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise RuleFileError(f"cannot read rule file: {e}") from None
     except json.JSONDecodeError as e:
         raise RuleFileError(f"rule file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise RuleFileError("rule file is nested too deeply") from None
     return parse_rule_dict(doc)
 
 
@@ -145,6 +147,9 @@ def rule_to_dict(rule: CommRule, var_names=None, params=None) -> dict:
 
 def save_rule(path, rule: CommRule, var_names=None, params=None):
     doc = rule_to_dict(rule, var_names, params)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    except OSError as e:
+        raise RuleFileError(f"cannot write rule file: {e}") from None

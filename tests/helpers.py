@@ -7,6 +7,7 @@ per-word derivative sum only uses the memoized word table, the
 field-element trie pass only uses the coefficients' own arithmetic, the
 commutative-evaluation check only uses scalar arithmetic, the grid
 intersection enumerates small coefficient combinations directly, the
+change of basis sums every alpha*beta*alpha*A term entry by entry, the
 dense reduction walks whole echelon rows, the dense sum and ideal slice
 eliminate whole echelon rows in one ``rref``, and the dense ideal
 component eliminates every product u*g*v in one ``rref``.
@@ -24,6 +25,7 @@ from nccalc import (
     all_words,
     invert_matrix,
     preimage,
+    substitute_generators,
     word_partials,
 )
 from nccalc.optimal import Violation
@@ -198,6 +200,35 @@ def matrix_apply(rule, f):
             m = m * rule.images[a - 1]
         acc = acc + m.scale(c)
     return acc
+
+
+def dense_change_basis(rule, alpha):
+    """The rule in new generators z^p = sum_i alpha[p][i] x^i, entry by
+    entry: (p, m, i) is the sum over q, l, j of alpha[p][q] * beta[l][m] *
+    alpha[i][j] * A(x^q)^j_l, beta the inverse matrix, followed by
+    substituting x^i = sum_k beta[i][k] z^k.  Independent of the
+    factored matrix products behind ``CommRule.change_basis``."""
+    n, field = rule.n, rule.field
+    alpha = [[field.of(c) for c in row] for row in alpha]
+    beta = invert_matrix(alpha, field)
+    images = []
+    for p in range(n):
+        rows = []
+        for m in range(n):
+            row = []
+            for i in range(n):
+                acc = NCPoly.zero(n, field)
+                for q in range(n):
+                    img = rule.images[q].rows
+                    for l in range(n):
+                        for j in range(n):
+                            c = alpha[p][q] * beta[l][m] * alpha[i][j]
+                            if c and img[l][j]:
+                                acc = acc + c * img[l][j]
+                row.append(substitute_generators(acc, beta))
+            rows.append(row)
+        images.append(MatrixPoly(rows))
+    return CommRule(images)
 
 
 def partial_rightmost(rule, k, f):

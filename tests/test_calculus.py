@@ -280,6 +280,26 @@ def test_pairing_adjunction():
             assert lhs == rhs
 
 
+def test_module_operations_refuse_other_algebras():
+    # a second algebra differs from the rule's in its generator count or
+    # in its field; every operation checks before it computes
+    r = builtin("ex3.5", mu=1, lam=1)
+    f = NCPoly.gen(2, 1)
+    for n, field in ((3, QQ), (2, GF(7))):
+        w = OneForm.basis(n, 1, field)
+        y = VectorField.basis(n, 1, field)
+        with pytest.raises(ValueError, match="^form and rule disagree on algebra$"):
+            left_mul_form(r, f, w)
+        with pytest.raises(ValueError, match="^vector field and rule disagree on algebra$"):
+            vf_apply(r, y, f)
+        with pytest.raises(ValueError, match="^vector field and rule disagree on algebra$"):
+            vf_right_action(r, y, f)
+        with pytest.raises(ValueError, match="^vector field and form disagree on algebra$"):
+            pairing(y, OneForm.basis(2, 1, QQ))
+        with pytest.raises(ValueError, match="^vector field and form disagree on algebra$"):
+            pairing(VectorField.basis(2, 1, QQ), w)
+
+
 def test_differential_components_are_partials():
     rng = random.Random(43)
     r = random_any_rule(rng, 2)

@@ -452,3 +452,61 @@ def test_deep_nesting_in_relations_line_is_a_syntax_error(tmp_path):
     code, out, err = run("check", "--rule", path, "--relations", str(rel))
     assert (code, out) == (1, "")
     assert err == f"nccalc: error: relations line 2: {_TOO_DEEP}\n"
+
+
+def test_check_without_nonzero_relations_checks_nothing(tmp_path):
+    # comments alone, or relations that are all zero, present the free
+    # algebra: the same-degree mode has no degree to check
+    path = write_rule(tmp_path)
+    rel = tmp_path / "rels.txt"
+    for text in ("# only a comment\n\n", "0\nx1 - x1\n"):
+        rel.write_text(text)
+        assert run("check", "--rule", path, "--relations", str(rel)) == (
+            0, "mode: same-degree\nverdict: consistent\n", "")
+
+
+# files that cannot be decoded or written are input problems (exit 1),
+# reported on one line, never as a traceback or as exit 2
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0"
+
+
+def test_rule_file_that_is_not_utf8_exits_1(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run("ideal", "--rule", str(bad), "--max-degree", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"nccalc: error: cannot read rule file: {_NOT_UTF8}")
+
+
+def test_relations_file_that_is_not_utf8_exits_1(tmp_path):
+    path = write_rule(tmp_path)
+    rel = tmp_path / "rels.txt"
+    rel.write_bytes(b"\xff\xfex1*x2\n")
+    code, out, err = run("check", "--rule", path, "--relations", str(rel))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"nccalc: error: cannot read relations file: {_NOT_UTF8}")
+
+
+def test_deeply_nested_rule_file_exits_1(tmp_path):
+    # 5,000 levels overflow the JSON decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    rel = tmp_path / "rels.txt"
+    rel.write_text("x1*x2 - x2*x1\n")
+    for argv in (["ideal", "--rule", str(deep), "--max-degree", "2"],
+                 ["derive", "--rule", str(deep), "--var", "1", "--expr", "x1"],
+                 ["check", "--rule", str(deep), "--relations", str(rel)]):
+        assert run(*argv) == (1, "", "nccalc: error: rule file is nested too deeply\n")
+
+
+def test_change_basis_out_that_cannot_be_written_exits_1(tmp_path):
+    path = write_rule(tmp_path)
+    missing = tmp_path / "missing" / "out.json"
+    for target, reason in ((missing, "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run("change-basis", "--rule", path, "--matrix", "1,0;0,1",
+                             "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("nccalc: error: cannot write rule file: ")
+        assert reason in err and err.count("\n") == 1
+    assert not missing.parent.exists()

@@ -21,7 +21,9 @@ from nccalc import (
     vf_right_action,
 )
 from helpers import (
+    dense_change_basis,
     matrix_apply,
+    rand_proper_fraction,
     random_any_rule,
     random_fraction_poly,
     random_fraction_rule,
@@ -251,6 +253,35 @@ def test_derivative_covariance_under_change_of_basis():
                     want = want + beta[i - 1][k - 1] * substitute_generators(
                         partial(r, i, f), beta)
                 assert partial(moved, k, sf) == want
+
+
+def _change_matrices(rng, n, field):
+    """An invertible matrix of fractions with denominators 2..7, then a
+    permutation matrix with nonzero scalars in place of its ones."""
+    while True:
+        dense = [[rand_proper_fraction(rng, field) for _ in range(n)] for _ in range(n)]
+        if invert_matrix(dense, field) is not None:
+            break
+    perm = rng.sample(range(n), n)
+    scaled = [[rand_proper_fraction(rng, field, nonzero=True) if i == perm[p]
+               else field.zero for i in range(n)] for p in range(n)]
+    return dense, scaled
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=str)
+def test_change_basis_matches_entrywise_oracle(field):
+    # n = 2 and 3, homogeneous rules and non-homogeneous ones with
+    # fractional coefficients, dense and permutation matrices
+    rng = random.Random(6400)
+    for t in range(16):
+        n = 2 + t % 2
+        make = random_fraction_rule if t % 4 < 2 else random_homogeneous_rule
+        rule = make(rng, n, field)
+        for alpha in _change_matrices(rng, n, field):
+            got = rule.change_basis(alpha)
+            assert got == dense_change_basis(rule, alpha)
+            assert all(type(c) is type(field.one) for m in got.images
+                       for r in m.rows for e in r for c in e.terms.values())
 
 
 def test_substitute_generators_is_a_homomorphism():

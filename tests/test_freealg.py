@@ -15,6 +15,7 @@ from nccalc import (
     parse_expr,
     word_index,
 )
+from nccalc.freealg import dot
 from helpers import random_poly
 
 
@@ -189,3 +190,19 @@ def test_mixed_generator_counts_rejected():
         NCPoly.gen(2, 1) + NCPoly.gen(3, 1)
     with pytest.raises(ValueError):
         NCPoly.gen(2, 3)
+
+
+def test_dot_sums_products_and_skips_zero_pairs():
+    x1, x2 = gens(2)
+    z = NCPoly.zero(2)
+    assert dot([x1, x2], [x2, x1]) == x1 * x2 + x2 * x1
+    # a side may be a field scalar, on the left or on the right
+    assert dot([Fraction(2), Fraction(0)], [x1, x2]) == 2 * x1
+    assert dot([x1, x2], [Fraction(1, 3), Fraction(-1)]) == Fraction(1, 3) * x1 - x2
+    # pairs that cancel leave the zero polynomial, not a zero coefficient
+    assert dot([x1, -x1], [x2, x2]).terms == {}
+    F = GF(7)
+    y = NCPoly.gen(3, 2, F)
+    got = dot([F.zero, F.one], [y, NCPoly.zero(3, F)])
+    assert got == NCPoly.zero(3, F) and (got.n, got.field) == (3, F)
+    assert dot([z, x1], [x2, z]) == z
