@@ -27,10 +27,17 @@ p, then returns only what it has proved exact:
   agree, and since the RREF is unique B is the exact answer.
 
 When a prime fails the check the next one is tried; after the last, the
-plain ``Fraction`` elimination answers.  The modular elimination walks
-only the pivot row's nonzero columns and the certificate only the
-nonzero entries of B, so the sparse cases (diagonal rules, the zero
-rule, near-identity bases) stay near linear time.
+plain ``Fraction`` elimination answers.
+
+The modular elimination packs each row that a pivot step must clear
+into one Python int, a fixed-width field per column, so clearing a row
+is one big-int multiply-add and a mask, and the loop over the columns
+runs in C.  Fields are reduced mod p only when read; they are wide
+enough for the most clearings a row can take, (min(rows, cols) + 1)
+times (p - 1)^2, so they never carry into each other.  A row that no
+step clears stays a list and is never packed, and the certificate
+walks only the nonzero entries of B, so the sparse cases (diagonal
+rules, the zero rule, near-identity bases) stay near linear time.
 """
 
 from __future__ import annotations
@@ -118,47 +125,68 @@ def _rref_fraction(rows):
 
 
 def _rref_mod(rows, p):
-    """RREF mod p of nonzero rows of residues in [0, p), reduced in place.
+    """RREF mod p of nonzero rows of residues in [0, p).
 
-    Returns ``(reduced_rows, pivots)``.  Rows wait in buckets keyed by
-    their first nonzero column, so each pivot step touches only the rows
-    it has to clear.  The forward pass alone decides full column rank,
-    the common case, which skips back substitution.
+    Returns ``(reduced_rows, pivots)``; the input rows are not modified.
+    Rows wait in buckets keyed by their first nonzero column, so each
+    pivot step touches only the rows it has to clear.  A row that a step
+    clears is packed into one int, one field of ``size`` bytes per
+    column with column 0 in the top field.  Clearing it by the packed
+    pivot row is one multiply-add, ``row + (p - f)*pivot``, and a mask
+    that drops the finished columns; ``bit_length`` then finds its next
+    lead.  Fields are reduced mod p only when read, so they grow: from
+    below p, by less than (p - 1)^2 per clearing, and a row is cleared
+    at most min(rows, cols) times.  Fields of
+    bitlen((min(rows, cols) + 1)*(p - 1)^2) + 1 bits, rounded up to whole
+    bytes for ``int.to_bytes``, therefore never carry into each other.
+    Rows that no step clears stay lists and are never packed.  The
+    forward pass alone decides full column rank, the common case; only
+    otherwise are dense result rows built and back substituted.
     """
     ncols = len(rows[0])
+    size = (((min(len(rows), ncols) + 1) * (p - 1) ** 2).bit_length() + 8) // 8
+    width = 8 * size
     waiting = {}
     for r in rows:
         waiting.setdefault(next(filter(r.__getitem__, range(ncols))), []).append(r)
-    red, pivots = [], []
+    # each pivot row as a dense list of residues, and the inverse of its lead
+    red, invs, pivots = [], [], []
     for col in range(ncols):
         group = waiting.pop(col, None)
         if group is None:
             continue
-        # entries of waiting rows are reduced lazily: exact up to the lead
-        # column, off by multiples of p after it
-        prow = group.pop()
-        prow[col + 1:] = [x % p for x in prow[col + 1:]]
-        nz = list(filter(prow.__getitem__, range(col, ncols)))
+        prow = group.pop(0)
+        if type(prow) is int:
+            packed = prow.to_bytes(size * (ncols - col), "big")
+            prow = [0] * col + [int.from_bytes(packed[i:i + size], "big") % p
+                                for i in range(0, len(packed), size)]
         inv = pow(prow[col], -1, p)
-        if inv != 1:
-            for j in nz:
-                prow[j] = prow[j] * inv % p
-        pvals = [prow[j] for j in nz]
-        for irow in group:
-            f = irow[col]
-            for j, v in zip(nz, pvals):
-                irow[j] -= f * v
-            for j in range(col + 1, ncols):
-                x = irow[j] = irow[j] % p
-                if x:
-                    waiting.setdefault(j, []).append(irow)
-                    break
         red.append(prow)
+        invs.append(inv)
         pivots.append(col)
+        if group:
+            shift = width * (ncols - 1 - col)
+            keep = (1 << shift) - 1
+            pivot = int.from_bytes(b"".join([(v * inv % p).to_bytes(size, "big")
+                                             for v in prow[col:]]), "big")
+            for row in group:
+                if type(row) is not int:
+                    row = int.from_bytes(b"".join([v.to_bytes(size, "big")
+                                                   for v in row[col:]]), "big")
+                row = (row + (p - (row >> shift) % p) * pivot) & keep
+                while row:
+                    k = (row.bit_length() - 1) // width
+                    if (row >> k * width) % p:
+                        waiting.setdefault(ncols - 1 - k, []).append(row)
+                        break
+                    # a top field that is a multiple of p is a zero entry
+                    row &= (1 << k * width) - 1
         if not waiting:
             break
     if len(pivots) == ncols:
         return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)], pivots
+    red = [[v * inv % p for v in r] if inv != 1 else list(r)
+           for r, inv in zip(red, invs)]
     for t in range(len(red) - 1, 0, -1):
         col = pivots[t]
         prow = red[t]

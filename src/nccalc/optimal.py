@@ -258,8 +258,11 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
 
     Logs one DEBUG record per degree s >= 2 on the ``nccalc`` logger:
     how many right-shift residuals went to ``rref`` and their rank,
-    dim L_s, the number of normal words, dim U_s, the invariant rounds
-    and dim I_s.
+    dim L_s, the number of normal words |N_s|, the size |N_s| x
+    n*|N_{s-1}| of the derivative system of the normal words and its rank
+    |N_s| - dim C, dim U_s, the invariant rounds and dim I_s; for
+    thm4.1-I at degree 3 that is ``normal words=4 derivative
+    system=4x6 rank=4 dim U=4``.
     """
     _require_homogeneous(rule)
     if max_degree < 1:
@@ -281,11 +284,15 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
                 f"degree-{s} component is not an ideal slice: it misses "
                 f"part of x^i*I_{s - 1} + I_{s - 1}*x^i")
         # the left shifts alone have dim n*dim I_{s-1}; the right shifts'
-        # residuals add their rank
+        # residuals add their rank.  The derivative system has a row per
+        # normal word and n coordinates per normal word of degree s-1, and
+        # its kernel is C
         log.debug("degree %d: right-shift residuals=%d rank=%d dim L=%d "
-                  "normal words=%d dim U=%d invariant rounds=%d dim I=%d",
-                  s, shifted, l_s.dim - n * comps[-1].dim, l_s.dim,
-                  len(l_s.free), l_s.dim + u_c.dim, rounds, i_s.dim)
+                  "normal words=%d derivative system=%dx%d rank=%d dim U=%d "
+                  "invariant rounds=%d dim I=%d",
+                  s, shifted, l_s.dim - n * comps[-1].dim, l_s.dim, len(l_s.free),
+                  len(l_s.free), n * len(comps[-1].free), len(l_s.free) - u_c.dim,
+                  l_s.dim + u_c.dim, rounds, i_s.dim)
         comps.append(i_s)
     return IdealFiltration(rule, comps, max_degree)
 

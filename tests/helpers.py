@@ -8,7 +8,8 @@ field-element trie pass only uses the coefficients' own arithmetic, the
 commutative-evaluation check only uses scalar arithmetic, the grid
 intersection enumerates small coefficient combinations directly, the
 change of basis sums every alpha*beta*alpha*A term entry by entry, the
-dense reduction walks whole echelon rows, the dense sum and ideal slice
+Gauss-Jordan elimination mod p clears whole rows of reduced residues,
+the dense reduction walks whole echelon rows, the dense sum and ideal slice
 eliminate whole echelon rows in one ``rref``, and the dense ideal
 component eliminates every product u*g*v in one ``rref``.
 """
@@ -352,6 +353,28 @@ def grid_intersection(sub1, sub2, coeffs=range(-2, 3)):
         if sub2.contains(v):
             found.append(v)
     return Subspace.span(found, sub1.degree, n=sub1.n, field=sub1.field)
+
+
+def dense_rref_mod(rows, p):
+    """Reduced row echelon form mod p by plain Gauss-Jordan elimination
+    on lists of ints, every entry reduced after every step.  Returns
+    ``(rows, pivots)`` with zero rows dropped, as ``rref`` does."""
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        found = [i for i in range(rank, len(rows)) if rows[i][col]]
+        if not found:
+            continue
+        rows[rank], rows[found[0]] = rows[found[0]], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        prow = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != rank and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
 
 
 def dense_reduce(rows, pivots, vec):

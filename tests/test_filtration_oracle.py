@@ -59,14 +59,15 @@ def test_debug_log_has_one_record_per_degree(caplog):
     optimal_ideal(build_example("thm4.1-I"), 4)
     messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
     # from degree 3 on U_s = L_s, so no invariant round runs; the left
-    # shifts give dim L minus the right shifts' rank
+    # shifts give dim L minus the right shifts' rank; the derivative
+    # system of the normal words has full rank |N_s| exactly when C = 0
     assert messages == [
         "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=4 "
-        "dim U=1 invariant rounds=1 dim I=1",
+        "derivative system=4x4 rank=3 dim U=1 invariant rounds=1 dim I=1",
         "degree 3: right-shift residuals=2 rank=2 dim L=4 normal words=4 "
-        "dim U=4 invariant rounds=0 dim I=4",
+        "derivative system=4x6 rank=4 dim U=4 invariant rounds=0 dim I=4",
         "degree 4: right-shift residuals=6 rank=3 dim L=11 normal words=5 "
-        "dim U=11 invariant rounds=0 dim I=11",
+        "derivative system=5x8 rank=5 dim U=11 invariant rounds=0 dim I=11",
     ]
 
 

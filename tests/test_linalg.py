@@ -17,7 +17,7 @@ from nccalc import (
     word_partials,
 )
 from nccalc import linalg
-from helpers import dense_reduce, dense_sum, grid_intersection, random_poly
+from helpers import dense_reduce, dense_rref_mod, dense_sum, grid_intersection, random_poly
 
 
 def frac_rows(rows):
@@ -363,6 +363,47 @@ def test_rref_over_prime_field_matches_oracle():
         rows = [[sum((c[i][t] * a[t][j] for t in range(rank)), F.zero)
                  for j in range(ncols)] for i in range(nrows)]
         assert_same_rref(rows)
+
+
+# ---- the packed modular elimination against Gauss-Jordan mod p ----
+
+def packed_width_matrices(p):
+    """Inputs of ``_rref_mod`` at the widths the free quotients meet, by
+    name: dense, rank-deficient, sparse and identity-like."""
+    rng = random.Random(f"packed/{p}")
+    n = 81
+    lower = [[rng.randrange(p) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randrange(p) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    full = [[sum(lower[i][t] * upper[t][j] for t in range(i + 1)) % p for j in range(n)]
+            for i in range(n)]
+    rng.shuffle(full)
+    left = [[rng.randrange(p) for _ in range(40)] for _ in range(60)]
+    right = [[rng.randrange(p) for _ in range(90)] for _ in range(40)]
+    deficient = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                 for row in left]
+    sparse = [[rng.randrange(1, p) if rng.random() < 0.03 else 0 for _ in range(128)]
+              for _ in range(128)]
+    identity = [[rng.randrange(1, p) if j == i else 0 for j in range(128)] for i in range(128)]
+    for row in identity[::8]:
+        row[rng.randrange(128)] = rng.randrange(p)
+    rng.shuffle(identity)
+    # the largest field growth: row i is cleared by each pivot row above
+    # it with multiplier p - 1 against pivot entries p - 1 (its entries
+    # are 1 - k mod p at columns k <= i and -1 - i mod p after); more
+    # columns than rows, so that the result is not the identity
+    growth = [[(1 - k if k <= i else -1 - i) % p for k in range(n + 19)] for i in range(n)]
+    return {"dense full rank": full, "rank-deficient product": deficient,
+            "sparse": sparse, "identity-like": identity, "all p - 1": [[p - 1] * 50] * 50,
+            "largest growth": growth}
+
+
+@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1])
+def test_rref_mod_matches_gauss_jordan_at_packed_widths(p):
+    for name, rows in packed_width_matrices(p).items():
+        rows = [list(r) for r in rows if any(r)]
+        copy = [list(r) for r in rows]
+        assert linalg._rref_mod(rows, p) == dense_rref_mod(rows, p), name
+        assert rows == copy, name
 
 
 def test_rref_does_not_modify_its_input():
