@@ -14,9 +14,12 @@ cleared from the old tails.  Dense rows of length n^s remain only as the
 (which recombines its solutions into them), and on request (``rows``).
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
-works on the residues ``FpElement.val`` and wraps the result back.  Over
-Q it scales each row to integers and eliminates modulo a 61-bit prime
-p, then returns only what it has proved exact:
+works on the residues ``FpElement.val`` and wraps the result back.
+``nullspace`` reads its rows in the field it is given: over F_p an int
+entry is read mod p, and the rows go to the modular elimination without
+any ``FpElement``.  Over Q, ``rref`` scales each row of ints and
+Fractions to integers and eliminates modulo a 61-bit prime p, then
+returns only what it has proved exact:
 
 * full column rank mod p means full column rank over Q (a minor that is
   nonzero mod p is nonzero), so the answer is the identity;
@@ -47,7 +50,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import attrgetter
 
-from .fields import FpElement
+from .fields import FpElement, PrimeField
 from .freealg import NCPoly, index_word, word_index
 
 
@@ -76,8 +79,6 @@ def rref(rows):
     rows = [r if isinstance(r, list) else list(r) for r in rows]
     kinds = set(map(type, chain.from_iterable(rows)))
     if kinds and kinds <= {int, Fraction}:
-        if int in kinds:
-            rows = [[Fraction(c) for c in r] for r in rows]
         return _rref_rational(rows)
     if kinds == {FpElement}:
         moduli = set(map(attrgetter("p"), chain.from_iterable(rows)))
@@ -212,7 +213,12 @@ def _rref_fp(rows, p):
 
 
 def _rref_rational(rows):
-    """RREF over Q via certified elimination mod the primes in _PRIMES."""
+    """RREF over Q via certified elimination mod the primes in _PRIMES.
+
+    Entries are ints or Fractions, read through ``numerator`` and
+    ``denominator``; only the ``_rref_fraction`` fallback turns them all
+    into Fractions.
+    """
     ints, supports = [], []
     for r in rows:
         nums = [c.numerator for c in r]
@@ -241,7 +247,7 @@ def _rref_rational(rows):
         basis = _certified_lift(red, pivots, p, ints, supports)
         if basis is not None:
             return basis, pivots
-    return _rref_fraction(rows)
+    return _rref_fraction([[Fraction(c) for c in r] for r in rows])
 
 
 def _reconstruct(u, p, bound):
@@ -299,12 +305,21 @@ def _certified_lift(red, pivots, p, ints, supports):
 
 
 def nullspace(rows, ncols, field):
-    """Basis of solutions of the homogeneous system ``rows * v = 0``.
+    """Basis of solutions of the homogeneous system ``rows * v = 0`` over
+    ``field``.
 
     Returns the canonical basis: one vector per free column, with a one
-    in that column, in increasing column order.
+    in that column, in increasing column order.  Over F_p every entry is
+    read mod p (ints as they are, the others through ``field.of``) and
+    eliminated on the residues; over Q the rows go to ``rref``.
     """
-    red, pivots = rref(rows)
+    if isinstance(field, PrimeField):
+        p = field.p
+        vals = [v for v in ([c % p if type(c) is int else field.of(c).val for c in r]
+                            for r in rows) if any(v)]
+        red, pivots = _rref_mod(vals, p) if vals else ([], [])
+    else:
+        red, pivots = rref(rows)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -312,9 +327,11 @@ def nullspace(rows, ncols, field):
             continue
         v = [field.zero] * ncols
         v[free] = field.one
-        for t, p in enumerate(pivots):
-            if red[t][free]:
-                v[p] = -red[t][free]
+        for t, col in enumerate(pivots):
+            c = red[t][free]
+            if c:
+                # a residue over F_p, a Fraction over Q
+                v[col] = field.of(-c)
         basis.append(v)
     return basis
 

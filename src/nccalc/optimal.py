@@ -41,7 +41,22 @@ f lies in U_s exactly when c does, so
     U_s = L_s (+) C,   C = {c in span(N_s) : D_k c in I_{s-1} for all k},
 
 which takes the derivatives of the normal words only and one kernel
-step.  By fact 2, L_s is closed under the entries of A, so it lies in
+step.
+
+That derivative system is built on plain ints, keyed by column.
+``calculus.column_partials`` holds the n derivatives of each degree-s
+word on the columns of degree s-1: residues over F_p, and over Q
+L^(s-1) times their true values, with L the lcm of the denominators of
+the rule's images.  The tails of I_{s-1} are read once per degree, as
+residues over F_p and over Q scaled by D, the lcm of their
+denominators.  The int residual of a normal word is then L^(s-1)*D
+times its true residual.  Every word of degree s carries the same
+factor L^(s-1), so the whole system is the true one times one nonzero
+constant (over F_p, congruent to it mod p), and its kernel C does not
+change.  Only C's basis, usually empty or tiny, is made of field
+elements.
+
+By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
 W -> {w in W : every entry of A(w) lies in W}, started at W = U_s, keep
 the form W = L_s (+) C_t: the part in L_s always survives, and c in C_t
@@ -115,10 +130,12 @@ right shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .calculus import differential, word_partials
+from .calculus import column_partials, differential
 from .commrule import CommRule, NonHomogeneousRuleError
-from .freealg import NCPoly, format_poly, index_word, word_index
+from .fields import PrimeField
+from .freealg import NCPoly, format_poly, word_index
 from .linalg import Subspace
 # perfbench's tracer test reads nccalc.optimal.nullspace, so keep the binding
 from .linalg import nullspace  # noqa: F401
@@ -139,13 +156,42 @@ def _require_homogeneous(rule: CommRule):
 
 def _derivative_kernel(rule: CommRule, prev: Subspace, s: int, words) -> Subspace:
     """Combinations of the degree-s words at the given columns whose every
-    partial derivative reduces to zero modulo ``prev``."""
-    n = rule.n
+    partial derivative reduces to zero modulo ``prev``.
+
+    The system is built on ints (see the module docstring): the words'
+    derivatives come from ``column_partials`` and are reduced against
+    prev's tails scaled to ints, so each residual is a fixed multiple of
+    the true one.
+    """
+    n, field = rule.n, rule.field
+    position = prev._position
+    # prev's tails on ints, keyed by position in prev.free: residues over
+    # F_p, over Q den times their values
+    if isinstance(field, PrimeField):
+        den = 1
+        tails = {c: [(position[j], v.val) for j, v in tail]
+                 for c, tail in prev.tails.items()}
+    else:
+        den = lcm(*(v.denominator for tail in prev.tails.values() for _, v in tail))
+        tails = {c: [(position[j], v.numerator * (den // v.denominator))
+                     for j, v in tail] for c, tail in prev.tails.items()}
+    size = len(position)
     residuals = []
     for col in words:
-        parts = word_partials(rule, index_word(col, s, n))
-        residuals.append([x for p in parts for x in prev.residual(p)])
-    return Subspace.coordinate(n, s, rule.field, words).kernel_of(residuals)
+        res = []
+        for part in column_partials(rule, s, col):
+            vec = [0] * size
+            for c, x in part.items():
+                t = position.get(c)
+                if t is None:
+                    # a pivot word equals minus its row's tail, modulo prev
+                    for j, v in tails[c]:
+                        vec[j] -= x * v
+                else:
+                    vec[t] += x * den
+            res += vec
+        residuals.append(res)
+    return Subspace.coordinate(n, s, field, words).kernel_of(residuals)
 
 
 def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:

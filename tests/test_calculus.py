@@ -22,7 +22,11 @@ from nccalc import (
     vf_right_action,
     word_partials,
 )
+from nccalc.calculus import column_partials
+from nccalc.commrule import NonHomogeneousRuleError, _int_images
 from nccalc.examples import build_example
+from nccalc.freealg import index_word, word_index
+from nccalc.rulefile import parse_rule_dict
 from helpers import (
     field_partials,
     partial_rightmost,
@@ -507,3 +511,54 @@ def test_long_word_prefix_matches_oracle():
             c *= _Q_GRID[k - 1][a - 1]
         assert parts[k - 1] == want
         assert partial(builtin("ex3.1-diag", q=_Q_GRID), k, NCPoly.from_word(2, w)) == want
+
+
+# the three-generator rule of the free-quotient CI steps
+_RULE3 = [[["y", "-x", "0"], ["0", "z", "x"], ["1/2*z", "0", "y"]],
+          [["x", "0", "-z"], ["y", "y", "0"], ["0", "x", "z"]],
+          [["0", "z", "x"], ["-y", "0", "x"], ["z", "y", "0"]]]
+
+
+def _column_table_rule(name):
+    if name == "thm4.1-I-moved":
+        moved = build_example("thm4.1-I").change_basis([[1, Fraction(1, 2)],
+                                                        [Fraction(1, 3), 1]])
+        assert _int_images(moved)[0] == 450
+        return moved
+    if name == "F3":
+        doc = {"n": 2, "field": "Fp:3", "vars": ["x1", "x2"],
+               "A": [[["x2", "-x2"], ["0", "0"]], [["0", "0"], ["-x1", "x1"]]]}
+        return parse_rule_dict(doc).rule
+    if name.startswith("n3-"):
+        doc = {"n": 3, "field": name[3:], "vars": ["x", "y", "z"], "A": _RULE3}
+        return parse_rule_dict(doc).rule
+    return build_example(name)
+
+
+@pytest.mark.parametrize("name", ["thm4.1-I", "ex3.5", "thm4.1-I-moved", "F3",
+                                  "n3-Fp:10007", f"n3-Fp:{2**61 - 1}"])
+def test_column_table_matches_word_partials(name):
+    rule, words, shuffled = (_column_table_rule(name) for _ in range(3))
+    n = rule.n
+    scale, p, _ = _int_images(rule)
+    keys = [(m, col) for m in range(1, 6) for col in range(n ** m)]
+    for m, col in keys:
+        want = [{word_index(u, m - 1, n): x for u, x in d.terms.items()}
+                for d in word_partials(words, index_word(col, m, n))]
+        got = column_partials(rule, m, col)
+        if p is None:
+            # over Q a degree-m entry carries L^(m-1) times the true value
+            got = [{c: Fraction(x, scale ** (m - 1)) for c, x in d.items()} for d in got]
+        else:
+            want = [{c: x.val for c, x in d.items()} for d in want]
+        assert got == want
+    # the suffix memo does not depend on the order of the calls
+    random.Random(6300).shuffle(keys)
+    for m, col in keys:
+        column_partials(shuffled, m, col)
+    assert shuffled._column_partials == rule._column_partials
+
+
+def test_column_table_needs_a_homogeneous_rule():
+    with pytest.raises(NonHomogeneousRuleError):
+        column_partials(_non_homogeneous_rule(QQ), 2, 0)

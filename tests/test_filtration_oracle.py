@@ -35,16 +35,29 @@ def test_builtin_examples_match_dense_construction(name):
     assert_matches_dense(build_example(name), 7)
 
 
-@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+@pytest.mark.parametrize("field", [QQ, FP, GF(3), GF(2**61 - 1)],
+                         ids=["Q", "Fp10007", "Fp3", "Fp2^61-1"])
 @pytest.mark.parametrize("n, max_degree, cases", [(2, 6, 12), (3, 4, 5)])
 def test_pool_rules_match_dense_construction(field, n, max_degree, cases):
-    # the rules of the basis-change dim-invariance suite, as drawn there
+    # the rules of the basis-change dim-invariance suite, as drawn there;
+    # over F_3 the derivative system's int residuals often vanish only
+    # mod p, and the rules with a denominator divisible by 3 (from the
+    # diagonal grids and the moves) have no reduction there
     rng = random.Random(9400 + n)
+    checked = 0
     for _ in range(cases):
         rule = _dim_pool(rng, n)
         moved = rule.change_basis(random_invertible(rng, n))
         for r in (rule, moved):
-            assert_matches_dense(r if field == QQ else rule_over(r, field), max_degree)
+            try:
+                r = r if field == QQ else rule_over(r, field)
+            except ZeroDivisionError:
+                assert field == GF(3)
+                continue
+            assert_matches_dense(r, max_degree)
+            checked += 1
+    # more than half of the rules reduce mod 3
+    assert checked > cases
 
 
 @pytest.mark.parametrize("name", ["ex3.1-diag", "thm4.1-I", "thm4.1-II",

@@ -6,6 +6,7 @@ import pytest
 
 from nccalc import (
     GF,
+    FpElement,
     QQ,
     NCPoly,
     Subspace,
@@ -536,3 +537,49 @@ def test_int_rows_give_exact_results():
         entries = (list(chain.from_iterable(red)) + list(chain.from_iterable(basis))
                    + [v for tail in W.tails.values() for _, v in tail])
         assert not any(isinstance(c, float) for c in entries)
+
+
+def test_nullspace_over_prime_field_reads_int_rows_mod_p():
+    F = GF(3)
+    # 4 = 1 mod 3, so the rows agree and the kernel has dimension 1
+    assert nullspace([[1, 1], [1, 4]], 2, F) == [[F.of(2), F.one]]
+    assert nullspace([[1, 2]], 2, F) == [[F.one, F.one]]
+    # entries of p and above are read mod p: 3 = 0 and 5 = 2
+    assert nullspace([[3, 1]], 2, F) == [[F.one, F.zero]]
+    assert nullspace([[4, 5]], 2, F) == [[F.one, F.one]]
+    assert nullspace([[3, 6]], 2, F) == [[F.one, F.zero], [F.zero, F.one]]
+    rng = random.Random(34)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-7, 7) for _ in range(ncols)] for _ in range(nrows)]
+        basis = nullspace(rows, ncols, F)
+        assert basis == nullspace([[F.of(c) for c in r] for r in rows], ncols, F)
+        assert all(type(c) is FpElement for v in basis for c in v)
+        for vec in basis:
+            assert all(sum((c * v for c, v in zip(row, vec)), F.zero) == 0
+                       for row in rows)
+
+
+def test_rref_of_int_rows_falls_back_to_fractions(monkeypatch):
+    calls = []
+    fraction_rref = linalg._rref_fraction
+
+    def spy(rows):
+        calls.append(rows)
+        return fraction_rref(rows)
+
+    monkeypatch.setattr(linalg, "_rref_fraction", spy)
+    # mod 3 only 0 and +-1 reconstruct, so a rank-deficient system whose
+    # RREF has any other entry, such as 1/2, goes to the fallback
+    monkeypatch.setattr(linalg, "_PRIMES", (3,))
+    rng = random.Random(35)
+    for _ in range(40):
+        nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
+        rank = rng.randint(1, min(nrows, ncols) - 1)
+        rows = [[int(c) for c in r] for r in product_rows(
+            nrows, ncols, rank, lambda: Fraction(rng.randint(-4, 4)))]
+        got = rref(rows)
+        assert got == fraction_rref(frac_rows(rows))
+        assert all(type(c) is Fraction for r in got[0] for c in r)
+    assert rref([[2, 1], [4, 2]]) == ([[Fraction(1), Fraction(1, 2)]], [0])
+    assert calls and all(type(c) is Fraction for rows in calls for r in rows for c in r)

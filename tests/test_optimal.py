@@ -22,9 +22,12 @@ from nccalc import (
     largest_invariant,
     optimal_ideal,
     partial,
+    preimage,
     quotient_dims,
+    word_partials,
 )
 from nccalc.examples import build_example
+from nccalc.freealg import all_words
 from helpers import (
     dense_consistent_ideal_violations,
     dense_ideal_component,
@@ -35,6 +38,7 @@ from helpers import (
     random_invertible,
     random_poly,
     random_q_grid,
+    rule_over,
 )
 from nccalc import FamilyParams, build_family
 
@@ -478,3 +482,31 @@ def test_largest_invariant_refuses_a_round_that_does_not_shrink(monkeypatch):
                         classmethod(lambda cls, vectors, n, degree, field: u))
     with pytest.raises(IdealPropertyViolation, match="did not shrink"):
         largest_invariant(r, u)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007), GF(2**61 - 1)],
+                         ids=["Q", "Fp10007", "Fp2^61-1"])
+def test_derivative_preimage_matches_word_table(field):
+    # U_s against targets of codimension 1 or 2 with fractional tails:
+    # the kernel is large, so it changes if the int residuals scale the
+    # free part and the pivot part of a derivative differently
+    rng = random.Random(5300)
+    fractional = 0
+    for n, s in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+        for _ in range(3):
+            moved = random_homogeneous_rule(rng, n).change_basis(random_invertible(rng, n))
+            rule = moved if field == QQ else rule_over(moved, field)
+            size = n ** (s - 1)
+            polys = [NCPoly(n, field, {w: field.of(Fraction(rng.randint(-5, 5),
+                                                            rng.randint(1, 4)))
+                                       for w in all_words(s - 1, n)})
+                     for _ in range(size - rng.randint(1, 2))]
+            prev = Subspace.span(polys, s - 1, n, field)
+            fractional += any(getattr(v, "denominator", 1) != 1
+                              for tail in prev.tails.values() for _, v in tail)
+            images = [word_partials(rule, w) for w in all_words(s, n)]
+            want = preimage(images, (prev,) * n, s, n, field)
+            got = compute_U(rule, s, prev)
+            assert 0 < got.dim < n ** s
+            assert got.equal(want)
+    assert fractional or field != QQ
