@@ -9,6 +9,7 @@ singular change of basis, wrong generator count, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -317,10 +318,17 @@ def cmd_examples_run(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call and reused: parsing leaves no
+    # state on it, and argparse reads the terminal width and sys.stdout /
+    # sys.stderr only when it prints, so every call behaves as on a new one
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         if code is None:

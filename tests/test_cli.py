@@ -1,12 +1,19 @@
+import gc
 import hashlib
 import io
 import json
+import os
 import random
 import contextlib
+import subprocess
+import sys
 from collections import OrderedDict
 from fractions import Fraction
 
-from nccalc import NCPoly, QQ, Subspace, builtin, optimal_ideal, parse_expr
+import pytest
+
+import nccalc
+from nccalc import NCPoly, QQ, Subspace, builtin, cli, optimal_ideal, parse_expr
 from nccalc.cli import main
 
 
@@ -381,9 +388,18 @@ def test_help_exits_zero():
     assert run("ideal", "--help")[0] == 0
 
 
+def run_on_new_parser(*argv):
+    # main with a parser built for this call alone, as in a new process
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parser", cli.build_parser)
+        return run(*argv)
+
+
 def test_cli_never_raises_under_mutation(tmp_path, monkeypatch):
     # mutated --out arguments must scribble inside tmp_path, not the repo
     monkeypatch.chdir(tmp_path)
+    # main's parser serves all 1000 draws; each must answer as a new one
+    cli._parser.cache_clear()
     rng = random.Random(71)
     path = write_rule(tmp_path)
     rel = tmp_path / "rels.txt"
@@ -410,8 +426,74 @@ def test_cli_never_raises_under_mutation(tmp_path, monkeypatch):
             argv.insert(rng.randrange(len(argv) + 1), rng.choice(junk))
         elif argv:
             del argv[rng.randrange(len(argv))]
-        code, _, _ = run(*argv)
-        assert code in (0, 1, 2), (argv, code)
+        got = run(*argv)
+        assert got[0] in (0, 1, 2), (argv, got)
+        assert got == run_on_new_parser(*argv), argv
+
+
+# a rule with constant images: the filtration refuses it (exit 2)
+_AFFINE = {"n": 2, "field": "Q", "vars": ["x1", "x2"],
+           "A": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}
+
+
+def test_repeated_calls_match_one_process_per_call(tmp_path, monkeypatch):
+    # argparse wraps usage and help at the terminal width and prints to the
+    # sys.stdout / sys.stderr of the moment; at 80 columns the usage lines
+    # of "examples run" wrap
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_rule(tmp_path)
+    affine = write_rule(tmp_path, "affine.json", _AFFINE)
+    sequence = [
+        ["derive", "--rule", path, "--var", "x1", "--expr", "x1*x2^2"],
+        ["examples", "run", "ex9.9"],
+        ["--help"],
+        ["examples", "run", "--help"],
+        ["nosuchcommand"],
+        ["ideal", "--rule", affine, "--max-degree", "2"],
+        ["examples", "run", "ex3.4", "--max-degree", "0"],
+        ["examples", "list"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nccalc.__file__)))
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    codes = []
+    for argv in sequence:
+        code, out, err = run(*argv)
+        alone = subprocess.run([sys.executable, "-m", "nccalc.cli", *argv],
+                               capture_output=True, env=env, timeout=60)
+        assert (code, out.encode(), err.encode()) == (
+            alone.returncode, alone.stdout, alone.stderr), argv
+        codes.append(code)
+    assert codes == [0, 1, 0, 0, 1, 2, 1, 0]
+
+
+def test_successful_calls_leave_no_reference_cycles():
+    calls = [("examples", "list"),
+             ("examples", "run", "thm4.1-I", "--max-degree", "4")]
+    for argv in calls:
+        assert run(*argv)[0] == 0
+    gc.collect()
+    # an automatic collection between the calls would hide their cycles
+    gc.disable()
+    try:
+        for t in range(10):
+            assert run(*calls[t % 2])[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_entry_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    # the console script nccalc calls entry(), which reads sys.argv
+    affine = write_rule(tmp_path, doc=_AFFINE)
+    for argv, code in ((["examples", "list"], 0),
+                       (["nosuchcommand"], 1),
+                       (["ideal", "--rule", affine, "--max-degree", "2"], 2)):
+        monkeypatch.setattr(sys, "argv", ["nccalc", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert exit_info.value.code == code, argv
 
 
 def test_modulus_beyond_primality_bound_exits_1(tmp_path):
