@@ -18,34 +18,52 @@ works on the residues ``FpElement.val`` and wraps the result back.
 ``nullspace`` reads its rows in the field it is given: over F_p an int
 entry is read mod p, and the rows go to the modular elimination without
 any ``FpElement``.  Over Q, ``rref`` scales each row of ints and
-Fractions to integers and eliminates modulo a 61-bit prime p, then
+Fractions to a primitive integer row and eliminates it modulo the
+primes of ``_PRIMES`` in turn, the largest primes below 2^26, then
 returns only what it has proved exact:
 
-* full column rank mod p means full column rank over Q (a minor that is
-  nonzero mod p is nonzero), so the answer is the identity;
-* otherwise every entry of the mod-p RREF is rationally reconstructed
-  (Wang) into a candidate B, and every input row a is checked over Z to
-  be ``sum_t a[pivot_t] * B_t``.  That puts the row space of the input
+* full column rank mod any prime means full column rank over Q (a minor
+  that is nonzero mod p is nonzero), so the answer is the identity; the
+  first prime alone settles the common, free-quotient case, and
+  ``nullspace`` then builds no identity at all;
+* otherwise the RREFs mod several primes are combined by the Chinese
+  remainder theorem.  A prime is lucky when its rank and pivots are
+  those over Q; an unlucky one has a lower rank, or the same rank with
+  later pivots.  So only the primes whose (rank, pivots) equal the best
+  seen so far are combined: a better key restarts the combination, and
+  a worse one is skipped.  After each prime every entry of the combined
+  RREF modulo the product M is rationally reconstructed (Wang) into a
+  candidate B, and every input row a is checked over Z to be
+  ``sum_t a[pivot_t] * B_t``.  That puts the row space of the input
   inside span(B), while dim B = rank_p <= rank_Q; so the two spans
-  agree, and since the RREF is unique B is the exact answer.
+  agree, and since the RREF is unique B is the exact answer, whichever
+  primes went into it.
 
-When a prime fails the check the next one is tried; after the last, the
-plain ``Fraction`` elimination answers.
+When no prime of the tuple yields a certified lift, the plain
+``Fraction`` elimination answers.
 
 The modular elimination packs each row that a pivot step must clear
 into one Python int, a fixed-width field per column, so clearing a row
 is one big-int multiply-add and a mask, and the loop over the columns
 runs in C.  Fields are reduced mod p only when read; they are wide
 enough for the most clearings a row can take, (min(rows, cols) + 1)
-times (p - 1)^2, so they never carry into each other.  A row that no
-step clears stays a list and is never packed, and the certificate
-walks only the nonzero entries of B, so the sparse cases (diagonal
-rules, the zero rule, near-identity bases) stay near linear time.
+times (p - 1)^2, so they never carry into each other, and no wider than
+the whole bytes that bound needs.  When it fits one 64-bit word, as it
+does for the primes below 2^26 up to min(rows, cols) = 2047, whole rows
+are packed and unpacked through ``array('Q')``; wider fields, such as
+those of ``Fp:`` moduli above about 2^26, are packed value by value.  A
+row that no step clears stays a list and is never packed, and the
+certificate walks only the nonzero entries of B, so the sparse cases
+(diagonal rules, the zero rule, near-identity bases) stay near linear
+time.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import attrgetter
@@ -54,12 +72,19 @@ from .fields import FpElement, PrimeField
 from .freealg import NCPoly, index_word, word_index
 
 
-# moduli of the rational path, tried in order: the two largest primes
-# below 2^61 (tests check both with fields.is_prime)
-_PRIMES = ((1 << 61) - 1, (1 << 61) - 31)
+# moduli of the rational path, tried in order: the sixteen largest primes
+# below 2^26 (tests check them with fields.is_prime); a literal, so that
+# importing the module costs nothing
+_PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108757,
+           67108753, 67108747, 67108739, 67108729, 67108721, 67108709,
+           67108693, 67108669, 67108667, 67108661)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# packed rows hold column col in their top field: 64-bit words in
+# big-endian order, whatever the machine's own
+_SWAP = sys.byteorder == "little"
 
 
 def rref(rows):
@@ -75,10 +100,22 @@ def rref(rows):
     describes, and give ``Fraction`` or ``FpElement`` entries; any other
     entries are eliminated in their own arithmetic.
     """
+    red, pivots = _rref(rows)
+    if red is None:
+        ncols = len(pivots)
+        red = [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
+    return red, pivots
+
+
+def _rref(rows):
+    """``rref``, except that a full column rank over Q gives None for the
+    identity."""
     # no path writes to an input row, so lists are read in place
     rows = [r if isinstance(r, list) else list(r) for r in rows]
     kinds = set(map(type, chain.from_iterable(rows)))
-    if kinds and kinds <= {int, Fraction}:
+    if not kinds:
+        return [], []
+    if kinds <= {int, Fraction}:
         return _rref_rational(rows)
     if kinds == {FpElement}:
         moduli = set(map(attrgetter("p"), chain.from_iterable(rows)))
@@ -131,22 +168,22 @@ def _rref_mod(rows, p):
     Returns ``(reduced_rows, pivots)``; the input rows are not modified.
     Rows wait in buckets keyed by their first nonzero column, so each
     pivot step touches only the rows it has to clear.  A row that a step
-    clears is packed into one int, one field of ``size`` bytes per
+    clears is packed into one int, one field of ``width`` bits per
     column with column 0 in the top field.  Clearing it by the packed
     pivot row is one multiply-add, ``row + (p - f)*pivot``, and a mask
     that drops the finished columns; ``bit_length`` then finds its next
     lead.  Fields are reduced mod p only when read, so they grow: from
     below p, by less than (p - 1)^2 per clearing, and a row is cleared
     at most min(rows, cols) times.  Fields of
-    bitlen((min(rows, cols) + 1)*(p - 1)^2) + 1 bits, rounded up to whole
-    bytes for ``int.to_bytes``, therefore never carry into each other.
-    Rows that no step clears stay lists and are never packed.  The
-    forward pass alone decides full column rank, the common case; only
-    otherwise are dense result rows built and back substituted.
+    bitlen((min(rows, cols) + 1)*(p - 1)^2) + 1 bits therefore never
+    carry into each other; ``_field_codec`` rounds them up to whole
+    bytes.  Rows that no step clears stay lists and are never packed.
+    The forward pass alone decides full column rank, the common case;
+    only otherwise are dense result rows built and back substituted.
     """
     ncols = len(rows[0])
-    size = (((min(len(rows), ncols) + 1) * (p - 1) ** 2).bit_length() + 8) // 8
-    width = 8 * size
+    width, pack, unpack = _field_codec(
+        ((min(len(rows), ncols) + 1) * (p - 1) ** 2).bit_length() + 1)
     waiting = {}
     for r in rows:
         waiting.setdefault(next(filter(r.__getitem__, range(ncols))), []).append(r)
@@ -158,9 +195,7 @@ def _rref_mod(rows, p):
             continue
         prow = group.pop(0)
         if type(prow) is int:
-            packed = prow.to_bytes(size * (ncols - col), "big")
-            prow = [0] * col + [int.from_bytes(packed[i:i + size], "big") % p
-                                for i in range(0, len(packed), size)]
+            prow = [0] * col + [v % p for v in unpack(prow, ncols - col)]
         inv = pow(prow[col], -1, p)
         red.append(prow)
         invs.append(inv)
@@ -168,12 +203,10 @@ def _rref_mod(rows, p):
         if group:
             shift = width * (ncols - 1 - col)
             keep = (1 << shift) - 1
-            pivot = int.from_bytes(b"".join([(v * inv % p).to_bytes(size, "big")
-                                             for v in prow[col:]]), "big")
+            pivot = pack([v * inv % p for v in prow[col:]])
             for row in group:
                 if type(row) is not int:
-                    row = int.from_bytes(b"".join([v.to_bytes(size, "big")
-                                                   for v in row[col:]]), "big")
+                    row = pack(row[col:])
                 row = (row + (p - (row >> shift) % p) * pivot) & keep
                 while row:
                     k = (row.bit_length() - 1) // width
@@ -201,6 +234,53 @@ def _rref_mod(rows, p):
     return red, pivots
 
 
+def _field_codec(bits):
+    """``(width, pack, unpack)`` for packed rows whose fields need ``bits``
+    bits: fields of as few whole bytes as hold them.  ``pack(values)`` puts
+    values[0] in the top field, and ``unpack(row, count)`` reads back the
+    ``count`` fields of a packed row, unreduced.  Fields of at most eight
+    bytes pass through ``array('Q')``, whole rows at a time."""
+    size = (bits + 7) // 8
+    if size <= 8:
+        return 8 * size, partial(_pack_words, size), partial(_unpack_words, size)
+
+    def pack(values):
+        return int.from_bytes(b"".join([v.to_bytes(size, "big") for v in values]), "big")
+
+    def unpack(row, count):
+        packed = row.to_bytes(size * count, "big")
+        return [int.from_bytes(packed[i:i + size], "big") for i in range(0, len(packed), size)]
+
+    return 8 * size, pack, unpack
+
+
+def _pack_words(size, values):
+    words = array("Q", values)
+    if _SWAP:
+        words.byteswap()
+    if size == 8:
+        return int.from_bytes(words, "big")
+    # the low ``size`` bytes of each big-endian word
+    wide = words.tobytes()
+    packed = bytearray(size * len(words))
+    for k in range(size):
+        packed[k::size] = wide[8 - size + k::8]
+    return int.from_bytes(packed, "big")
+
+
+def _unpack_words(size, row, count):
+    packed = row.to_bytes(size * count, "big")
+    if size < 8:
+        wide = bytearray(8 * count)
+        for k in range(size):
+            wide[8 - size + k::8] = packed[k::size]
+        packed = wide
+    words = array("Q", packed)
+    if _SWAP:
+        words.byteswap()
+    return words
+
+
 def _rref_fp(rows, p):
     """RREF over F_p on the residues, wrapped back into FpElement."""
     vals = [v for v in ([c.val for c in r] for r in rows) if any(v)]
@@ -213,7 +293,8 @@ def _rref_fp(rows, p):
 
 
 def _rref_rational(rows):
-    """RREF over Q via certified elimination mod the primes in _PRIMES.
+    """RREF over Q via certified elimination mod the primes in _PRIMES,
+    with None for the identity when the rank is full.
 
     Entries are ints or Fractions, read through ``numerator`` and
     ``denominator``; only the ``_rref_fraction`` fallback turns them all
@@ -238,22 +319,35 @@ def _rref_rational(rows):
     if not ints:
         return [], []
     ncols = len(ints[0])
+    # (-rank, pivots) of the primes combined so far: lucky primes have the
+    # least key, and a prime with a greater one is unlucky
+    best = None
     for p in _PRIMES:
         # a primitive integer row is never zero mod p
         red, pivots = _rref_mod([[a % p for a in r] for r in ints], p)
         if len(pivots) == ncols:
-            return [[_ONE if j == i else _ZERO for j in range(ncols)]
-                    for i in range(ncols)], pivots
-        basis = _certified_lift(red, pivots, p, ints, supports)
+            return None, pivots
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, combined, modulus = key, red, p
+        elif key == best:
+            # Chinese remainder: the entry that is c mod modulus and v mod p
+            k = pow(modulus, -1, p)
+            combined = [[c + modulus * ((v - c) * k % p) for c, v in zip(crow, row)]
+                        for crow, row in zip(combined, red)]
+            modulus *= p
+        else:
+            continue
+        basis = _certified_lift(combined, pivots, modulus, ints, supports)
         if basis is not None:
             return basis, pivots
     return _rref_fraction([[Fraction(c) for c in r] for r in rows])
 
 
-def _reconstruct(u, p, bound):
-    """Wang's rational reconstruction: n/d = u mod p with |n|, d <= bound,
+def _reconstruct(u, m, bound):
+    """Wang's rational reconstruction: n/d = u mod m with |n|, d <= bound,
     or None."""
-    r0, r1 = p, u
+    r0, r1 = m, u
     s0, s1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -264,12 +358,12 @@ def _reconstruct(u, p, bound):
     return Fraction(r1, s1)
 
 
-def _certified_lift(red, pivots, p, ints, supports):
-    """The rational RREF whose image mod p is ``red``, or None unless it
+def _certified_lift(red, pivots, m, ints, supports):
+    """The rational RREF whose image mod m is ``red``, or None unless it
     provably spans the row space of the integer rows ``ints``, whose
     nonzero columns are ``supports``."""
     ncols = len(red[0])
-    bound = isqrt(p // 2)
+    bound = isqrt(m // 2)
     lifted = {1: _ONE}
     basis, entries = [], []
     for r in red:
@@ -278,7 +372,7 @@ def _certified_lift(red, pivots, p, ints, supports):
         for j in filter(r.__getitem__, range(ncols)):
             q = lifted.get(r[j])
             if q is None:
-                q = _reconstruct(r[j], p, bound)
+                q = _reconstruct(r[j], m, bound)
                 if q is None:
                     return None
                 lifted[r[j]] = q
@@ -311,7 +405,8 @@ def nullspace(rows, ncols, field):
     Returns the canonical basis: one vector per free column, with a one
     in that column, in increasing column order.  Over F_p every entry is
     read mod p (ints as they are, the others through ``field.of``) and
-    eliminated on the residues; over Q the rows go to ``rref``.
+    eliminated on the residues; over Q the rows are eliminated as by
+    ``rref``, except that a full column rank builds no identity.
     """
     if isinstance(field, PrimeField):
         p = field.p
@@ -319,7 +414,8 @@ def nullspace(rows, ncols, field):
                             for r in rows) if any(v)]
         red, pivots = _rref_mod(vals, p) if vals else ([], [])
     else:
-        red, pivots = rref(rows)
+        # a full column rank (red is None) leaves no free column to read
+        red, pivots = _rref(rows)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):

@@ -12,6 +12,11 @@ Schema:
 
 Every grid cell is an expression string over vars and params.  Scalars
 are exact: rational strings like "-3/7", reduced mod p under Fp.
+
+A rule file is four levels deep.  Arrays and objects nested more than
+``MAX_NESTING`` levels deep are refused before the JSON decoder reads
+them, so the refusal does not depend on the decoder's own recursion
+limit, which differs between Python versions.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ class RuleFileError(ValueError):
 
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+MAX_NESTING = 100
+
+# a JSON string literal, whose brackets are text
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 
 
 @dataclass
@@ -118,16 +128,36 @@ def parse_rule_dict(doc) -> RuleDocument:
                         params=params, source=doc)
 
 
+def _too_deep(text):
+    """Whether arrays and objects nest more than MAX_NESTING levels deep in
+    the JSON text (brackets inside strings do not count)."""
+    # the depth cannot exceed the number of opening brackets, and a rule
+    # file has a few dozen: the patterns are compiled only past that
+    if text.count("[") + text.count("{") <= MAX_NESTING:
+        return False
+    depth = 0
+    for bracket in re.findall(r"[][{}]", re.sub(_STRING, "", text)):
+        if bracket in "[{":
+            depth += 1
+            if depth > MAX_NESTING:
+                return True
+        else:
+            depth -= 1
+    return False
+
+
 def load_rule(path) -> RuleDocument:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise RuleFileError(f"cannot read rule file: {e}") from None
+    if _too_deep(text):
+        raise RuleFileError("rule file is nested too deeply")
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise RuleFileError(f"rule file is not valid JSON: {e}") from None
-    except RecursionError:
-        raise RuleFileError("rule file is nested too deeply") from None
     return parse_rule_dict(doc)
 
 

@@ -32,6 +32,7 @@ from nccalc import (
     OneForm,
     VectorField,
 )
+from nccalc import linalg
 from helpers import (
     dense_ideal_component,
     params_match,
@@ -317,6 +318,20 @@ def test_criterion_09_property_suites(report):
             bad.append(label)
     report(9, "six property suites, 200 random cases each over n=2 and n=3",
            not bad)
+
+
+def test_dim_invariance_suite_needs_no_fraction_fallback(monkeypatch):
+    # criterion 9's seed for this suite; the n=2 run only advances it
+    rng = random.Random(9005)
+    assert _suite_dim_invariance(rng, 2, 100)
+    # every rational rref of the n=3 run is certified from the word
+    # primes: none is left to the Fraction elimination
+    calls = []
+    fraction_rref = linalg._rref_fraction
+    monkeypatch.setattr(linalg, "_rref_fraction",
+                        lambda rows: calls.append(rows) or fraction_rref(rows))
+    assert _suite_dim_invariance(rng, 3, 100)
+    assert not calls
 
 
 def test_criterion_10_prime_field_agreement(report):

@@ -570,7 +570,7 @@ def test_relations_file_that_is_not_utf8_exits_1(tmp_path):
 
 
 def test_deeply_nested_rule_file_exits_1(tmp_path):
-    # 5,000 levels overflow the JSON decoder's recursion limit
+    # 5,000 levels, refused before the JSON decoder reads them
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 5000 + "]" * 5000)
     rel = tmp_path / "rels.txt"
@@ -579,6 +579,25 @@ def test_deeply_nested_rule_file_exits_1(tmp_path):
                  ["derive", "--rule", str(deep), "--var", "1", "--expr", "x1"],
                  ["check", "--rule", str(deep), "--relations", str(rel)]):
         assert run(*argv) == (1, "", "nccalc: error: rule file is nested too deeply\n")
+
+
+def test_rule_file_nesting_is_counted_before_decoding(tmp_path):
+    # the limit is rulefile.MAX_NESTING = 100 levels of arrays and objects,
+    # checked on the text, so that every Python version refuses alike
+    deep = tmp_path / "deep.json"
+    too_deep = (1, "", "nccalc: error: rule file is nested too deeply\n")
+    deep.write_text('{"A": ' + "[" * 100 + "]" * 100 + "}")
+    assert run("ideal", "--rule", str(deep), "--max-degree", "2") == too_deep
+    deep.write_text("[" * 100 + "]" * 100)
+    assert run("ideal", "--rule", str(deep), "--max-degree", "2") == (
+        1, "", "nccalc: error: rule file must be a JSON object\n")
+    # brackets inside strings are text, not nesting
+    path = write_rule(tmp_path, "strings.json", {
+        "n": 2, "vars": ["[" * 200 + '"{', "x2"],
+        "A": [[["x1", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]})
+    code, out, err = run("ideal", "--rule", path, "--max-degree", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("nccalc: error: generator name '[[[")
 
 
 def test_change_basis_out_that_cannot_be_written_exits_1(tmp_path):

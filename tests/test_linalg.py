@@ -1,6 +1,9 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 from itertools import chain
+from math import isqrt, prod
 
 import pytest
 
@@ -316,31 +319,106 @@ def test_rref_large_entries_fall_back_exactly(monkeypatch):
         got = rref(rows)
         assert got == fraction_rref(rows)
         assert all(type(c) is Fraction for r in got[0] for c in r)
-    # entries this large cannot be reconstructed mod a 61-bit prime
+    # entries this large cannot be reconstructed mod the product of the primes
     assert calls
+
+
+def spy_on(monkeypatch, name):
+    """Replace ``linalg.<name>`` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(linalg, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, name, spy)
+    return calls
 
 
 def test_rref_second_prime_answers_when_the_first_is_unlucky(monkeypatch):
     p = linalg._PRIMES[0]
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + p)]]
-    used = []
-    mod_rref = linalg._rref_mod
-
-    def spy(ints, q):
-        used.append(q)
-        return mod_rref(ints, q)
-
-    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    used = spy_on(monkeypatch, "_rref_mod")
     assert rref(rows) == ([[1, 0], [0, 1]], [0, 1])
-    assert used == list(linalg._PRIMES[:2])
+    assert [q for _, q in used] == list(linalg._PRIMES[:2])
 
 
-def test_rref_moduli_are_the_largest_primes_below_2_61():
+def test_rref_moduli_are_the_largest_primes_below_2_26():
     from nccalc import is_prime
-    first, second = linalg._PRIMES
-    assert first == 2**61 - 1 and second < first
-    assert is_prime(second)
-    assert not any(is_prime(q) for q in range(second + 1, first))
+    primes = linalg._PRIMES
+    assert len(primes) == len(set(primes)) > 1
+    assert list(primes) == sorted(primes, reverse=True)
+    assert all(is_prime(q) for q in primes)
+    # no prime is skipped between 2^26 and the last modulus
+    assert all(q in primes for q in range(primes[-1], 1 << 26) if is_prime(q))
+    # a literal tuple, so that importing linalg computes no primes
+    tree = ast.parse(inspect.getsource(linalg))
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and getattr(node.targets[0], "id", None) == "_PRIMES"]
+    assert ast.literal_eval(value) == primes
+
+
+def test_rref_lifts_entries_beyond_one_prime_by_crt(monkeypatch):
+    fraction_rref = linalg._rref_fraction
+    fallbacks = spy_on(monkeypatch, "_rref_fraction")
+    used = spy_on(monkeypatch, "_rref_mod")
+    rng = random.Random(27)
+    # one prime reconstructs numerators and denominators below about 2^12.5
+    entry = lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+    for _ in range(30):
+        nrows, ncols = rng.randint(3, 7), rng.randint(3, 7)
+        rows = product_rows(nrows, ncols, rng.randint(2, min(nrows, ncols) - 1), entry)
+        used.clear()
+        red, pivots = rref(rows)
+        assert (red, pivots) == fraction_rref(rows)
+        bits = max(max(abs(c.numerator), c.denominator).bit_length()
+                   for r in red for c in r)
+        # Wang's bound modulo M is isqrt(M // 2): one prime cannot lift
+        # these entries, and the primes stop once their product can
+        assert len(used) >= 2
+        assert isqrt(prod(linalg._PRIMES[:len(used) - 1]) // 2) < 2**bits
+    assert not fallbacks
+
+
+def test_rref_skips_an_unlucky_prime_and_still_certifies(monkeypatch):
+    fraction_rref = linalg._rref_fraction
+    fallbacks = spy_on(monkeypatch, "_rref_fraction")
+    used = spy_on(monkeypatch, "_rref_mod")
+    q0, q1, q2, q3 = linalg._PRIMES[:4]
+    # mod 10007 the first system keeps its rank but its pivot moves to
+    # column 1, and the second loses rank; 1/10007 is beyond the bound of
+    # q0 alone, and 2^40 beyond that of three word primes
+    k = 2**40
+    same_rank = frac_rows([[10007, 1, 2], [2 * 10007, 2, 4]])
+    lower_rank = frac_rows([[1, 1, 1], [1, 1 + 10007, 1 + 10007 * k]])
+    for moduli, rows, expect in [
+            ((q0, 10007, q1, q2), same_rank, [q0, 10007, q1]),
+            ((10007, q0, q1, q2), same_rank, [10007, q0, q1]),
+            ((q0, q1, 10007, q2, q3, 10009), lower_rank, [q0, q1, 10007, q2, q3])]:
+        monkeypatch.setattr(linalg, "_PRIMES", moduli)
+        used.clear()
+        assert rref(rows) == fraction_rref(rows)
+        assert [q for _, q in used] == expect
+    assert rref(lower_rank)[0] == [[1, 0, 1 - k], [0, 1, k]]
+    assert not fallbacks
+
+
+def test_rref_falls_back_when_the_primes_are_exhausted(monkeypatch):
+    fallbacks = spy_on(monkeypatch, "_rref_fraction")
+    used = spy_on(monkeypatch, "_rref_mod")
+    # entries of 2^40 need four word primes
+    k = 2**40
+    rows = frac_rows([[1, 1, 1], [1, 2, 1 + k]])
+    primes = linalg._PRIMES
+    monkeypatch.setattr(linalg, "_PRIMES", primes[:3])
+    assert rref(rows) == ([[1, 0, 1 - k], [0, 1, k]], [0, 1])
+    assert [q for _, q in used] == list(primes[:3])
+    assert len(fallbacks) == 1
+    monkeypatch.setattr(linalg, "_PRIMES", primes[:4])
+    assert rref(rows) == ([[1, 0, 1 - k], [0, 1, k]], [0, 1])
+    assert len(fallbacks) == 1
 
 
 def test_rref_certificate_holds_for_a_tiny_unlucky_prime(monkeypatch):
@@ -398,13 +476,92 @@ def packed_width_matrices(p):
             "largest growth": growth}
 
 
-@pytest.mark.parametrize("p", [2, 3, 10007, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 3, 10007, linalg._PRIMES[0], 2**61 - 1])
 def test_rref_mod_matches_gauss_jordan_at_packed_widths(p):
     for name, rows in packed_width_matrices(p).items():
         rows = [list(r) for r in rows if any(r)]
         copy = [list(r) for r in rows]
         assert linalg._rref_mod(rows, p) == dense_rref_mod(rows, p), name
         assert rows == copy, name
+
+
+def spy_on_widths(monkeypatch):
+    """Record the field width in bits of each ``_rref_mod`` call."""
+    widths = []
+    codec = linalg._field_codec
+
+    def spy(bits):
+        width, pack, unpack = codec(bits)
+        widths.append(width)
+        return width, pack, unpack
+
+    monkeypatch.setattr(linalg, "_field_codec", spy)
+    return widths
+
+
+def assert_mod_matches_fraction_elimination(rows, p):
+    """``_rref_mod`` against ``_rref_fraction`` on the same rows, whose
+    nonzero entries are F_p elements (an FpElement equals its residue, and
+    the int zeros keep the oracle's scans fast at large sizes)."""
+    F = GF(p)
+    want = linalg._rref_fraction([F.of(v) if v else 0 for v in r] for r in rows)
+    assert linalg._rref_mod(rows, p) == want
+
+
+@pytest.mark.parametrize("p", [3, 10007, linalg._PRIMES[0], 2**61 - 1])
+def test_word_and_byte_fields_agree_with_fraction_elimination(p, monkeypatch):
+    widths = spy_on_widths(monkeypatch)
+    for rows in packed_width_matrices(p).values():
+        assert_mod_matches_fraction_elimination([list(r) for r in rows if any(r)], p)
+    # whole bytes for (min(rows, cols) + 1)*(p - 1)^2 and a spare bit, at
+    # 50 to 128 rows: within one 64-bit word up to the largest word prime
+    assert set(widths) == {3: {16}, 10007: {40}, linalg._PRIMES[0]: {64},
+                           2**61 - 1: {136}}[p]
+
+
+def test_field_codec_round_trips_at_every_width():
+    rng = random.Random(28)
+    for size in range(1, 11):
+        width, pack, unpack = linalg._field_codec(8 * size)
+        assert width == 8 * size
+        for count in (1, 2, 7, 81):
+            values = [rng.randrange(1 << width) for _ in range(count)]
+            # a zero top field for odd counts, the largest value for even
+            values[0] = 0 if count % 2 else (1 << width) - 1
+            packed = pack(values)
+            assert packed == int.from_bytes(
+                b"".join(v.to_bytes(size, "big") for v in values), "big")
+            assert list(unpack(packed, count)) == values
+
+
+def near_identity(m, p, rng):
+    """An m x m matrix mod p, cheap to eliminate at any size: a diagonal
+    with an entry right of it in every 16th row, and eight rows replaced
+    by combinations of two others, so that the rank falls and some rows
+    are cleared more than once."""
+    rows = [[0] * m for _ in range(m)]
+    for i, row in enumerate(rows):
+        row[i] = rng.randrange(1, p)
+        if i % 16 == 0 and i + 1 < m:
+            row[rng.randrange(i + 1, m)] = rng.randrange(1, p)
+    for i in rng.sample(range(m), 8):
+        a, b = rng.sample(range(m), 2)
+        ca, cb = rng.randrange(1, p), rng.randrange(1, p)
+        rows[i] = [(x * ca + y * cb) % p for x, y in zip(rows[a], rows[b])]
+    rng.shuffle(rows)
+    return [r for r in rows if any(r)]
+
+
+def test_word_fields_end_at_min_rows_cols_2047(monkeypatch):
+    # (2047 + 1)*(p - 1)^2 < 2^63 for the largest word prime, (2048 + 1)*
+    # (p - 1)^2 is not: one size on each side of the one-word limit
+    p = linalg._PRIMES[0]
+    widths = spy_on_widths(monkeypatch)
+    for m in (2047, 2048):
+        rows = near_identity(m, p, random.Random(f"limit/{m}"))
+        assert len(rows) == m
+        assert_mod_matches_fraction_elimination(rows, p)
+    assert widths == [64, 72]
 
 
 def test_rref_does_not_modify_its_input():
@@ -561,25 +718,22 @@ def test_nullspace_over_prime_field_reads_int_rows_mod_p():
 
 
 def test_rref_of_int_rows_falls_back_to_fractions(monkeypatch):
-    calls = []
     fraction_rref = linalg._rref_fraction
-
-    def spy(rows):
-        calls.append(rows)
-        return fraction_rref(rows)
-
-    monkeypatch.setattr(linalg, "_rref_fraction", spy)
-    # mod 3 only 0 and +-1 reconstruct, so a rank-deficient system whose
-    # RREF has any other entry, such as 1/2, goes to the fallback
-    monkeypatch.setattr(linalg, "_PRIMES", (3,))
+    calls = spy_on(monkeypatch, "_rref_fraction")
+    # one word prime p reconstructs numerators and denominators up to
+    # isqrt(p // 2) = 5792, so a rank-deficient system whose RREF has
+    # larger entries, as ratios of minors of these ints have, goes to the
+    # fallback
+    monkeypatch.setattr(linalg, "_PRIMES", linalg._PRIMES[:1])
     rng = random.Random(35)
     for _ in range(40):
         nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
         rank = rng.randint(1, min(nrows, ncols) - 1)
         rows = [[int(c) for c in r] for r in product_rows(
-            nrows, ncols, rank, lambda: Fraction(rng.randint(-4, 4)))]
+            nrows, ncols, rank, lambda: Fraction(rng.randint(-999, 999)))]
         got = rref(rows)
         assert got == fraction_rref(frac_rows(rows))
         assert all(type(c) is Fraction for r in got[0] for c in r)
     assert rref([[2, 1], [4, 2]]) == ([[Fraction(1), Fraction(1, 2)]], [0])
-    assert calls and all(type(c) is Fraction for rows in calls for r in rows for c in r)
+    assert len(calls) > 10
+    assert all(type(c) is Fraction for (rows,) in calls for r in rows for c in r)
