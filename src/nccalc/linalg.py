@@ -3,24 +3,30 @@
 Everything reduces to one primitive: reduced row echelon form.  A
 Subspace is the canonical RREF basis of a subspace of a homogeneous
 component, held as pivots plus tails: each pivot word's row is nonzero
-only there and on the free columns (the normal words).  A residual is a
-list over the normal words, found by replacing each pivot word with
-minus its tail.  Preimages, intersections and the invariant-subspace
-rounds of ``optimal`` all take one kernel step, ``Subspace.kernel_of``.
-A sum is a block elimination: the added vectors' residuals, which live
-on the free columns, are eliminated alone and their pivots are then
-cleared from the old tails.  Dense rows of length n^s remain only as the
-``rref`` input of ``from_vectors``, behind ``span`` and ``kernel_of``
-(which recombines its solutions into them), and on request (``rows``).
+only there and on the free columns (the normal words).  The tails hold
+ints: residues over F_p, and over Q numerators over one common
+denominator per subspace.  A residual is a list over the normal words,
+found by replacing each pivot word with minus its tail; on ints it is a
+fixed multiple of the true one, which is all that membership, sums and
+kernels need.  Preimages, intersections and the invariant-subspace
+rounds of ``optimal`` all take one kernel step, ``Subspace.kernel_of``,
+which recombines the basis by the kernel's echelon coordinates.  A sum
+is a block elimination: the added vectors' residuals, which live on the
+free columns, are eliminated alone and their pivots are then cleared
+from the old tails.  Dense rows of length n^s remain only as the
+``rref`` input of ``from_vectors``, behind ``span``, and on request
+(``rows``); field elements only at the API boundary.
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.
 ``nullspace`` reads its rows in the field it is given: over F_p an int
 entry is read mod p, and the rows go to the modular elimination without
-any ``FpElement``.  Over Q, ``rref`` scales each row of ints and
-Fractions to a primitive integer row and eliminates it modulo the
-primes of ``_PRIMES`` in turn, the largest primes below 2^26, then
-returns only what it has proved exact:
+any ``FpElement``.  Over Q, each row of Fractions is scaled to integers
+(rows of ints are taken as they are) and divided by its gcd, and
+``_rref_rational`` eliminates the primitive integer rows modulo the
+primes of ``_PRIMES`` in turn, the largest primes below 2^26.  It
+returns the RREF as int rows over their least common denominator, and
+only what it has proved exact:
 
 * full column rank mod any prime means full column rank over Q (a minor
   that is nonzero mod p is nonzero), so the answer is the identity; the
@@ -100,28 +106,30 @@ def rref(rows):
     describes, and give ``Fraction`` or ``FpElement`` entries; any other
     entries are eliminated in their own arithmetic.
     """
-    red, pivots = _rref(rows)
-    if red is None:
-        ncols = len(pivots)
-        red = [[_ONE if j == i else _ZERO for j in range(ncols)] for i in range(ncols)]
-    return red, pivots
-
-
-def _rref(rows):
-    """``rref``, except that a full column rank over Q gives None for the
-    identity."""
     # no path writes to an input row, so lists are read in place
     rows = [r if isinstance(r, list) else list(r) for r in rows]
     kinds = set(map(type, chain.from_iterable(rows)))
     if not kinds:
         return [], []
     if kinds <= {int, Fraction}:
-        return _rref_rational(rows)
+        red, den, pivots = _rref_rational(_integral(rows))
+        if red is None:
+            ncols = len(pivots)
+            return [[_ONE if j == i else _ZERO for j in range(ncols)]
+                    for i in range(ncols)], pivots
+        return [_fractions(r, den) for r in red], pivots
     if kinds == {FpElement}:
         moduli = set(map(attrgetter("p"), chain.from_iterable(rows)))
         if len(moduli) == 1:
             return _rref_fp(rows, moduli.pop())
     return _rref_fraction(rows)
+
+
+def _fractions(ints, den):
+    """The Fractions x/den of the ints x."""
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in ints]
+    return [Fraction(x, den) if x else _ZERO for x in ints]
 
 
 def _rref_fraction(rows):
@@ -293,31 +301,25 @@ def _rref_fp(rows, p):
 
 
 def _rref_rational(rows):
-    """RREF over Q via certified elimination mod the primes in _PRIMES,
-    with None for the identity when the rank is full.
+    """RREF over Q via certified elimination mod the primes in _PRIMES.
 
-    Entries are ints or Fractions, read through ``numerator`` and
-    ``denominator``; only the ``_rref_fraction`` fallback turns them all
-    into Fractions.
+    Takes lists of ints, each a nonzero multiple of the row it stands for
+    (``_integral`` scales rows of Fractions so), and returns ``(red, den,
+    pivots)``: the RREF is red/den, with red rows of ints and den their
+    least common denominator, or red is None (and den is 1) when the
+    column rank is full.  Only the ``_rref_fraction`` fallback builds
+    Fractions.
     """
-    ints, supports = [], []
+    ints = []
     for r in rows:
-        nums = [c.numerator for c in r]
-        nz = list(filter(nums.__getitem__, range(len(nums))))
-        if not nz:
-            continue
-        dens = [r[j].denominator for j in nz]
-        den = lcm(*dens)
-        if den != 1:
-            for j, d in zip(nz, dens):
-                nums[j] *= den // d
-        g = gcd(*nums)
-        if g != 1:
-            nums = [a // g for a in nums]
-        ints.append(nums)
-        supports.append(nz)
+        g = gcd(*r)
+        if g > 1:
+            r = [a // g for a in r]
+        # a zero row has g == 0
+        if g:
+            ints.append(r)
     if not ints:
-        return [], []
+        return [], 1, []
     ncols = len(ints[0])
     # (-rank, pivots) of the primes combined so far: lucky primes have the
     # least key, and a prime with a greater one is unlucky
@@ -326,7 +328,7 @@ def _rref_rational(rows):
         # a primitive integer row is never zero mod p
         red, pivots = _rref_mod([[a % p for a in r] for r in ints], p)
         if len(pivots) == ncols:
-            return None, pivots
+            return None, 1, pivots
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, combined, modulus = key, red, p
@@ -338,15 +340,31 @@ def _rref_rational(rows):
             modulus *= p
         else:
             continue
-        basis = _certified_lift(combined, pivots, modulus, ints, supports)
-        if basis is not None:
-            return basis, pivots
-    return _rref_fraction([[Fraction(c) for c in r] for r in rows])
+        lift = _certified_lift(combined, pivots, modulus, ints)
+        if lift is not None:
+            return lift + (pivots,)
+    red, pivots = _rref_fraction([[Fraction(c) for c in r] for r in rows])
+    den = lcm(*(c.denominator for r in red for c in r))
+    return [[c.numerator * (den // c.denominator) for c in r] for r in red], den, pivots
+
+
+def _integral(rows):
+    """Rows of ints and Fractions as rows of ints: each Fraction row
+    times the lcm of its denominators."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    out = []
+    for r in rows:
+        dens = [c.denominator for c in r]
+        den = lcm(*dens)
+        out.append([c.numerator * (den // d) for c, d in zip(r, dens)] if den != 1
+                   else [c.numerator for c in r])
+    return out
 
 
 def _reconstruct(u, m, bound):
-    """Wang's rational reconstruction: n/d = u mod m with |n|, d <= bound,
-    or None."""
+    """Wang's rational reconstruction: (n, d) with n/d = u mod m, d > 0,
+    gcd(n, d) = 1 and |n|, d <= bound, or None."""
     r0, r1 = m, u
     s0, s1 = 0, 1
     while r1 > bound:
@@ -355,19 +373,18 @@ def _reconstruct(u, m, bound):
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _certified_lift(red, pivots, m, ints, supports):
-    """The rational RREF whose image mod m is ``red``, or None unless it
-    provably spans the row space of the integer rows ``ints``, whose
-    nonzero columns are ``supports``."""
+def _certified_lift(red, pivots, m, ints):
+    """``(rows, den)`` with rows/den the rational RREF whose image mod m
+    is ``red``, den the least common denominator, or None unless it
+    provably spans the row space of the integer rows ``ints``."""
     ncols = len(red[0])
     bound = isqrt(m // 2)
-    lifted = {1: _ONE}
-    basis, entries = [], []
+    lifted = {1: (1, 1)}
+    entries = []
     for r in red:
-        row = [_ZERO] * ncols
         terms = []
         for j in filter(r.__getitem__, range(ncols)):
             q = lifted.get(r[j])
@@ -376,18 +393,15 @@ def _certified_lift(red, pivots, m, ints, supports):
                 if q is None:
                     return None
                 lifted[r[j]] = q
-            row[j] = q
             terms.append((j, q))
-        basis.append(row)
         entries.append(terms)
     # certificate over Z: den*a == sum_t a[pivot_t] * (den*B_t) for every row a
-    den = lcm(*[q.denominator for q in lifted.values()])
-    scaled = [[(j, q.numerator * (den // q.denominator)) for j, q in terms]
-              for terms in entries]
+    den = lcm(*[d for _, d in lifted.values()])
+    scaled = [[(j, x * (den // d)) for j, (x, d) in terms] for terms in entries]
     where = {col: t for t, col in enumerate(pivots)}
-    for a, nz in zip(ints, supports):
+    for a in ints:
         acc = [0] * ncols
-        for j in nz:
+        for j in filter(a.__getitem__, range(ncols)):
             t = where.get(j)
             if t is not None:
                 c = a[j]
@@ -395,7 +409,13 @@ def _certified_lift(red, pivots, m, ints, supports):
                     acc[k] += c * v
         if acc != ([den * x for x in a] if den != 1 else a):
             return None
-    return basis
+    rows = []
+    for terms in scaled:
+        row = [0] * ncols
+        for j, v in terms:
+            row[j] = v
+        rows.append(row)
+    return rows, den
 
 
 def nullspace(rows, ncols, field):
@@ -413,9 +433,12 @@ def nullspace(rows, ncols, field):
         vals = [v for v in ([c % p if type(c) is int else field.of(c).val for c in r]
                             for r in rows) if any(v)]
         red, pivots = _rref_mod(vals, p) if vals else ([], [])
+        value = partial(FpElement, p=p)
     else:
         # a full column rank (red is None) leaves no free column to read
-        red, pivots = _rref(rows)
+        red, den, pivots = _rref_rational(_integral(
+            [r if isinstance(r, list) else list(r) for r in rows]))
+        value = partial(Fraction, denominator=den)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -426,8 +449,7 @@ def nullspace(rows, ncols, field):
         for t, col in enumerate(pivots):
             c = red[t][free]
             if c:
-                # a residue over F_p, a Fraction over Q
-                v[col] = field.of(-c)
+                v[col] = value(-c)
         basis.append(v)
     return basis
 
@@ -448,28 +470,74 @@ def invert_matrix(rows, field):
     return [r[m:] for r in red]
 
 
+def _scaled(rows, p):
+    """Lists of (column, field value) pairs on ints, as ``(lists,
+    scale)``: residues over F_p with scale 1, and over Q the values times
+    scale, the lcm of all their denominators."""
+    if p is not None:
+        return [[(c, v % p if type(v) is int else v.val) for c, v in r] for r in rows], 1
+    scale = lcm(*[v.denominator for r in rows for _, v in r])
+    return [[(c, v.numerator * (scale // v.denominator)) for c, v in r] for r in rows], scale
+
+
+def _int_entries(poly, degree, p):
+    """A homogeneous polynomial as ``(entries, scale)``: its (column, int)
+    entries at the given degree are residues over F_p, with scale 1, and
+    over Q its coefficients times scale, the lcm of their denominators."""
+    n = poly.n
+    (ints,), scale = _scaled([[(word_index(w, degree, n), c)
+                               for w, c in poly.terms.items()]], p)
+    return ints, scale
+
+
+def _lowest(tails, den):
+    """``(tails, den)`` with den and every value divided by their gcd: the
+    canonical form over Q."""
+    if den != 1:
+        g = gcd(den, *(v for tail in tails.values() for _, v in tail))
+        if g != 1:
+            den //= g
+            tails = {p: [(c, v // g) for c, v in tail] for p, tail in tails.items()}
+    return tails, den
+
+
 class Subspace:
     """A subspace of the degree-s homogeneous component of F<x1,...,xn>.
 
     ``tails`` maps each pivot column of the canonical reduced-echelon
     basis, in increasing order, to the nonzero ``(column, value)`` entries
-    of its row on the free columns (its pivot entry is one).  ``pivots``,
-    ``free`` and the dense ``rows`` are derived from it.  Sums extend the
-    tails by block elimination on the free columns; only ``from_vectors``
-    and ``kernel_of``, which goes through it, eliminate dense rows.
+    of its row on the free columns, in increasing column order.  The
+    values are ints.  Over F_p they are the residues in [1, p), and the
+    pivot entry is one.  Over Q they are numerators over one common
+    denominator ``den``, the least one: each row holds den times its true
+    entries, den at its pivot, and gcd(den, every value) = 1, so den = 1
+    when every entry is an integer.  That form is canonical: two
+    subspaces are equal exactly when their tails and den are.  ``pivots``,
+    ``free`` and the dense ``rows`` are derived from it.
+
+    Field elements appear only at the boundary: ``rows``,
+    ``basis_polys``, ``residual_of``, ``residual`` and ``reduce`` build
+    them, and ``from_vectors``, ``residual_of`` and ``contains`` read them.
+    Inside, residuals, sums and kernels multiply and add ints, and each
+    output entry is reduced mod p or put over a common denominator once.
+    Sums extend the tails by block elimination on the free columns; only
+    ``from_vectors`` eliminates dense rows.
     """
 
-    __slots__ = ("n", "degree", "field", "tails", "free", "_position")
+    __slots__ = ("n", "degree", "field", "tails", "den", "free", "_position", "_p")
 
-    def __init__(self, n, degree, field, tails):
-        # internal: tails must come from a canonical RREF basis
+    def __init__(self, n, degree, field, tails, den=1):
+        # internal: tails and den must be the canonical form of an RREF basis
         self.n = n
         self.degree = degree
         self.field = field
         self.tails = tails
-        # derived: the free columns in increasing order, and their positions
+        self.den = den
+        # derived: the free columns in increasing order, their positions,
+        # and the modulus (None over Q)
         self.free = [c for c in range(n ** degree) if c not in tails]
         self._position = {c: t for t, c in enumerate(self.free)}
+        self._p = field.p if isinstance(field, PrimeField) else None
 
     # ---- constructors ----
 
@@ -495,9 +563,12 @@ class Subspace:
         rows, pivots = rref(vectors)
         pivset = set(pivots)
         free = [c for c in range(dim) if c not in pivset]
-        # an RREF row is zero on the other pivots: read it on the free columns only
-        return cls(n, degree, field, {p: [(c, row[c]) for c in free if row[c]]
-                                      for row, p in zip(rows, pivots)})
+        # an RREF row is zero on the other pivots: read it on the free
+        # columns only; the lcm of its entries' denominators is the least
+        # common one
+        tails, den = _scaled([[(c, row[c]) for c in free if row[c]] for row in rows],
+                             field.p if isinstance(field, PrimeField) else None)
+        return cls(n, degree, field, dict(zip(pivots, tails)), den)
 
     @classmethod
     def span(cls, polys, degree, n=None, field=None):
@@ -546,30 +617,51 @@ class Subspace:
         return vec
 
     def _row_entries(self):
-        """Each basis row as its (column, value) entries."""
-        one = self.field.one
-        return [[(p, one)] + tail for p, tail in self.tails.items()]
+        """Each basis row as its (column, field value) entries."""
+        one, p = self.field.one, self._p
+        value = (partial(FpElement, p=p) if p is not None
+                 else partial(Fraction, denominator=self.den))
+        return [[(piv, one)] + [(c, value(v)) for c, v in tail]
+                for piv, tail in self.tails.items()]
+
+    def _int_rows(self):
+        """Each basis row as its (column, int) entries: den times its values
+        over Q, its residues over F_p."""
+        den = self.den
+        return [[(piv, den)] + tail for piv, tail in self.tails.items()]
+
+    def _reduce_ints(self, entries):
+        """The residual modulo this subspace of the vector with the given
+        (column, int) entries, which name each column at most once, as a
+        list of ints over ``free``: residues over F_p, and over Q den times
+        the residual of the vector the ints stand for.  It is zero exactly
+        when the vector lies in the subspace."""
+        position = self._position
+        tails = self.tails
+        den = self.den
+        vec = [0] * len(position)
+        for col, c in entries:
+            t = position.get(col)
+            if t is None:
+                # a pivot word equals minus its row's tail, modulo the subspace
+                for j, v in tails[col]:
+                    vec[position[j]] -= c * v
+            else:
+                vec[t] += c * den
+        p = self._p
+        return [x % p for x in vec] if p is not None else vec
 
     def residual_of(self, entries) -> list:
         """Residual modulo this subspace, as a list over ``free``, of the
         vector with the given (column, value) entries, which name each
         column at most once.  It is zero exactly when the vector lies in
         the subspace."""
-        position = self._position
-        vec = [self.field.zero] * len(position)
-        pivots = []
-        for col, c in entries:
-            t = position.get(col)
-            if t is None:
-                pivots.append((col, c))
-            else:
-                vec[t] = c
-        # a pivot word equals minus its row's tail, modulo the subspace
-        tails = self.tails
-        for col, c in pivots:
-            for j, v in tails[col]:
-                vec[position[j]] -= c * v
-        return vec
+        p = self._p
+        (ints,), scale = _scaled([list(entries)], p)
+        res = self._reduce_ints(ints)
+        if p is not None:
+            return [FpElement(x, p) for x in res]
+        return _fractions(res, scale * self.den)
 
     def residual(self, poly: NCPoly) -> list:
         """Residual of a polynomial of this degree, as a list over ``free``."""
@@ -596,11 +688,18 @@ class Subspace:
             raise ValueError(
                 f"membership test needs a homogeneous polynomial of degree "
                 f"{self.degree}, got {poly}")
-        return not any(self.residual(poly))
+        return not any(self._reduce_ints(_int_entries(poly, self.degree, self._p)[0]))
 
     def contains_subspace(self, other: "Subspace"):
         self._check(other)
-        return not any(any(self.residual_of(r)) for r in other._row_entries())
+        tails, den = self.tails, other.den
+        same = self.den == den
+        for piv, tail in other.tails.items():
+            # a row of other that is also a row of this basis lies in it
+            if (not (same and tails.get(piv) == tail)
+                    and any(self._reduce_ints([(piv, den)] + tail))):
+                return False
+        return True
 
     def _check(self, other: "Subspace"):
         if (self.n, self.degree) != (other.n, other.degree):
@@ -614,84 +713,120 @@ class Subspace:
         """Intersection: the combinations of this basis that ``other``
         reduces to zero (the residual is linear)."""
         self._check(other)
-        return self.kernel_of([other.residual_of(r) for r in self._row_entries()])
+        return self.kernel_of([other._reduce_ints(r) for r in self._int_rows()])
 
     def kernel_of(self, residuals):
         """Kernel of a linear map restricted to this subspace.
 
         ``residuals[t]`` is the image of basis row t, as a coordinate
-        list.  Returns the Subspace of all combinations sum_t a_t*rows[t]
-        with sum_t a_t*residuals[t] = 0.
+        list of field elements, or of ints that stand for one common
+        nonzero multiple of it (residues over F_p).  Returns the Subspace
+        of all combinations sum_t a_t*rows[t] with sum_t a_t*residuals[t]
+        = 0.
+
+        The kernel's coordinates a form a subspace of F^dim, which is the
+        degree-1 component over dim generators; its echelon rows recombine
+        this basis into the canonical echelon basis of the kernel.  A
+        combination's first nonzero column is the pivot of its first row
+        with a_t != 0, and the basis rows are zero on each other's pivots,
+        so the recombined rows are already reduced, with pivots those of
+        the coordinates' pivot rows.
         """
         eqs = [eq for eq in map(list, zip(*residuals)) if any(eq)]
-        vectors = []
-        for sol in nullspace(eqs, self.dim, self.field):
-            # the rref input: each solution recombined from pivots and tails
-            v = self._dense(zip(self.tails, sol))
-            for a, tail in zip(sol, self.tails.values()):
-                if a:
-                    for c, x in tail:
-                        v[c] += a * x
-            vectors.append(v)
-        return Subspace.from_vectors(vectors, self.n, self.degree, self.field)
+        coords = Subspace.from_vectors(nullspace(eqs, self.dim, self.field),
+                                       self.dim, 1, self.field)
+        rows = list(self.tails.items())
+        den, p = self.den, self._p
+        tails = {}
+        for t, ctail in coords.tails.items():
+            # coords.den * den times the combination, on ints
+            acc = {}
+            for u, a in [(t, coords.den)] + ctail:
+                piv, tail = rows[u]
+                acc[piv] = a * den
+                for j, v in tail:
+                    acc[j] = acc.get(j, 0) + a * v
+            pivot = rows[t][0]
+            del acc[pivot]
+            if p is not None:
+                acc = {c: v % p for c, v in acc.items()}
+            tails[pivot] = sorted((c, v) for c, v in acc.items() if v)
+        return Subspace(self.n, self.degree, self.field, *_lowest(tails, coords.den * den))
 
     def _extended(self, rows):
         """Span of this subspace and the vectors with the given (column,
-        value) entries, by block elimination on the free columns.
+        int) entries, by block elimination on the free columns.  Each
+        row's ints stand for one nonzero multiple of its vector (residues
+        over F_p).
 
         Returns ``(span, residuals)``, where ``residuals`` counts the
-        nonzero residuals handed to ``rref``.  Each vector is reduced
-        modulo this subspace onto ``free``; the residuals' RREF gives the
-        new pivot rows, whose pivots are then eliminated from the old
-        tails.  No row handed to ``rref`` is longer than ``free``.
+        nonzero residuals.  Each vector is reduced modulo this subspace
+        onto ``free``; the residuals' RREF, taken once per distinct
+        residual, gives the new pivot rows, whose pivots are then
+        eliminated from the old tails.  No row that is eliminated is
+        longer than ``free``.
         """
-        residuals = [r for r in map(self.residual_of, rows) if any(r)]
+        residuals = [r for r in map(self._reduce_ints, rows) if any(r)]
         if not residuals:
             return self, 0
-        red, positions = rref(residuals)
-        free = self.free
+        distinct = [list(r) for r in dict.fromkeys(map(tuple, residuals))]
+        free, p = self.free, self._p
+        if p is None:
+            red, rden, positions = _rref_rational(distinct)
+        else:
+            (red, positions), rden = _rref_mod(distinct, p), 1
+        if len(positions) == len(free):
+            return Subspace.full(self.n, self.degree, self.field), len(residuals)
         taken = set(positions)
         rest = [t for t in range(len(free)) if t not in taken]
-        # the new pivot rows: one at their pivot, zero on the other new pivots
+        # the new pivot rows, rden times their values: rden at their pivot,
+        # zero on the other new pivots
         new = {free[t]: [(free[j], row[j]) for j in rest if row[j]]
                for row, t in zip(red, positions)}
-        position = self._position
+        den = self.den
+        # every row goes over den * rden
         tails = {}
-        for p, tail in self.tails.items():
-            if any(c in new for c, _ in tail):
+        for piv, tail in self.tails.items():
+            if tail and not new.keys().isdisjoint([c for c, _ in tail]):
                 # back substitution: clear the new pivot columns of the old row
-                vec = [self.field.zero] * len(free)
+                acc = {}
                 for c, v in tail:
                     if c in new:
                         for j, x in new[c]:
-                            vec[position[j]] -= v * x
+                            acc[j] = acc.get(j, 0) - v * x
                     else:
-                        vec[position[c]] += v
-                tail = [(free[j], vec[j]) for j in rest if vec[j]]
-            tails[p] = tail
-        tails.update(new)
+                        acc[c] = acc.get(c, 0) + v * rden
+                if p is not None:
+                    acc = {c: v % p for c, v in acc.items()}
+                tail = sorted((c, v) for c, v in acc.items() if v)
+            elif rden != 1:
+                tail = [(c, v * rden) for c, v in tail]
+            tails[piv] = tail
+        for piv, tail in new.items():
+            tails[piv] = [(c, v * den) for c, v in tail] if den != 1 else tail
         return Subspace(self.n, self.degree, self.field,
-                        {p: tails[p] for p in sorted(tails)}), len(residuals)
+                        *_lowest({piv: tails[piv] for piv in sorted(tails)}, den * rden)
+                        ), len(residuals)
 
     def __add__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         self._check(other)
-        return self._extended(other._row_entries())[0]
+        return self._extended(other._int_rows())[0]
 
     def equal(self, other: "Subspace"):
         """Equality with shape checking: same component, identical tails."""
         self._check(other)
-        return self.tails == other.tails
+        return self.tails == other.tails and self.den == other.den
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return ((self.n, self.degree, self.field, self.tails)
-                == (other.n, other.degree, other.field, other.tails))
+        return ((self.n, self.degree, self.field, self.den, self.tails)
+                == (other.n, other.degree, other.field, other.den, other.tails))
 
     def __hash__(self):
-        return hash((self.n, self.degree, self.field,
+        return hash((self.n, self.degree, self.field, self.den,
                      tuple((p, tuple(tail)) for p, tail in self.tails.items())))
 
     def basis_polys(self):

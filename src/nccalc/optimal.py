@@ -43,18 +43,36 @@ f lies in U_s exactly when c does, so
 which takes the derivatives of the normal words only and one kernel
 step.
 
-That derivative system is built on plain ints, keyed by column.
-``calculus.column_partials`` holds the n derivatives of each degree-s
-word on the columns of degree s-1: residues over F_p, and over Q
-L^(s-1) times their true values, with L the lcm of the denominators of
-the rule's images.  The tails of I_{s-1} are read once per degree, as
-residues over F_p and over Q scaled by D, the lcm of their
-denominators.  The int residual of a normal word is then L^(s-1)*D
-times its true residual.  Every word of degree s carries the same
-factor L^(s-1), so the whole system is the true one times one nonzero
-constant (over F_p, congruent to it mod p), and its kernel C does not
-change.  Only C's basis, usually empty or tiny, is made of field
-elements.
+The derivatives of the normal words come from those of the degree
+before, reduced, so no word's derivative is ever expanded in the free
+algebra.  Every normal word of degree s is x^a * w with w no pivot of
+I_{s-1} (were it one, x^a * w would be a pivot of the left shift
+x^a * I_{s-1} <= L_s), so w is a normal word of degree s-1, since
+L_{s-1} <= I_{s-1}.  Let Dbar_j(w) be the residual of D_j(w) modulo
+I_{s-2}, which the degree before computed for every normal word of
+degree s-1.  The product rule gives
+
+    D_k(x^a * w) = delta_ak * w + sum_j A(x^a)^j_k * D_j(w),
+
+and A(x^a)^j_k is a linear form, so replacing D_j(w) by Dbar_j(w)
+changes the sum by an element of sum_b x^b * I_{s-2} <= L_{s-1} <=
+I_{s-1}.  So D_k(x^a * w) has the residual modulo I_{s-1} of
+delta_ak * w + sum_j A(x^a)^j_k * Dbar_j(w), whose terms are x^b times
+normal words of degree s-2: n^2 short vectors per word, where the
+derivative in the free algebra has up to 2^(s-1) terms.  Degree 1 starts
+the recursion with D_j(x^w) = delta_jw.
+
+All of it runs on ints.  Over F_p they are residues.  Over Q the
+images' coefficients carry L, the lcm of their denominators, the
+residuals of the degree before carry their least common denominator E,
+and the tails of I_{s-1} their common denominator D, so every residual
+of degree s is L*E*D times its true value.  The factor is one nonzero
+constant for the whole system, so its kernel C does not change, and the
+residuals kept for the next degree are put over their least common
+denominator again.  Only C's basis, usually empty or tiny, is made of
+field elements.  (``compute_U`` takes every word of degree s, not only
+normal ones; it reduces the derivatives ``calculus.column_partials``
+expands in the free algebra.)
 
 By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
@@ -130,13 +148,12 @@ right shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
-from .calculus import column_partials, differential
-from .commrule import CommRule, NonHomogeneousRuleError
-from .fields import PrimeField
+from .calculus import _partials, column_partials
+from .commrule import CommRule, NonHomogeneousRuleError, _int_images, _prepend
 from .freealg import NCPoly, format_poly, word_index
-from .linalg import Subspace
+from .linalg import Subspace, _int_entries
 # perfbench's tracer test reads nccalc.optimal.nullspace, so keep the binding
 from .linalg import nullspace  # noqa: F401
 
@@ -154,54 +171,66 @@ def _require_homogeneous(rule: CommRule):
             "(every image entry a linear form)")
 
 
-def _derivative_kernel(rule: CommRule, prev: Subspace, s: int, words) -> Subspace:
-    """Combinations of the degree-s words at the given columns whose every
-    partial derivative reduces to zero modulo ``prev``.
+def _normal_partials(rule: CommRule, prev: Subspace, known, words):
+    """The derivative system of the degree-s words at the given columns
+    modulo ``prev`` = I_{s-1}, by the recursion on normal words (see the
+    module docstring).
 
-    The system is built on ints (see the module docstring): the words'
-    derivatives come from ``column_partials`` and are reduced against
-    prev's tails scaled to ints, so each residual is a fixed multiple of
-    the true one.
+    ``known`` is ``(table, den)``: for each word w of degree s-1 with
+    some x^a*w among the words, table[w][j] is the residual of D_j(w)
+    modulo I_{s-2} as {column: int}, den times its values over Q
+    (residues over F_p, with den 1).  Returns the system, one row of n
+    residuals over ``prev.free`` per word, and ``known`` for the words.
     """
-    n, field = rule.n, rule.field
-    position = prev._position
-    # prev's tails on ints, keyed by position in prev.free: residues over
-    # F_p, over Q den times their values
-    if isinstance(field, PrimeField):
-        den = 1
-        tails = {c: [(position[j], v.val) for j, v in tail]
-                 for c, tail in prev.tails.items()}
-    else:
-        den = lcm(*(v.denominator for tail in prev.tails.values() for _, v in tail))
-        tails = {c: [(position[j], v.numerator * (den // v.denominator))
-                     for j, v in tail] for c, tail in prev.tails.items()}
-    size = len(position)
-    residuals = []
+    n = rule.n
+    scale, p, images = _int_images(rule)
+    table, den = known
+    # A(x^a)'s entries with each x^b as the column offset of x^b times a
+    # word of degree s-2, as _prepend reads them
+    shift = n ** (prev.degree - 1)
+    shifted = [([[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
+                 for row in images[a]],) for a in range(n)]
+    top = n ** prev.degree
+    lead = 1 if p is not None else scale * den
+    free = prev.free
+    system, out = [], {}
     for col in words:
-        res = []
-        for part in column_partials(rule, s, col):
-            vec = [0] * size
-            for c, x in part.items():
-                t = position.get(c)
-                if t is None:
-                    # a pivot word equals minus its row's tail, modulo prev
-                    for j, v in tails[c]:
-                        vec[j] -= x * v
-                else:
-                    vec[t] += x * den
-            res += vec
-        residuals.append(res)
-    return Subspace.coordinate(n, s, field, words).kernel_of(residuals)
+        a, w = divmod(col, top)
+        # D_k(x^a*w) = delta_ak*w + sum_j A(x^a)^j_k*D_j(w), on lead times
+        # its values
+        acc = [{} for _ in range(n)]
+        acc[a][w] = lead
+        _prepend(shifted[a], 1, table[w], acc)
+        res = [prev._reduce_ints(d.items()) for d in acc]
+        system.append([x for r in res for x in r])
+        out[col] = [{free[t]: x for t, x in enumerate(r) if x} for r in res]
+    if p is not None:
+        return system, (out, 1)
+    # the next table carries lead * prev.den: keep it in lowest terms
+    den = lead * prev.den
+    g = gcd(den, *(x for parts in out.values() for d in parts for x in d.values()))
+    if g != 1:
+        out = {c: [{j: x // g for j, x in d.items()} for d in parts]
+               for c, parts in out.items()}
+    return system, (out, den // g)
 
 
 def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
-    """Degree-s polynomials whose every partial derivative lies in prev."""
+    """Degree-s polynomials whose every partial derivative lies in prev.
+
+    Every word's derivatives come from ``column_partials`` on ints (over
+    Q, L^(s-1) times their values) and are reduced against prev's int
+    tails, so each residual is one fixed multiple of the true one.
+    """
     _require_homogeneous(rule)
     if s < 2:
         raise ValueError(f"the derivative-preimage step starts at degree 2, got {s}")
     if prev.degree != s - 1 or prev.n != rule.n or prev.field != rule.field:
         raise ValueError(f"previous component must live at degree {s - 1}")
-    return _derivative_kernel(rule, prev, s, range(rule.n ** s))
+    residuals = [[x for part in column_partials(rule, s, col)
+                  for x in prev._reduce_ints(part.items())]
+                 for col in range(rule.n ** s)]
+    return Subspace.full(rule.n, s, rule.field).kernel_of(residuals)
 
 
 def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
@@ -216,15 +245,22 @@ def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
     # columns: then lower + C is the whole degree-s component
     while space.dim and space.dim < size:
         # an entry lies in lower + C exactly when its residual modulo
-        # lower, supported on lower's free columns, lies in C
-        residuals = []
+        # lower, supported on lower's free columns, lies in C.  Each
+        # entry's ints carry its own scale, so the residuals are brought
+        # to their lcm before the kernel step
+        parts = []
         for b in space.basis_polys():
-            res = []
+            part = []
             for row in rule.apply(b).rows:
                 for e in row:
-                    res += space.residual_of(
-                        [(free[t], v) for t, v in enumerate(lower.residual(e)) if v])
-            residuals.append(res)
+                    ints, scale = _int_entries(e, lower.degree, lower._p)
+                    low = lower._reduce_ints(ints)
+                    part.append((scale, space._reduce_ints(
+                        [(free[t], v) for t, v in enumerate(low) if v])))
+            parts.append(part)
+        common = lcm(*(scale for part in parts for scale, _ in part))
+        residuals = [[x * (common // scale) for scale, res in part for x in res]
+                     for part in parts]
         rounds += 1
         if not any(map(any, residuals)):
             break
@@ -254,22 +290,23 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
 
 def _ideal_slice(prev: Subspace, rows=()):
     """L_s = sum_i x^i*prev + prev*x^i, from prev's pivots and tails,
-    spanned together with the vectors with the given (column, value)
-    entries.
+    spanned together with the vectors with the given (column, int)
+    entries (each row one nonzero multiple of its vector, residues over
+    F_p).
 
     The left shifts are already a canonical reduced echelon basis (see
     the module docstring), so only the right shifts and ``rows`` are
     eliminated, on the left shifts' free columns.  Returns ``(L_s,
-    residuals)``, the number of those vectors whose residual went to
-    ``rref``.
+    residuals)``, the number of those vectors whose residual was
+    eliminated.
     """
-    n, field, m = prev.n, prev.field, prev.ambient_dim
-    one = field.one
-    # x^a * w sits at a*n^(s-1) + w, and w * x^a at n*w + a
-    left = Subspace(n, prev.degree + 1, field,
+    n, m, den = prev.n, prev.ambient_dim, prev.den
+    # x^a * w sits at a*n^(s-1) + w, and w * x^a at n*w + a; the shifts
+    # keep prev's ints and den
+    left = Subspace(n, prev.degree + 1, prev.field,
                     {a * m + p: [(a * m + c, v) for c, v in tail]
-                     for a in range(n) for p, tail in prev.tails.items()})
-    right = [[(n * p + a, one)] + [(n * c + a, v) for c, v in tail]
+                     for a in range(n) for p, tail in prev.tails.items()}, den)
+    right = [[(n * p + a, den)] + [(n * c + a, v) for c, v in tail]
              for p, tail in prev.tails.items() for a in range(n)]
     return left._extended(right + list(rows))
 
@@ -319,9 +356,12 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     log = logging.getLogger("nccalc")
     n, field = rule.n, rule.field
     comps = [Subspace.zero(n, 1, field)]
+    # D_j(x^w) = delta_jw: the empty word, at column 0 of degree 0
+    known = ({w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1)
     for s in range(2, max_degree + 1):
         l_s, shifted = _ideal_slice(comps[-1])
-        u_c = _derivative_kernel(rule, comps[-1], s, l_s.free)
+        system, known = _normal_partials(rule, comps[-1], known, l_s.free)
+        u_c = Subspace.coordinate(n, s, field, l_s.free).kernel_of(system)
         c_s, rounds = _closed_complement(rule, l_s, u_c)
         i_s = l_s + c_s
         # ideal-slice check: every echelon row of L_s reduces to zero mod I_s
@@ -371,8 +411,8 @@ def _ideal_generators(generators, n=None, field=None):
 def _next_slice(prev: Subspace, gens) -> Subspace:
     """J_d from J_{d-1}: J_d = sum_i x^i*J_{d-1} + J_{d-1}*x^i + R_d, with
     R_d the span of the degree-d generators."""
-    d, n = prev.degree + 1, prev.n
-    return _ideal_slice(prev, [[(word_index(w, d, n), c) for w, c in g.terms.items()]
+    d = prev.degree + 1
+    return _ideal_slice(prev, [_int_entries(g, d, prev._p)[0]
                                for g in gens if g.degree() == d])[0]
 
 
@@ -429,15 +469,19 @@ def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
     to zero modulo ``below`` (the slice one degree down) and every image
     entry modulo ``within`` (the degree-d slice).  Elements are labelled
     with the generator ``names`` (x1..xn by default)."""
+    n = rule.n
     violations = []
     for b in elements:
         label = format_poly(b, names)
-        for k, p in enumerate(differential(rule, b).components, 1):
-            if p and any(below.residual(p)):
+        # the derivatives on ints, one common multiple of their values
+        # (residues over F_p), reduced on the int tails as they are
+        for k, part in enumerate(_partials(rule, b)[0], 1):
+            if any(below._reduce_ints([(word_index(w, d - 1, n), c)
+                                       for w, c in part.items()])):
                 violations.append(Violation(d, label, "partial", k))
         for k, row in enumerate(rule.apply(b).rows, 1):
             for i, e in enumerate(row, 1):
-                if e and any(within.residual(e)):
+                if any(within._reduce_ints(_int_entries(e, d, within._p)[0])):
                     violations.append(Violation(d, label, "entry", k, i))
     return violations
 

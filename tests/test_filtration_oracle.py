@@ -9,12 +9,15 @@ built by block elimination, must match one dense ``rref`` of the shifts.
 
 import logging
 import random
+from fractions import Fraction
 
 import pytest
 
-from nccalc import GF, QQ, IdealPropertyViolation, Subspace, linalg, optimal_ideal
+from nccalc import (GF, QQ, FpElement, IdealPropertyViolation, Subspace, builtin, linalg,
+                    optimal_ideal, word_partials)
 from nccalc.examples import build_example, example_names
-from nccalc.optimal import _ideal_slice
+from nccalc.freealg import index_word
+from nccalc.optimal import _ideal_slice, _normal_partials
 from helpers import dense_ideal_slice, dense_optimal_ideal, random_invertible, rule_over
 from test_acceptance import _dim_pool
 
@@ -99,20 +102,73 @@ def test_ideal_slice_matches_dense_shifts(name, field):
     rule = rule_over(build_example(name), field)
     for prev in optimal_ideal(rule, 8).components:
         got, _ = _ideal_slice(prev)
-        assert list(got.tails.items()) == list(dense_ideal_slice(prev).tails.items())
+        want = dense_ideal_slice(prev)
+        # the stored int form against the oracle's
+        assert list(got.tails.items()) == list(want.tails.items())
+        assert got.den == want.den
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+def test_normal_word_derivatives_match_word_table(field):
+    # the recursion against the derivatives in the free algebra reduced
+    # in field elements: the table kept for the next degree exactly, the
+    # system up to one factor per degree.  The rules' images have
+    # denominators, so the tables carry common factors to divide out
+    rng = random.Random(9700)
+    diag = builtin("ex3.1-diag", q=[[Fraction(1, 2), 3], [Fraction(1, 3), Fraction(2, 3)]])
+    moved = build_example("thm4.1-I").change_basis([[1, Fraction(1, 2)], [Fraction(1, 3), 1]])
+    pool = _dim_pool(rng, 2).change_basis(random_invertible(rng, 2))
+    for rule in (diag, moved, pool):
+        rule = rule if field == QQ else rule_over(rule, field)
+        n = rule.n
+        comps = optimal_ideal(rule, 6).components
+        known = ({w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1)
+        for s in range(2, 7):
+            prev = comps[s - 2]
+            words = _ideal_slice(prev)[0].free
+            system, known = _normal_partials(rule, prev, known, words)
+            table, den = known
+            factor = None
+            for col, row in zip(words, system):
+                want = [prev.residual(d) for d in word_partials(rule, index_word(col, s, n))]
+                assert [{c: field.of(Fraction(v, den)) for c, v in d.items()}
+                        for d in table[col]] == \
+                    [{c: v for c, v in zip(prev.free, r) if v} for r in want]
+                for got, true in zip(row, (v for r in want for v in r)):
+                    got = field.of(got)
+                    if factor is None and true:
+                        factor = got / true
+                        assert factor
+                    assert got == (factor * true if true else field.zero)
 
 
 def test_filtration_eliminates_only_small_blocks(monkeypatch):
+    # every elimination, over F_p and over Q alike, ends in _rref_mod
     cells, widths = [], []
-    original = linalg.rref
+    original = linalg._rref_mod
 
-    def spy(rows):
+    def spy(rows, p):
         rows = [list(r) for r in rows]
         cells.append(sum(map(len, rows)))
         widths.extend(map(len, rows))
-        return original(rows)
+        return original(rows, p)
 
-    monkeypatch.setattr(linalg, "rref", spy)
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
     optimal_ideal(build_example("thm4.1-I"), 9)
     # one dense elimination of L_9 alone takes about 2 * 502 rows of 512
     assert sum(cells) < 20_000 and max(widths) <= 64
+
+
+@pytest.mark.parametrize("name, p, dims", [
+    ("thm4.1-III", 3, [2, 3, 2, 1, 0]),
+    ("thm4.1-III", 5, [2, 3, 4, 5, 4, 3, 2]),
+    ("ex3.1-diag", 5, [2, 3, 4, 3, 2, 1, 0]),
+])
+def test_small_primes_gain_relations(name, p, dims):
+    # over Q each of these quotients has dim s+1 in degree s; mod a small
+    # prime sums cancel in the residue tails and the ideal grows (over
+    # F_3, x1^3 and x2^3 have zero derivatives)
+    rule = build_example(name, GF(p))
+    got = optimal_ideal(rule, len(dims))
+    assert [d for _, d in got.quotient_dims()] == dims
+    assert echelon(got.components) == echelon(dense_optimal_ideal(rule, len(dims)))

@@ -3,7 +3,7 @@ import inspect
 import random
 from fractions import Fraction
 from itertools import chain
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -16,6 +16,7 @@ from nccalc import (
     builtin,
     invert_matrix,
     nullspace,
+    optimal_ideal,
     preimage,
     rref,
     word_partials,
@@ -110,6 +111,13 @@ def test_contains_fixtures():
     assert len(stacked) == 2
     with pytest.raises(ValueError):
         W.contains(x(2, 1))
+    # x1x2 - 1/2*x2x1 and x1x2 - x2x1 store the same numerators over the
+    # denominators 2 and 1
+    half = Subspace.span([x(2, 1, 2) - Fraction(1, 2) * x(2, 2, 1)], 2, n=2, field=QQ)
+    whole = Subspace.span([x(2, 1, 2) - x(2, 2, 1)], 2, n=2, field=QQ)
+    assert half.tails == whole.tails and (half.den, whole.den) == (2, 1)
+    assert not half.contains_subspace(whole) and not whole.contains_subspace(half)
+    assert half != whole and half.contains_subspace(half)
 
 
 def test_intersect_fixtures():
@@ -631,13 +639,53 @@ def test_tails_match_dense_reference():
                     assert W3 == W and hash(W3) == hash(W)
 
 
+def assert_int_tails(W):
+    """W's stored form: ints only, residues in [1, p) over F_p, and over Q
+    numerators over their least common denominator."""
+    values = [v for tail in W.tails.values() for _, v in tail]
+    assert all(type(v) is int for v in values) and type(W.den) is int
+    if W.field == QQ:
+        assert W.den > 0 and gcd(W.den, *values) == 1
+    else:
+        assert W.den == 1 and all(0 < v < W.field.p for v in values)
+
+
+def test_boundary_views_are_field_valued_over_int_tails():
+    rng = random.Random(36)
+    fractional = 0
+    for field, kind in ((QQ, Fraction), (GF(10007), FpElement)):
+        for n, s in ((2, 3), (3, 2)):
+            amb = n ** s
+            for _ in range(4):
+                a = Subspace.from_vectors(low_rank_rows(rng, 4, amb, field), n, s, field)
+                b = Subspace.from_vectors(low_rank_rows(rng, 4, amb, field), n, s, field)
+                # each way a subspace is built: echelon rows, a block sum, a kernel
+                for W in (a, a + b, a.intersect(b)):
+                    assert_int_tails(W)
+                    fractional += W.den != 1
+                    poly = NCPoly.from_coords(n, s, random_rows(rng, 1, amb, field)[0], field)
+                    vec = poly.coords(s)
+                    views = (list(chain.from_iterable(W.rows))
+                             + [c for b in W.basis_polys() for c in b.terms.values()]
+                             + W.residual(poly) + W.reduce(vec)
+                             + W.residual_of([(c, x) for c, x in enumerate(vec) if x]))
+                    assert all(type(c) is kind for c in views)
+                    assert W.contains(poly) is (not any(W.residual(poly)))
+    assert fractional
+    for field in (QQ, GF(10007)):
+        for comp in optimal_ideal(builtin("ex3.1-diag", field, q=[[1, 2], [Fraction(1, 2), 1]]),
+                                  6).components:
+            assert_int_tails(comp)
+
+
 # ---- the block-elimination sum against one dense rref ----
 
 def assert_sum_matches_dense(a, b, label):
-    got = a + b
-    assert list(got.tails.items()) == list(dense_sum(a, b).tails.items()), label
-    kind = type(a.field.one)
-    assert all(type(v) is kind for tail in got.tails.values() for _, v in tail), label
+    got, want = a + b, dense_sum(a, b)
+    # the stored int form against the oracle's: tails and common denominator
+    assert list(got.tails.items()) == list(want.tails.items()), label
+    assert got.den == want.den, label
+    assert all(type(v) is int for tail in got.tails.values() for _, v in tail), label
 
 
 def combinations(rng, W, count, field):
@@ -692,7 +740,7 @@ def test_int_rows_give_exact_results():
         for vec in basis:
             assert all(sum(c * v for c, v in zip(row, vec)) == 0 for row in rows)
         entries = (list(chain.from_iterable(red)) + list(chain.from_iterable(basis))
-                   + [v for tail in W.tails.values() for _, v in tail])
+                   + list(chain.from_iterable(W.rows)))
         assert not any(isinstance(c, float) for c in entries)
 
 
