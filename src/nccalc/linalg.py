@@ -5,24 +5,34 @@ Subspace is the canonical RREF basis of a subspace of a homogeneous
 component, held as pivots plus tails: each pivot word's row is nonzero
 only there and on the free columns (the normal words).  The tails hold
 ints: residues over F_p, and over Q numerators over one common
-denominator per subspace.  A residual is a list over the normal words,
-found by replacing each pivot word with minus its tail; on ints it is a
-fixed multiple of the true one, which is all that membership, sums and
-kernels need.  Preimages, intersections and the invariant-subspace
-rounds of ``optimal`` all take one kernel step, ``Subspace.kernel_of``,
-which recombines the basis by the kernel's echelon coordinates.  A sum
-is a block elimination: the added vectors' residuals, which live on the
-free columns, are eliminated alone and their pivots are then cleared
-from the old tails.  Dense rows of length n^s remain only as the
-``rref`` input of ``from_vectors``, behind ``span``, and on request
-(``rows``); field elements only at the API boundary.
+denominator per subspace.  A residual is found by replacing each pivot
+word with minus its tail, and is held as a dict from the normal words
+to its nonzero ints; on ints it is a fixed multiple of the true one,
+which is all that membership, sums and kernels need.  Preimages,
+intersections and the invariant-subspace rounds of ``optimal`` all take
+one kernel step, ``Subspace.kernel_of``, which recombines the basis by
+the kernel's echelon coordinates.  It reads each residual as its
+nonzero entries and peels the system before any elimination (structured
+Gaussian elimination, after LaMacchia and Odlyzko): an equation with
+one unknown fixes it at zero, an unknown in one equation is solved from
+it, and an unknown in none is free.  Only the dense core that remains
+goes to ``nullspace``, so a permutation-like system, such as the zero
+rule's derivative system, takes no elimination at all.  A sum is a
+block elimination: the added vectors' residuals, which live on the free
+columns, are eliminated alone and their pivots are then cleared from
+the old tails.  Dense rows remain only where they are eliminated (a
+sum's residuals, on the free columns; a kernel step's core; and the
+kernel vectors, of length dim, that ``from_vectors`` puts in echelon
+form) and in ``span`` and ``rows``, of length n^s.  Field elements
+appear only at the API boundary.
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.
-``nullspace`` reads its rows in the field it is given: over F_p an int
-entry is read mod p, and the rows go to the modular elimination without
-any ``FpElement``.  Over Q, each row of Fractions is scaled to integers
-(rows of ints are taken as they are) and divided by its gcd, and
+``nullspace`` reads its rows in the field it is given: over F_p a
+system of ints takes one ``% p`` per entry, and the rows go to the
+modular elimination without any ``FpElement``.  Over Q, each row of
+Fractions is scaled to integers (rows of ints are taken as they are)
+and divided by its gcd, and
 ``_rref_rational`` eliminates the primitive integer rows modulo the
 primes of ``_PRIMES`` in turn, the largest primes below 2^26.  It
 returns the RREF as int rows over their least common denominator, and
@@ -68,11 +78,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .fields import FpElement, PrimeField
 from .freealg import NCPoly, index_word, word_index
@@ -226,7 +237,7 @@ def _rref_mod(rows, p):
         if not waiting:
             break
     if len(pivots) == ncols:
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)], pivots
+        return [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)], pivots
     red = [[v * inv % p for v in r] if inv != 1 else list(r)
            for r, inv in zip(red, invs)]
     for t in range(len(red) - 1, 0, -1):
@@ -424,14 +435,19 @@ def nullspace(rows, ncols, field):
 
     Returns the canonical basis: one vector per free column, with a one
     in that column, in increasing column order.  Over F_p every entry is
-    read mod p (ints as they are, the others through ``field.of``) and
-    eliminated on the residues; over Q the rows are eliminated as by
-    ``rref``, except that a full column rank builds no identity.
+    read mod p and eliminated on the residues: a system of ints takes one
+    ``% p`` per entry, and one holding other values reads every entry
+    through ``field.of``.  Over Q the rows are eliminated as by ``rref``,
+    except that a full column rank builds no identity.
     """
     if isinstance(field, PrimeField):
         p = field.p
-        vals = [v for v in ([c % p if type(c) is int else field.of(c).val for c in r]
-                            for r in rows) if any(v)]
+        rows = list(rows)
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            vals = [[c % p for c in r] for r in rows]
+        else:
+            vals = [[field.of(c).val for c in r] for r in rows]
+        vals = [v for v in vals if any(v)]
         red, pivots = _rref_mod(vals, p) if vals else ([], [])
         value = partial(FpElement, p=p)
     else:
@@ -520,11 +536,12 @@ class Subspace:
     them, and ``from_vectors``, ``residual_of`` and ``contains`` read them.
     Inside, residuals, sums and kernels multiply and add ints, and each
     output entry is reduced mod p or put over a common denominator once.
-    Sums extend the tails by block elimination on the free columns; only
-    ``from_vectors`` eliminates dense rows.
+    Sums extend the tails by block elimination on the free columns, and
+    kernels peel their system before they eliminate its dense core; only
+    ``from_vectors`` eliminates rows of length n^s.
     """
 
-    __slots__ = ("n", "degree", "field", "tails", "den", "free", "_position", "_p")
+    __slots__ = ("n", "degree", "field", "tails", "den", "free", "_p")
 
     def __init__(self, n, degree, field, tails, den=1):
         # internal: tails and den must be the canonical form of an RREF basis
@@ -533,10 +550,9 @@ class Subspace:
         self.field = field
         self.tails = tails
         self.den = den
-        # derived: the free columns in increasing order, their positions,
-        # and the modulus (None over Q)
+        # derived: the free columns in increasing order, and the modulus
+        # (None over Q)
         self.free = [c for c in range(n ** degree) if c not in tails]
-        self._position = {c: t for t, c in enumerate(self.free)}
         self._p = field.p if isinstance(field, PrimeField) else None
 
     # ---- constructors ----
@@ -633,23 +649,32 @@ class Subspace:
     def _reduce_ints(self, entries):
         """The residual modulo this subspace of the vector with the given
         (column, int) entries, which name each column at most once, as a
-        list of ints over ``free``: residues over F_p, and over Q den times
-        the residual of the vector the ints stand for.  It is zero exactly
-        when the vector lies in the subspace."""
-        position = self._position
+        dict from free columns to its nonzero ints: residues over F_p, and
+        over Q den times the residual of the vector the ints stand for.
+        It is empty exactly when the vector lies in the subspace."""
         tails = self.tails
-        den = self.den
-        vec = [0] * len(position)
-        for col, c in entries:
-            t = position.get(col)
-            if t is None:
-                # a pivot word equals minus its row's tail, modulo the subspace
-                for j, v in tails[col]:
-                    vec[position[j]] -= c * v
-            else:
-                vec[t] += c * den
         p = self._p
-        return [x % p for x in vec] if p is not None else vec
+        if not tails:
+            # the zero subspace, whose den is 1: the entries themselves
+            if p is not None:
+                return {col: r for col, c in entries if (r := c % p)}
+            return {col: c for col, c in entries if c}
+        den = self.den
+        acc = {}
+        get = acc.get
+        for col, c in entries:
+            tail = tails.get(col)
+            if tail is None:
+                acc[col] = get(col, 0) + c * den
+            else:
+                # a pivot word equals minus its row's tail, modulo the subspace
+                for j, v in tail:
+                    acc[j] = get(j, 0) - c * v
+        if p is not None:
+            return {col: r for col, c in acc.items() if (r := c % p)}
+        if 0 in acc.values():
+            return {col: c for col, c in acc.items() if c}
+        return acc
 
     def residual_of(self, entries) -> list:
         """Residual modulo this subspace, as a list over ``free``, of the
@@ -658,7 +683,7 @@ class Subspace:
         the subspace."""
         p = self._p
         (ints,), scale = _scaled([list(entries)], p)
-        res = self._reduce_ints(ints)
+        res = list(map(self._reduce_ints(ints).get, self.free, repeat(0)))
         if p is not None:
             return [FpElement(x, p) for x in res]
         return _fractions(res, scale * self.den)
@@ -688,7 +713,7 @@ class Subspace:
             raise ValueError(
                 f"membership test needs a homogeneous polynomial of degree "
                 f"{self.degree}, got {poly}")
-        return not any(self._reduce_ints(_int_entries(poly, self.degree, self._p)[0]))
+        return not self._reduce_ints(_int_entries(poly, self.degree, self._p)[0])
 
     def contains_subspace(self, other: "Subspace"):
         self._check(other)
@@ -697,7 +722,7 @@ class Subspace:
         for piv, tail in other.tails.items():
             # a row of other that is also a row of this basis lies in it
             if (not (same and tails.get(piv) == tail)
-                    and any(self._reduce_ints([(piv, den)] + tail))):
+                    and self._reduce_ints([(piv, den)] + tail)):
                 return False
         return True
 
@@ -718,23 +743,111 @@ class Subspace:
     def kernel_of(self, residuals):
         """Kernel of a linear map restricted to this subspace.
 
-        ``residuals[t]`` is the image of basis row t, as a coordinate
-        list of field elements, or of ints that stand for one common
-        nonzero multiple of it (residues over F_p).  Returns the Subspace
-        of all combinations sum_t a_t*rows[t] with sum_t a_t*residuals[t]
-        = 0.
+        ``residuals[t]`` is the image of basis row t: a dense coordinate
+        list, or a dict from coordinates (keys that sort together, such
+        as ints) to its nonzero entries only.  Its entries are field
+        elements, or ints that stand for one common nonzero multiple of it
+        (residues over F_p).  Returns the Subspace of all combinations
+        sum_t a_t*rows[t] with sum_t a_t*residuals[t] = 0.
 
-        The kernel's coordinates a form a subspace of F^dim, which is the
-        degree-1 component over dim generators; its echelon rows recombine
-        this basis into the canonical echelon basis of the kernel.  A
-        combination's first nonzero column is the pivot of its first row
-        with a_t != 0, and the basis rows are zero on each other's pivots,
-        so the recombined rows are already reduced, with pivots those of
-        the coordinates' pivot rows.
+        The system has one unknown a_t per basis row and one equation per
+        coordinate, and is solved by structured Gaussian elimination
+        (``_kernel``): unknowns that an equation alone or no equation
+        settles are peeled off, and only the dense core that remains goes
+        to ``nullspace``.  The kernel's coordinates a form a subspace of
+        F^dim, which is the degree-1 component over dim generators; its
+        echelon rows recombine this basis into the canonical echelon basis
+        of the kernel.  A combination's first nonzero column is the pivot
+        of its first row with a_t != 0, and the basis rows are zero on
+        each other's pivots, so the recombined rows are already reduced,
+        with pivots those of the coordinates' pivot rows.
         """
-        eqs = [eq for eq in map(list, zip(*residuals)) if any(eq)]
-        coords = Subspace.from_vectors(nullspace(eqs, self.dim, self.field),
-                                       self.dim, 1, self.field)
+        return self._kernel(residuals)[0]
+
+    def _kernel(self, residuals):
+        """``kernel_of``, as ``(kernel, peeled, core)``: ``peeled`` counts
+        the unknowns the peel settled (fixed at zero, solved or free), and
+        ``core`` is the (equations, unknowns) shape of the dense core
+        handed to ``nullspace``.
+
+        Each residual is read as its nonzero entries, and the peel repeats
+        three steps to a fixpoint: an equation with one live unknown fixes
+        it at zero; an unknown in exactly one live equation is solved from
+        it, which removes both; an unknown in no live equation is free.
+        No step changes an entry, so the core is the submatrix of the
+        live equations on the live unknowns, and ``nullspace`` is called
+        on it exactly once, even when it is empty.  When the kernel is
+        nonzero, the solved unknowns are then back-substituted, latest
+        first, in field arithmetic.
+        """
+        field, dim = self.field, self.dim
+        rows = [r if type(r) is dict else dict(filter(itemgetter(1), enumerate(r)))
+                for r in residuals]
+        # weight[e]: the live unknowns of equation e; live[t]: the live
+        # equations of unknown t
+        weight = Counter(chain.from_iterable(rows))
+        live = list(map(len, rows))
+        dead, gone, solved = set(), set(), []
+        if 1 in weight.values() or 1 in live:
+            # the equations' unknowns, built only when something peels
+            cols = {e: [] for e in weight}
+            for t, r in enumerate(rows):
+                for e in r:
+                    cols[e].append(t)
+            single = [e for e, w in weight.items() if w == 1]
+            lone = [t for t, k in enumerate(live) if k == 1]
+            while single or lone:
+                if single:
+                    e = single.pop()
+                    if weight[e] != 1:
+                        continue
+                    # the equation's one live unknown is zero
+                    t = next(t for t in cols[e] if t not in gone)
+                    gone.add(t)
+                    for f in rows[t]:
+                        if f not in dead:
+                            weight[f] -= 1
+                            if weight[f] == 1:
+                                single.append(f)
+                else:
+                    t = lone.pop()
+                    if t in gone or live[t] != 1:
+                        continue
+                    # the unknown's one live equation determines it
+                    e = next(e for e in rows[t] if e not in dead)
+                    gone.add(t)
+                    dead.add(e)
+                    solved.append((t, e))
+                    for u in cols[e]:
+                        if u not in gone:
+                            live[u] -= 1
+                            if live[u] == 1:
+                                lone.append(u)
+        core_words = [t for t in compress(range(dim), live) if t not in gone]
+        core_eqs = sorted([e for e, w in weight.items() if w and e not in dead])
+        core = list(map(list, zip(*[map(rows[t].get, core_eqs, repeat(0))
+                                    for t in core_words])))
+        vectors = []
+        for vec in nullspace(core, len(core_words), field):
+            x = [field.zero] * dim
+            for t, v in zip(core_words, vec):
+                x[t] = v
+            vectors.append(x)
+        # the unknowns in no live equation are free
+        for t, k in enumerate(live):
+            if not k and t not in gone:
+                x = [field.zero] * dim
+                x[t] = field.one
+                vectors.append(x)
+        if vectors and solved:
+            of = field.of
+            for t, e in reversed(solved):
+                # a_t * x_t = -sum over the equation's other unknowns
+                inv = -field.one / of(rows[t][e])
+                terms = [(u, of(rows[u][e])) for u in cols[e] if u != t]
+                for x in vectors:
+                    x[t] = inv * sum((c * x[u] for u, c in terms), field.zero)
+        coords = Subspace.from_vectors(vectors, self.dim, 1, field)
         rows = list(self.tails.items())
         den, p = self.den, self._p
         tails = {}
@@ -751,7 +864,8 @@ class Subspace:
             if p is not None:
                 acc = {c: v % p for c, v in acc.items()}
             tails[pivot] = sorted((c, v) for c, v in acc.items() if v)
-        return Subspace(self.n, self.degree, self.field, *_lowest(tails, coords.den * den))
+        kernel = Subspace(self.n, self.degree, self.field, *_lowest(tails, coords.den * den))
+        return kernel, self.dim - len(core_words), (len(core), len(core_words))
 
     def _extended(self, rows):
         """Span of this subspace and the vectors with the given (column,
@@ -766,17 +880,23 @@ class Subspace:
         eliminated from the old tails.  No row that is eliminated is
         longer than ``free``.
         """
-        residuals = [r for r in map(self._reduce_ints, rows) if any(r)]
-        if not residuals:
-            return self, 0
-        distinct = [list(r) for r in dict.fromkeys(map(tuple, residuals))]
         free, p = self.free, self._p
+        # the nonzero residuals, each kept once (by its entries in the
+        # order the reduction found them) and written out over free
+        count, seen = 0, {}
+        for r in map(self._reduce_ints, rows):
+            if r:
+                count += 1
+                seen.setdefault(tuple(r.items()), r)
+        if not count:
+            return self, 0
+        distinct = [list(map(r.get, free, repeat(0))) for r in seen.values()]
         if p is None:
             red, rden, positions = _rref_rational(distinct)
         else:
             (red, positions), rden = _rref_mod(distinct, p), 1
         if len(positions) == len(free):
-            return Subspace.full(self.n, self.degree, self.field), len(residuals)
+            return Subspace.full(self.n, self.degree, self.field), count
         taken = set(positions)
         rest = [t for t in range(len(free)) if t not in taken]
         # the new pivot rows, rden times their values: rden at their pivot,
@@ -806,7 +926,7 @@ class Subspace:
             tails[piv] = [(c, v * den) for c, v in tail] if den != 1 else tail
         return Subspace(self.n, self.degree, self.field,
                         *_lowest({piv: tails[piv] for piv in sorted(tails)}, den * rden)
-                        ), len(residuals)
+                        ), count
 
     def __add__(self, other):
         if not isinstance(other, Subspace):

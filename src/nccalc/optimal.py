@@ -74,6 +74,17 @@ field elements.  (``compute_U`` takes every word of degree s, not only
 normal ones; it reduces the derivatives ``calculus.column_partials``
 expands in the free algebra.)
 
+The system stays sparse from the recursion to the kernel step.  Each
+residual is a dict of its nonzero ints keyed by normal word, the same
+dicts serve as the next degree's table, and a word's row of the system
+joins its n residuals under disjoint keys.  ``Subspace.kernel_of``
+peels the system before any elimination (see ``linalg``): an equation
+with one word fixes that word at zero, a word in one equation is solved
+from it, and only the dense core left over is eliminated.  For the zero
+rule D_k(x^a * w) = delta_ak * w, so every row holds one entry and every
+equation one word; the peel settles the whole system, and each degree
+of its free quotient costs time and memory linear in 2^s.
+
 By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
 W -> {w in W : every entry of A(w) lies in W}, started at W = U_s, keep
@@ -148,6 +159,7 @@ right shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
 from .calculus import _partials, column_partials
@@ -178,9 +190,11 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
 
     ``known`` is ``(table, den)``: for each word w of degree s-1 with
     some x^a*w among the words, table[w][j] is the residual of D_j(w)
-    modulo I_{s-2} as {column: int}, den times its values over Q
-    (residues over F_p, with den 1).  Returns the system, one row of n
-    residuals over ``prev.free`` per word, and ``known`` for the words.
+    modulo I_{s-2} as {free column: int}, den times its values over Q
+    (residues over F_p, with den 1).  Returns the system, one row per
+    word, and ``known`` for the words.  A row holds only the nonzero
+    ints of the word's n residuals over ``prev.free``: the entry of D_k
+    at free column c sits at key k*n^(s-1) + c.
     """
     n = rule.n
     scale, p, images = _int_images(rule)
@@ -191,8 +205,10 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
     shifted = [([[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
                  for row in images[a]],) for a in range(n)]
     top = n ** prev.degree
+    # D_k's free column c goes to key k*top + c of the word's row
+    offsets = [k * top for k in range(n)]
     lead = 1 if p is not None else scale * den
-    free = prev.free
+    reduce = prev._reduce_ints
     system, out = [], {}
     for col in words:
         a, w = divmod(col, top)
@@ -201,14 +217,13 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
         acc = [{} for _ in range(n)]
         acc[a][w] = lead
         _prepend(shifted[a], 1, table[w], acc)
-        res = [prev._reduce_ints(d.items()) for d in acc]
-        system.append([x for r in res for x in r])
-        out[col] = [{free[t]: x for t, x in enumerate(r) if x} for r in res]
+        out[col] = res = [reduce(d.items()) for d in acc]
+        system.append({off + c: x for off, d in zip(offsets, res) for c, x in d.items()})
     if p is not None:
         return system, (out, 1)
     # the next table carries lead * prev.den: keep it in lowest terms
     den = lead * prev.den
-    g = gcd(den, *(x for parts in out.values() for d in parts for x in d.values()))
+    g = gcd(den, *chain.from_iterable(d.values() for parts in out.values() for d in parts))
     if g != 1:
         out = {c: [{j: x // g for j, x in d.items()} for d in parts]
                for c, parts in out.items()}
@@ -227,8 +242,9 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
         raise ValueError(f"the derivative-preimage step starts at degree 2, got {s}")
     if prev.degree != s - 1 or prev.n != rule.n or prev.field != rule.field:
         raise ValueError(f"previous component must live at degree {s - 1}")
-    residuals = [[x for part in column_partials(rule, s, col)
-                  for x in prev._reduce_ints(part.items())]
+    top = prev.ambient_dim
+    residuals = [{k * top + c: x for k, part in enumerate(column_partials(rule, s, col))
+                  for c, x in prev._reduce_ints(part.items()).items()}
                  for col in range(rule.n ** s)]
     return Subspace.full(rule.n, s, rule.field).kernel_of(residuals)
 
@@ -238,8 +254,8 @@ def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
     lower + C, for a subspace ``lower`` closed under those entries and
     a ``space`` spanned inside its free columns.  Returns (C, rounds).
     """
-    free = lower.free
-    size = len(free)
+    size = len(lower.free)
+    top = space.ambient_dim
     rounds = 0
     # the zero space is closed, and so is one that fills lower's free
     # columns: then lower + C is the whole degree-s component
@@ -247,7 +263,8 @@ def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
         # an entry lies in lower + C exactly when its residual modulo
         # lower, supported on lower's free columns, lies in C.  Each
         # entry's ints carry its own scale, so the residuals are brought
-        # to their lcm before the kernel step
+        # to their lcm before the kernel step; entry i's residual sits at
+        # keys i*n^s + c
         parts = []
         for b in space.basis_polys():
             part = []
@@ -255,14 +272,14 @@ def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
                 for e in row:
                     ints, scale = _int_entries(e, lower.degree, lower._p)
                     low = lower._reduce_ints(ints)
-                    part.append((scale, space._reduce_ints(
-                        [(free[t], v) for t, v in enumerate(low) if v])))
+                    part.append((scale, space._reduce_ints(low.items())))
             parts.append(part)
         common = lcm(*(scale for part in parts for scale, _ in part))
-        residuals = [[x * (common // scale) for scale, res in part for x in res]
+        residuals = [{i * top + c: x * (common // scale)
+                      for i, (scale, res) in enumerate(part) for c, x in res.items()}
                      for part in parts]
         rounds += 1
-        if not any(map(any, residuals)):
+        if not any(residuals):
             break
         smaller = space.kernel_of(residuals)
         if smaller.dim >= space.dim:
@@ -343,9 +360,12 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     how many right-shift residuals went to ``rref`` and their rank,
     dim L_s, the number of normal words |N_s|, the size |N_s| x
     n*|N_{s-1}| of the derivative system of the normal words and its rank
-    |N_s| - dim C, dim U_s, the invariant rounds and dim I_s; for
-    thm4.1-I at degree 3 that is ``normal words=4 derivative
-    system=4x6 rank=4 dim U=4``.
+    |N_s| - dim C, dim U_s, the invariant rounds, dim I_s, and how the
+    kernel step solved the system: the number of unknowns (normal words)
+    the peel settled and the shape, equations x unknowns, of the dense
+    core it left for ``nullspace``.  For thm4.1-I at degree 3 that is
+    ``normal words=4 derivative system=4x6 rank=4 dim U=4`` and
+    ``peeled=1 core=5x3``.
     """
     _require_homogeneous(rule)
     if max_degree < 1:
@@ -361,7 +381,10 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     for s in range(2, max_degree + 1):
         l_s, shifted = _ideal_slice(comps[-1])
         system, known = _normal_partials(rule, comps[-1], known, l_s.free)
-        u_c = Subspace.coordinate(n, s, field, l_s.free).kernel_of(system)
+        if s == max_degree:
+            # no degree reads this table: free it before the kernel step
+            known = None
+        u_c, peeled, core = Subspace.coordinate(n, s, field, l_s.free)._kernel(system)
         c_s, rounds = _closed_complement(rule, l_s, u_c)
         i_s = l_s + c_s
         # ideal-slice check: every echelon row of L_s reduces to zero mod I_s
@@ -372,13 +395,14 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
         # the left shifts alone have dim n*dim I_{s-1}; the right shifts'
         # residuals add their rank.  The derivative system has a row per
         # normal word and n coordinates per normal word of degree s-1, and
-        # its kernel is C
+        # its kernel is C; the peel settles some of its unknowns and leaves
+        # a dense core of equations x unknowns
         log.debug("degree %d: right-shift residuals=%d rank=%d dim L=%d "
                   "normal words=%d derivative system=%dx%d rank=%d dim U=%d "
-                  "invariant rounds=%d dim I=%d",
+                  "invariant rounds=%d dim I=%d peeled=%d core=%dx%d",
                   s, shifted, l_s.dim - n * comps[-1].dim, l_s.dim, len(l_s.free),
                   len(l_s.free), n * len(comps[-1].free), len(l_s.free) - u_c.dim,
-                  l_s.dim + u_c.dim, rounds, i_s.dim)
+                  l_s.dim + u_c.dim, rounds, i_s.dim, peeled, *core)
         comps.append(i_s)
     return IdealFiltration(rule, comps, max_degree)
 
@@ -476,12 +500,12 @@ def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
         # the derivatives on ints, one common multiple of their values
         # (residues over F_p), reduced on the int tails as they are
         for k, part in enumerate(_partials(rule, b)[0], 1):
-            if any(below._reduce_ints([(word_index(w, d - 1, n), c)
-                                       for w, c in part.items()])):
+            if below._reduce_ints([(word_index(w, d - 1, n), c)
+                                   for w, c in part.items()]):
                 violations.append(Violation(d, label, "partial", k))
         for k, row in enumerate(rule.apply(b).rows, 1):
             for i, e in enumerate(row, 1):
-                if any(within._reduce_ints(_int_entries(e, d, within._p)[0])):
+                if within._reduce_ints(_int_entries(e, d, within._p)[0]):
                     violations.append(Violation(d, label, "entry", k, i))
     return violations
 

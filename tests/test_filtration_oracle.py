@@ -76,14 +76,20 @@ def test_debug_log_has_one_record_per_degree(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
     # from degree 3 on U_s = L_s, so no invariant round runs; the left
     # shifts give dim L minus the right shifts' rank; the derivative
-    # system of the normal words has full rank |N_s| exactly when C = 0
+    # system of the normal words has full rank |N_s| exactly when C = 0.
+    # From degree 3 on one equation holds a single normal word: the peel
+    # fixes that word at zero, and the core keeps the other words and the
+    # equations that still hold any
     assert messages == [
         "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=4 "
-        "derivative system=4x4 rank=3 dim U=1 invariant rounds=1 dim I=1",
+        "derivative system=4x4 rank=3 dim U=1 invariant rounds=1 dim I=1 "
+        "peeled=0 core=4x4",
         "degree 3: right-shift residuals=2 rank=2 dim L=4 normal words=4 "
-        "derivative system=4x6 rank=4 dim U=4 invariant rounds=0 dim I=4",
+        "derivative system=4x6 rank=4 dim U=4 invariant rounds=0 dim I=4 "
+        "peeled=1 core=5x3",
         "degree 4: right-shift residuals=6 rank=3 dim L=11 normal words=5 "
-        "derivative system=5x8 rank=5 dim U=11 invariant rounds=0 dim I=11",
+        "derivative system=5x8 rank=5 dim U=11 invariant rounds=0 dim I=11 "
+        "peeled=1 core=7x4",
     ]
 
 
@@ -134,12 +140,36 @@ def test_normal_word_derivatives_match_word_table(field):
                 assert [{c: field.of(Fraction(v, den)) for c, v in d.items()}
                         for d in table[col]] == \
                     [{c: v for c, v in zip(prev.free, r) if v} for r in want]
-                for got, true in zip(row, (v for r in want for v in r)):
-                    got = field.of(got)
-                    if factor is None and true:
+                # the row holds D_k's entry at free column c under key
+                # k*n^(s-1) + c, and no zero entry
+                dense = {k * prev.ambient_dim + c: true
+                         for k, r in enumerate(want) for c, true in zip(prev.free, r)}
+                assert set(row) <= set(dense)
+                for key, true in dense.items():
+                    if not true:
+                        assert key not in row
+                        continue
+                    got = field.of(row[key])
+                    if factor is None:
                         factor = got / true
                         assert factor
-                    assert got == (factor * true if true else field.zero)
+                    assert got == factor * true
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+def test_zero_rule_derivative_rows_hold_one_entry(field):
+    # D_k(x^a*w) = delta_ak*w: each word's row of the derivative system
+    # holds one entry, so the peel settles every unknown and leaves no core
+    rule = rule_over(build_example("ex3.2-zero"), field)
+    known = ({w: [{0: 1} if j == w else {} for j in range(2)] for w in range(2)}, 1)
+    for s in range(2, 10):
+        prev = Subspace.zero(2, s - 1, field)
+        words = _ideal_slice(prev)[0].free
+        system, known = _normal_partials(rule, prev, known, words)
+        assert len(system) == 2 ** s
+        assert all(len(row) == 1 for row in system)
+        _, peeled, core = Subspace.coordinate(2, s, field, words)._kernel(system)
+        assert (peeled, core) == (2 ** s, (0, 0))
 
 
 def test_filtration_eliminates_only_small_blocks(monkeypatch):

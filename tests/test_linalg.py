@@ -785,3 +785,135 @@ def test_rref_of_int_rows_falls_back_to_fractions(monkeypatch):
     assert rref([[2, 1], [4, 2]]) == ([[Fraction(1), Fraction(1, 2)]], [0])
     assert len(calls) > 10
     assert all(type(c) is Fraction for (rows,) in calls for r in rows for c in r)
+
+
+# ---- the peeling kernel step ----
+
+PEEL_FIELDS = [QQ, GF(10007)]
+
+
+def kernel_oracle(residuals, m, field):
+    """The kernel {a : sum_t a_t*residuals[t] = 0} in F^m by one dense
+    elimination of the equations (one per coordinate): ``dense_rref_mod``
+    over F_p, ``_rref_fraction`` over Q.  Returns the canonical Subspace."""
+    eqs = [list(col) for col in zip(*residuals)]
+    if isinstance(field, linalg.PrimeField):
+        red, pivots = dense_rref_mod(eqs, field.p)
+        red = [[field.of(c) for c in r] for r in red]
+    else:
+        red, pivots = linalg._rref_fraction(frac_rows(eqs))
+    vectors = []
+    for f in range(m):
+        if f in pivots:
+            continue
+        v = [field.zero] * m
+        v[f] = field.one
+        for i, col in enumerate(pivots):
+            v[col] = -red[i][f]
+        vectors.append(v)
+    return Subspace.from_vectors(vectors, m, 1, field)
+
+
+def peel(residuals, field, calls):
+    """``_kernel`` of the identity basis of F^m on int residuals, given
+    both as dicts of their nonzero ints (residues over F_p) and as dense
+    lists of field elements.  Checks both against the oracle, the nullity
+    against the rank ``_rref_fraction`` finds, and that each call ran
+    ``nullspace`` once.  Returns (kernel, peeled, core)."""
+    m = len(residuals)
+    p = field.p if isinstance(field, linalg.PrimeField) else None
+    sparse = [{j: c for j, c in enumerate([c % p for c in r] if p else r) if c}
+              for r in residuals]
+    dense = [[field.of(c) for c in r] for r in residuals]
+    W = Subspace.full(m, 1, field)
+    before = len(calls)
+    got, peeled, core = W._kernel(sparse)
+    want = kernel_oracle(residuals, m, field)
+    assert got == want
+    assert W.kernel_of(dense) == want
+    assert len(calls) == before + 2
+    assert got.dim == m - len(linalg._rref_fraction(dense)[1])
+    for v in got.rows:
+        for j in range(len(residuals[0])):
+            assert not sum((a * r[j] for a, r in zip(v, dense)), field.zero)
+    return got, peeled, core
+
+
+@pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
+def test_peeling_kernel_settles_a_permutation_matrix(field, monkeypatch):
+    calls = spy_on(monkeypatch, "nullspace")
+    rng = random.Random(81)
+    m = 7
+    perm = list(range(m))
+    rng.shuffle(perm)
+    residuals = [[0] * m for _ in range(m)]
+    for t, j in enumerate(perm):
+        residuals[t][j] = rng.choice([-3, -1, 2, 5])
+    # every equation holds one unknown: all are fixed at zero, and the
+    # core is empty but still goes to nullspace
+    K, peeled, core = peel(residuals, field, calls)
+    assert (K.dim, peeled, core) == (0, m, (0, 0))
+    assert calls[-1][:2] == ([], 0)
+
+
+@pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
+def test_peeling_kernel_leaves_the_dense_block_of_a_block_diagonal(field, monkeypatch):
+    calls = spy_on(monkeypatch, "nullspace")
+    rng = random.Random(82)
+    for _ in range(10):
+        # a 4x4 block of rank 3 with no zero entry
+        while True:
+            block = [[rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(4)]
+                     for _ in range(3)]
+            block.append([a - b for a, b in zip(block[0], block[1])])
+            if all(block[3]):
+                break
+        # 1x1 blocks at unknowns 0, 1, 2, 7 and 8 around the dense block
+        residuals = [[0] * 9 for _ in range(9)]
+        for t in (0, 1, 2, 7, 8):
+            residuals[t][t] = rng.choice([-2, 1, 3])
+        for i in range(4):
+            residuals[3 + i][3:7] = block[i]
+        K, peeled, core = peel(residuals, field, calls)
+        assert (K.dim, peeled, core) == (1, 5, (4, 4))
+
+
+@pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
+def test_peeling_kernel_back_substitutes_solved_unknowns(field, monkeypatch):
+    calls = spy_on(monkeypatch, "nullspace")
+    # equations e0 = x0 + 2*x1, e1 = 3*x1 + x2 + 4*x3 and e2 = x3 - x4;
+    # x5 lies in no equation.  x4 lies in e2 alone, so it is solved from
+    # e2; then x3 lies in e1 alone, and x1 in e0 alone.  x0 and x2 are
+    # left in no live equation, and the kernel reaches x1, x3 and x4 only
+    # by back-substitution
+    eqs = [[1, 2, 0, 0, 0, 0],
+           [0, 3, 1, 4, 0, 0],
+           [0, 0, 0, 1, -1, 0]]
+    residuals = [list(col) for col in zip(*eqs)]
+    K, peeled, core = peel(residuals, field, calls)
+    assert (peeled, core) == (6, (0, 0))
+    half, eighth, quarter = (field.of(Fraction(*q)) for q in ((1, 2), (3, 8), (1, 4)))
+    zero, one = field.zero, field.one
+    assert K == Subspace.from_vectors([[one, -half, zero, eighth, eighth, zero],
+                                       [zero, zero, one, -quarter, -quarter, zero],
+                                       [zero] * 5 + [one]], 6, 1, field)
+
+
+@pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
+def test_peeling_kernel_matches_dense_elimination_on_random_sparse_systems(
+        field, monkeypatch):
+    calls = spy_on(monkeypatch, "nullspace")
+    rng = random.Random(83)
+    cores = set()
+    for _ in range(60):
+        m, width = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.1, 0.25, 0.5, 0.9])
+        residuals = [[rng.randint(-5, 5) if rng.random() < density else 0
+                      for _ in range(width)] for _ in range(m)]
+        if rng.random() < 0.3:
+            # a dependent unknown: the kernel is nonzero
+            residuals.append([a + 2 * b for a, b in zip(residuals[0], residuals[-1])])
+        _, peeled, core = peel(residuals, field, calls)
+        cores.add(core == (0, 0))
+    # the draws reach both an empty and a nonempty core
+    assert cores == {True, False}
