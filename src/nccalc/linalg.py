@@ -71,7 +71,9 @@ those of ``Fp:`` moduli above about 2^26, are packed value by value.  A
 row that no step clears stays a list and is never packed, and the
 certificate walks only the nonzero entries of B, so the sparse cases
 (diagonal rules, the zero rule, near-identity bases) stay near linear
-time.
+time.  ``optimal`` builds the derivative systems of free degrees on
+packed rows of signed fields (``_signed_codec``), whose sums and int
+multiples are exact while every field fits its width.
 """
 
 from __future__ import annotations
@@ -197,8 +199,10 @@ def _rref_mod(rows, p):
     bitlen((min(rows, cols) + 1)*(p - 1)^2) + 1 bits therefore never
     carry into each other; ``_field_codec`` rounds them up to whole
     bytes.  Rows that no step clears stay lists and are never packed.
-    The forward pass alone decides full column rank, the common case;
-    only otherwise are dense result rows built and back substituted.
+    The forward pass alone decides full column rank, the common case:
+    then the RREF is the identity, and no rows are returned, since the
+    pivots say it all.  Only otherwise are dense result rows built and
+    back substituted.
     """
     ncols = len(rows[0])
     width, pack, unpack = _field_codec(
@@ -237,7 +241,7 @@ def _rref_mod(rows, p):
         if not waiting:
             break
     if len(pivots) == ncols:
-        return [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)], pivots
+        return [], pivots
     red = [[v * inv % p for v in r] if inv != 1 else list(r)
            for r, inv in zip(red, invs)]
     for t in range(len(red) - 1, 0, -1):
@@ -300,6 +304,53 @@ def _unpack_words(size, row, count):
     return words
 
 
+def _signed_codec(bits):
+    """``(width, pack, unpack)`` for packed rows of signed ints whose
+    fields need ``bits`` bits, sign included.  A row is the plain int
+    sum_i values[i] * 2^(width*(count - 1 - i)), so sums of rows and their
+    int multiples act on every field at once, exactly while no field
+    outgrows its bits.  Fields are at least eight bytes wide, and eight
+    byte fields pass through ``array('q')``.
+
+    Both directions go through the biased row, the packed row plus
+    2^(width - 1) in every field, whose fields are then the values' two's
+    complements with their top bits flipped."""
+    size = max(8, (bits + 7) // 8)
+    # 2^(width - 1) in one field, as big-endian bytes
+    top = b"\x80" + bytes(size - 1)
+
+    def bias(count):
+        return int.from_bytes(top * count, "big")
+
+    if size == 8:
+        def pack(values):
+            words = array("q", values)
+            if _SWAP:
+                words.byteswap()
+            b = bias(len(words))
+            return (int.from_bytes(words, "big") ^ b) - b
+
+        def unpack(row, count):
+            b = bias(count)
+            words = array("q", ((row + b) ^ b).to_bytes(8 * count, "big"))
+            if _SWAP:
+                words.byteswap()
+            return words.tolist()
+    else:
+        def pack(values):
+            b = bias(len(values))
+            return (int.from_bytes(b"".join([v.to_bytes(size, "big", signed=True)
+                                             for v in values]), "big") ^ b) - b
+
+        def unpack(row, count):
+            b = bias(count)
+            packed = ((row + b) ^ b).to_bytes(size * count, "big")
+            return [int.from_bytes(packed[i:i + size], "big", signed=True)
+                    for i in range(0, len(packed), size)]
+
+    return 8 * size, pack, unpack
+
+
 def _rref_fp(rows, p):
     """RREF over F_p on the residues, wrapped back into FpElement."""
     vals = [v for v in ([c.val for c in r] for r in rows) if any(v)]
@@ -307,6 +358,10 @@ def _rref_fp(rows, p):
         return [], []
     red, pivots = _rref_mod(vals, p)
     zero, one = FpElement(0, p), FpElement(1, p)
+    if not red:
+        # full column rank: the RREF is the identity
+        ncols = len(pivots)
+        return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)], pivots
     return [[FpElement(v, p) if v > 1 else (one if v else zero) for v in r]
             for r in red], pivots
 

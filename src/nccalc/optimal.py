@@ -85,6 +85,50 @@ rule D_k(x^a * w) = delta_ak * w, so every row holds one entry and every
 equation one word; the peel settles the whole system, and each degree
 of its free quotient costs time and memory linear in 2^s.
 
+Free degrees of a dense rule take packed rows instead.  While
+I_1 = ... = I_{s-1} = 0, every word is normal, L_s = 0, and the table
+of degree s-1 holds the derivatives themselves.  Transposed, the
+system of degree s has one row E_s[k, c] per equation, for D_k and a
+word c of degree s-1, and one column per word of degree s, and its
+kernel is U_s.  Write m = n^(s-2), top = n^(s-1), c = b*m + u with u of
+degree s-2, and sigma^{aj}_{kb} for the coefficient of x^b in
+A(x^a)^j_k.  The product rule gives
+
+    E_s[k, b*m + u] = lead * e_{k*top + b*m + u}
+                      + sum_{a,j} sigma^{aj}_{kb} * (E_{s-1}[j, u] in block a),
+
+where block a holds the columns a*top + w of the words x^a * w, and
+lead is the one the table uses (1 over F_p).  The recursion starts
+from E_1[j] = e_j; in practice the first packed degree reads E_{s-1}
+off the table.  Each row is one Python int with a field per column, as
+in ``linalg``'s packed elimination, so an equation costs at most n^2
+big-int multiply-adds, where the table costs n^2 dict updates per entry
+of each word's derivatives.  The fields are as wide as a running bound
+on them needs, and are read back through a bias.  Over F_p they hold
+residues, reduced once per degree; over Q they hold exact signed ints,
+put over their least common denominator once per degree.  The decoded
+rows go to ``nullspace`` once per degree, in the orientation it
+eliminates, so U_s comes out canonical, and the invariant rounds below
+follow as for any degree.
+
+Over Q the rows are lead times the true system, an integer matrix with
+the same kernel.  ``nullspace`` eliminates it modulo word-size primes,
+and full column rank mod the first prime already proves U_s = 0: some
+maximal minor is nonzero mod p, so it is a nonzero integer, and the
+rank over Q is full too.  That settles every degree of a free quotient
+whose kernel is zero with no lift; any other system takes the
+certified CRT lift of ``linalg``.
+
+Degree 2 always takes the table.  A degree s >= 3 is packed when
+I_{s-1} = 0 and the kernel step of degree s-1 left a dense core of at
+least half its unknowns: then the peel would hand ``nullspace`` a dense
+core of Python ints anyway, while a packed row costs a few bytes per
+cell.  Once packed, the degrees stay packed while the quotient stays
+free; at the first I_s != 0 the rows are transposed into the table
+once, and the next degree reads the table.  The zero rule's system
+peels to an empty core, so its free quotient keeps the peel, which
+touches its n^s entries where packed rows would take n^(2s) cells.
+
 By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
 W -> {w in W : every entry of A(w) lies in W}, started at W = U_s, keep
@@ -165,9 +209,7 @@ from math import gcd, lcm
 from .calculus import _partials, column_partials
 from .commrule import CommRule, NonHomogeneousRuleError, _int_images, _prepend
 from .freealg import NCPoly, format_poly, word_index
-from .linalg import Subspace, _int_entries
-# perfbench's tracer test reads nccalc.optimal.nullspace, so keep the binding
-from .linalg import nullspace  # noqa: F401
+from .linalg import Subspace, _int_entries, _signed_codec, nullspace
 
 
 class IdealPropertyViolation(RuntimeError):
@@ -228,6 +270,85 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
         out = {c: [{j: x // g for j, x in d.items()} for d in parts]
                for c, parts in out.items()}
     return system, (out, den // g)
+
+
+def _equation_rows(known, n):
+    """The derivative table of a free degree d as one int row per
+    equation, with the table's den: row j*m + u (m = n^(d-1), u a word of
+    degree d-1) holds at column w the coefficient of u in D_j(w), for
+    every word w of degree d."""
+    table, den = known
+    top = len(table)
+    m = top // n
+    rows = [[0] * top for _ in range(n * m)]
+    for w, parts in table.items():
+        for j, d in enumerate(parts):
+            for u, x in d.items():
+                rows[j * m + u][w] = x
+    return rows, den
+
+
+def _packed_partials(rule, rows, den, last):
+    """The derivative system of a free degree s as the int rows of its
+    equations, from those of degree s-1 (see the module docstring).
+
+    ``rows`` are den times the rows of degree s-1 that ``_equation_rows``
+    describes (residues over F_p, with den 1).  Returns ``(rows, den)``
+    for degree s.  Over Q the rows are put over their least common den
+    for the next degree, unless it is the ``last``.
+    """
+    n = rule.n
+    scale, p, images = _int_images(rule)
+    top = len(rows[0])
+    m = len(rows) // n
+    size = n * top
+    # terms[k*n + b][a]: (j, x) for each term x*x^b of A(x^a)^j_k
+    terms = [[[] for _ in range(n)] for _ in range(n * n)]
+    for a in range(n):
+        for k, row in enumerate(images[a]):
+            for j, entry in row:
+                for v, x in entry:
+                    terms[k * n + v[0] - 1][a].append((j, x))
+    lead = 1 if p is not None else scale * den
+    # every field of degree s is lead times a delta plus at most reach
+    # times a field of degree s-1, and the fields of degree s-1 share the
+    # width
+    reach = max(sum(abs(x) for _, x in t) for ts in terms for t in ts)
+    big = max(max(map(abs, r)) for r in rows)
+    bound = lead + max(reach, 1) * big
+    width, pack, unpack = _signed_codec(bound.bit_length() + 1)
+    packed = list(map(pack, rows))
+    block = width * top
+    out = []
+    for ts in terms:
+        for u in range(m):
+            # the blocks of columns a*top + w, a = 0 first, by Horner's rule
+            acc = 0
+            for t in ts:
+                acc <<= block
+                for j, x in t:
+                    acc += x * packed[j * m + u]
+            out.append(acc)
+    # delta_ak*w puts lead at column k*top + c of row k*top + c
+    out = [row + (lead << width * (size - 1 - r)) for r, row in enumerate(out)]
+    if p is not None:
+        return [[x % p for x in unpack(row, size)] for row in out], 1
+    rows = [unpack(row, size) for row in out]
+    if not last:
+        g = gcd(lead, *chain.from_iterable(rows))
+        if g != 1:
+            rows = [[x // g for x in r] for r in rows]
+            lead //= g
+    return rows, lead
+
+
+def _partials_table(rows, den, n, words):
+    """``_normal_partials``' table for the given words of a free degree,
+    from the rows of its equations: the inverse of ``_equation_rows``."""
+    top = len(rows) // n
+    cols = list(zip(*rows))
+    return {w: [{c: x for c, x in enumerate(cols[w][k * top:(k + 1) * top]) if x}
+                for k in range(n)] for w in words}, den
 
 
 def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
@@ -366,6 +487,12 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     core it left for ``nullspace``.  For thm4.1-I at degree 3 that is
     ``normal words=4 derivative system=4x6 rank=4 dim U=4`` and
     ``peeled=1 core=5x3``.
+
+    While the quotient is free and the rule dense, the degrees from 3 on
+    build their derivative system as packed rows, one per equation, and
+    hand it to ``nullspace`` whole (see the module docstring); such a
+    degree logs ``peeled=0`` and the core as its nonzero equations x
+    n^s.
     """
     _require_homogeneous(rule)
     if max_degree < 1:
@@ -378,13 +505,27 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     comps = [Subspace.zero(n, 1, field)]
     # D_j(x^w) = delta_jw: the empty word, at column 0 of degree 0
     known = ({w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1)
+    # whether the last table-built degree left a dense core, and the
+    # equations' rows with their den while the degrees are packed
+    dense, packed = False, None
     for s in range(2, max_degree + 1):
-        l_s, shifted = _ideal_slice(comps[-1])
-        system, known = _normal_partials(rule, comps[-1], known, l_s.free)
-        if s == max_degree:
-            # no degree reads this table: free it before the kernel step
+        if dense and not comps[-1].dim:
+            if packed is None:
+                packed = _equation_rows(known, n)
             known = None
-        u_c, peeled, core = Subspace.coordinate(n, s, field, l_s.free)._kernel(system)
+            packed = _packed_partials(rule, *packed, s == max_degree)
+            l_s, shifted = Subspace.zero(n, s, field), 0
+            eqs = [r for r in packed[0] if any(r)]
+            u_c = Subspace.from_vectors(nullspace(eqs, len(l_s.free), field), n, s, field)
+            peeled, core = 0, (len(eqs), len(l_s.free))
+        else:
+            l_s, shifted = _ideal_slice(comps[-1])
+            system, known = _normal_partials(rule, comps[-1], known, l_s.free)
+            if s == max_degree:
+                # no degree reads this table: free it before the kernel step
+                known = None
+            u_c, peeled, core = Subspace.coordinate(n, s, field, l_s.free)._kernel(system)
+            dense = 2 * core[1] >= len(l_s.free)
         c_s, rounds = _closed_complement(rule, l_s, u_c)
         i_s = l_s + c_s
         # ideal-slice check: every echelon row of L_s reduces to zero mod I_s
@@ -404,6 +545,10 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
                   len(l_s.free), n * len(comps[-1].free), len(l_s.free) - u_c.dim,
                   l_s.dim + u_c.dim, rounds, i_s.dim, peeled, *core)
         comps.append(i_s)
+        if packed is not None and i_s.dim and s < max_degree:
+            # the free prefix ends: the next degree reads the table
+            known = _partials_table(*packed, n, i_s.free)
+            packed = None
     return IdealFiltration(rule, comps, max_degree)
 
 

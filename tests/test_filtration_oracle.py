@@ -14,12 +14,16 @@ from fractions import Fraction
 import pytest
 
 from nccalc import (GF, QQ, FpElement, IdealPropertyViolation, Subspace, builtin, linalg,
-                    optimal_ideal, word_partials)
+                    optimal, optimal_ideal, word_partials)
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
-from nccalc.optimal import _ideal_slice, _normal_partials
-from helpers import dense_ideal_slice, dense_optimal_ideal, random_invertible, rule_over
+from nccalc.optimal import (_equation_rows, _ideal_slice, _normal_partials, _packed_partials,
+                            _partials_table)
+from nccalc.rulefile import parse_rule_dict
+from helpers import (dense_ideal_slice, dense_optimal_ideal, random_homogeneous_rule,
+                     random_invertible, rule_over)
 from test_acceptance import _dim_pool
+from test_calculus import _RULE3
 
 FP = GF(10007)
 
@@ -202,3 +206,170 @@ def test_small_primes_gain_relations(name, p, dims):
     got = optimal_ideal(rule, len(dims))
     assert [d for _, d in got.quotient_dims()] == dims
     assert echelon(got.components) == echelon(dense_optimal_ideal(rule, len(dims)))
+
+
+# ---- the packed prefix: free degrees on the rows of their equations ----
+
+def rule3(field):
+    """The three-generator rule of the free-quotient CI steps: I = 0, and
+    U_s has dimension 1 at the even degrees."""
+    return parse_rule_dict({"n": 3, "field": field, "vars": ["x", "y", "z"],
+                            "A": _RULE3}).rule
+
+
+def spy_on_packing(monkeypatch):
+    """Record the number of words of each degree whose derivative system
+    ``optimal_ideal`` builds as packed rows."""
+    sizes = []
+
+    def spy(rule, rows, den, last):
+        sizes.append(rule.n * len(rows[0]))
+        return _packed_partials(rule, rows, den, last)
+
+    monkeypatch.setattr(optimal, "_packed_partials", spy)
+    return sizes
+
+
+def dense_pool(seed, field, count):
+    """Criterion 9's dense three-generator rules, each as drawn and after
+    a change of basis, over ``field``."""
+    rng = random.Random(seed)
+    rules = []
+    for _ in range(count):
+        rule = random_homogeneous_rule(rng, 3)
+        for r in (rule, rule.change_basis(random_invertible(rng, 3))):
+            rules.append(r if field == QQ else rule_over(r, field))
+    return rules
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+def test_packed_prefix_matches_dense_construction(field, monkeypatch):
+    sizes = spy_on_packing(monkeypatch)
+    for rule in dense_pool(9800, field, 3):
+        sizes.clear()
+        got = optimal_ideal(rule, 4).components
+        # the quotients are free to degree 4, and degrees 3 and 4 are packed
+        assert [c.dim for c in got] == [0] * 4
+        assert sizes == [27, 81]
+        assert got == tuple(dense_optimal_ideal(rule, 4))
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:10007"])
+def test_packed_prefix_keeps_a_nonzero_kernel(field, monkeypatch):
+    # U_2 and U_4 have dimension 1 while I = 0: the kernel of a packed
+    # degree goes on to the invariant rounds
+    sizes = spy_on_packing(monkeypatch)
+    rule = rule3(field)
+    got = optimal_ideal(rule, 4).components
+    assert sizes == [27, 81]
+    assert got == tuple(dense_optimal_ideal(rule, 4))
+
+
+def test_packed_prefix_is_exact_after_an_unlucky_first_prime(monkeypatch):
+    # mod 3 every system of degree 4 loses rank, so the next prime must
+    # settle it, by full rank or by the certified lift
+    rules = dense_pool(9801, QQ, 2) + [rule3("Q")]
+    want = [optimal_ideal(rule, 4).components for rule in rules]
+    moduli = []
+    rref_mod = linalg._rref_mod
+
+    def spy(rows, p):
+        red, pivots = rref_mod(rows, p)
+        if (len(rows), len(rows[0])) == (81, 81):
+            moduli.append((p, len(pivots)))
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "_PRIMES", (3,) + linalg._PRIMES)
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    sizes = spy_on_packing(monkeypatch)
+    for rule, components in zip(rules, want):
+        assert optimal_ideal(rule, 4).components == components
+    assert len(sizes) == 2 * len(rules)
+    assert [p for p, _ in moduli] == [3, linalg._PRIMES[1]] * len(rules)
+    assert all(rank < 81 for p, rank in moduli if p == 3)
+
+
+@pytest.mark.parametrize("n, p, seed, dims", [
+    (2, 3, 34, [0, 0, 1, 3, 8]),
+    (2, 5, 25, [0, 0, 0, 1, 3]),
+])
+def test_packed_prefix_hands_over_to_the_table(n, p, seed, dims, monkeypatch):
+    # seeded dense rules over small primes, found by a search over seeds:
+    # the quotient is free to degree s-1 and I_s != 0, so the table of
+    # degree s comes from the packed rows, and the next degree reads it
+    sizes = spy_on_packing(monkeypatch)
+    tables = []
+    monkeypatch.setattr(optimal, "_partials_table",
+                        lambda *args: tables.append(args[3]) or _partials_table(*args))
+    rule = random_homogeneous_rule(random.Random(f"handover/{n}/{p}/{seed}"), n, GF(p))
+    got = optimal_ideal(rule, len(dims)).components
+    assert [c.dim for c in got] == dims
+    s = dims.index(1) + 1
+    assert sizes == [n ** d for d in range(3, s + 1)]
+    assert tables == [got[s - 1].free]
+    assert got == tuple(dense_optimal_ideal(rule, len(dims)))
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
+def test_packed_rows_match_the_table_recursion(field, monkeypatch):
+    # the packed recursion, read back into a table, is the table that
+    # _normal_partials builds from the same table, den included.  The
+    # basis change has large denominators, so over Q the fields of
+    # degree 5 need more than 64 bits
+    widths = []
+    codec = optimal._signed_codec
+    monkeypatch.setattr(optimal, "_signed_codec",
+                        lambda bits: widths.append(codec(bits)[0]) or codec(bits))
+    rng = random.Random(9802)
+    alpha = [[Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(2)]
+             for _ in range(2)]
+    for rule in (rule3("Q"), build_example("thm4.1-I").change_basis(alpha)):
+        rule = rule if field == QQ else rule_over(rule, field)
+        n = rule.n
+        known = ({w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1)
+        for s in range(2, 6):
+            prev = Subspace.zero(n, s - 1, field)
+            words = list(range(n ** s))
+            if s > 2:
+                rows = _packed_partials(rule, *_equation_rows(known, n), False)
+                got = _partials_table(*rows, n, words)
+            known = _normal_partials(rule, prev, known, words)[1]
+            if s > 2:
+                assert got == known
+    if field == QQ:
+        assert max(widths) > 64
+
+
+def test_examples_never_build_packed_rows(monkeypatch):
+    # every example has I_2 != 0, or, for the zero rule, a derivative
+    # system that the peel settles without a core
+    sizes = spy_on_packing(monkeypatch)
+    optimal_ideal(build_example("ex3.2-zero"), 10)
+    for name in example_names():
+        optimal_ideal(build_example(name), 8)
+    assert sizes == []
+
+
+def test_dense_free_rule_packs_every_degree_from_3(monkeypatch):
+    sizes = spy_on_packing(monkeypatch)
+    optimal_ideal(rule3("Fp:10007"), 5)
+    assert sizes == [27, 81, 243]
+
+
+def test_debug_log_of_packed_degrees(caplog):
+    caplog.set_level(logging.DEBUG, logger="nccalc")
+    optimal_ideal(rule3("Q"), 4)
+    messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
+    # a packed degree peels nothing and hands every equation and every
+    # word to the elimination
+    assert messages == [
+        "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=9 "
+        "derivative system=9x9 rank=8 dim U=1 invariant rounds=1 dim I=0 "
+        "peeled=0 core=9x9",
+        "degree 3: right-shift residuals=0 rank=0 dim L=0 normal words=27 "
+        "derivative system=27x27 rank=27 dim U=0 invariant rounds=0 dim I=0 "
+        "peeled=0 core=27x27",
+        "degree 4: right-shift residuals=0 rank=0 dim L=0 normal words=81 "
+        "derivative system=81x81 rank=80 dim U=1 invariant rounds=1 dim I=0 "
+        "peeled=0 core=81x81",
+    ]

@@ -484,12 +484,26 @@ def packed_width_matrices(p):
             "largest growth": growth}
 
 
+def assert_rref_mod_matches(rows, p, want, name=None):
+    """``_rref_mod`` against an oracle's ``(rows, pivots)``: the same
+    pivots always, and the same rows unless the column rank is full, when
+    ``_rref_mod`` returns no rows and the oracle's are the identity."""
+    red, pivots = linalg._rref_mod(rows, p)
+    assert pivots == want[1], name
+    ncols = len(rows[0])
+    if len(pivots) < ncols:
+        assert red == want[0], name
+    else:
+        assert red == [], name
+        assert want[0] == [[int(i == j) for j in range(ncols)] for i in range(ncols)], name
+
+
 @pytest.mark.parametrize("p", [2, 3, 10007, linalg._PRIMES[0], 2**61 - 1])
 def test_rref_mod_matches_gauss_jordan_at_packed_widths(p):
     for name, rows in packed_width_matrices(p).items():
         rows = [list(r) for r in rows if any(r)]
         copy = [list(r) for r in rows]
-        assert linalg._rref_mod(rows, p) == dense_rref_mod(rows, p), name
+        assert_rref_mod_matches(rows, p, dense_rref_mod(rows, p), name)
         assert rows == copy, name
 
 
@@ -512,8 +526,8 @@ def assert_mod_matches_fraction_elimination(rows, p):
     nonzero entries are F_p elements (an FpElement equals its residue, and
     the int zeros keep the oracle's scans fast at large sizes)."""
     F = GF(p)
-    want = linalg._rref_fraction([F.of(v) if v else 0 for v in r] for r in rows)
-    assert linalg._rref_mod(rows, p) == want
+    assert_rref_mod_matches(rows, p, linalg._rref_fraction(
+        [F.of(v) if v else 0 for v in r] for r in rows))
 
 
 @pytest.mark.parametrize("p", [3, 10007, linalg._PRIMES[0], 2**61 - 1])
@@ -541,6 +555,23 @@ def test_field_codec_round_trips_at_every_width():
                 b"".join(v.to_bytes(size, "big") for v in values), "big")
             assert list(unpack(packed, count)) == values
 
+
+def test_signed_codec_round_trips_at_every_width():
+    # a packed row is the plain int sum_i v_i * 2^(width*(count - 1 - i)),
+    # so its int multiples and sums are those of the values, field by field
+    rng = random.Random(29)
+    for bits in (2, 33, 64, 65, 72, 200):
+        width, pack, unpack = linalg._signed_codec(bits)
+        assert width == max(64, 8 * ((bits + 7) // 8))
+        top = (1 << (bits - 1)) - 1
+        for count in (1, 2, 7, 81):
+            values = [rng.randint(-top, top) for _ in range(count)]
+            values[0] = -top if count % 2 else top
+            packed = pack(values)
+            assert packed == sum(v << width * (count - 1 - i) for i, v in enumerate(values))
+            assert list(unpack(packed, count)) == values
+            half = [v // 2 for v in values]
+            assert list(unpack(3 * pack(half) - pack(half), count)) == [2 * v for v in half]
 
 def near_identity(m, p, rng):
     """An m x m matrix mod p, cheap to eliminate at any size: a diagonal
