@@ -6,7 +6,7 @@ D_k(x^i) = delta^i_k, and the twisted product rule
     D_k(x^a * w) = delta^a_k * w + sum_j A(x^a)^j_k * D_j(w)
 
 where the left factor acts through the rule's matrix images, not by
-plain multiplication.  The rule is applied in three ways, each by one
+plain multiplication.  The rule is applied in two ways, each by one
 step: prepending x^a to the n derivatives of w.
 
 * A whole polynomial f splits by first letter as f = c + sum_a x^a*f_a,
@@ -17,10 +17,6 @@ step: prepending x^a to the n derivatives of w.
   no Python recursion per letter, so long words are fine.
 * ``word_partials`` memoizes the derivatives of single words per suffix
   on the rule instance, as polynomials.
-* ``column_partials`` keeps the same table on ints, keyed by degree and
-  column index instead of by word, for homogeneous rules: the
-  filtration's derivative system reads it as it is, with no field
-  objects and no word tuples.
 
 The prepend step runs on the rule's integer form (``commrule``): over Q
 every value carries a known power of L, the lcm of the image
@@ -28,14 +24,13 @@ coefficients' denominators.  A node of depth t in the trie of f carries
 den(f)*L^(top-1-t) times its true value (den(f) the lcm of f's
 denominators, top its longest word length), and a word of length m
 carries L^(m-1).  Each output coefficient is divided by its scale once,
-when it is turned back into a field element; ``column_partials`` keeps
-the scale.
+when it is turned back into a field element.
 """
 
 from __future__ import annotations
 
-from .commrule import (CommRule, NonHomogeneousRuleError, _int_images, _int_terms,
-                       _poly, _prepend, _reduced, _to_field, _to_ints)
+from .commrule import (CommRule, _int_images, _int_terms, _poly, _prepend, _reduced,
+                       _to_field, _to_ints)
 from .freealg import NCPoly, check_letters, dot
 
 
@@ -71,58 +66,6 @@ def word_partials(rule: CommRule, w) -> tuple:
         got = cache[w[i:]] = tuple(_poly(rule, _to_field(d, mult, p)) for d in acc)
         sub = acc
     return got
-
-
-def column_partials(rule: CommRule, m: int, col: int) -> list:
-    """All n partial derivatives of the degree-m word at column ``col``
-    (m >= 1), on ints keyed by column on degree m-1, as a list indexed
-    by k-1.
-
-    Over Q the ints are L^(m-1) times the true coefficients, L the lcm
-    of the image denominators (``commrule._int_images``); over F_p they
-    are residues.  Zero values are dropped.  Homogeneous rules only:
-    their image entries are linear forms, so x^l times the degree-(m-2)
-    word at column c sits at column (l-1)*n^(m-2) + c.
-
-    Memoized per suffix on the rule, like ``word_partials``: the word
-    x^a*u sits at column (a-1)*n^(m-1) + col(u), and its entry is built
-    from u's by the twisted product rule, from the longest cached suffix
-    on, in a loop.  The returned dicts are the cache's own; callers only
-    read them.
-    """
-    if not rule.homogeneous:
-        raise NonHomogeneousRuleError(
-            "derivatives keyed by column need a homogeneous rule "
-            "(every image entry a linear form)")
-    cache = rule._column_partials
-    got = cache.get((m, col))
-    if got is not None:
-        return got
-    n = rule.n
-    scale, p, table = _int_images(rule)
-    t = m - 1
-    while t > 0 and (t, col % n ** t) not in cache:
-        t -= 1
-    # the empty word's derivatives are zero
-    sub = cache[(t, col % n ** t)] if t > 0 else [{}] * n
-    for d in range(t + 1, m + 1):
-        size = n ** (d - 1)
-        here = col % (size * n)   # the suffix of degree d
-        a, u = divmod(here, size)
-        # A(x^a)'s entries with each x^l as the column offset of x^l times
-        # a word of degree d-2 (there is none when d = 1, where sub is zero)
-        shift = size // n
-        rows = [[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
-                for row in table[a]]
-        acc = [{} for _ in range(n)]
-        acc[a][u] = scale ** (d - 1)
-        _prepend((rows,), 1, sub, acc)
-        if p is not None:
-            acc = _reduced(acc, p)
-        else:
-            acc = [{c: y for c, y in out.items() if y} for out in acc]
-        cache[(d, here)] = sub = acc
-    return sub
 
 
 def _partials(rule: CommRule, f: NCPoly):

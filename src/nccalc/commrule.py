@@ -124,18 +124,17 @@ class CommRule:
     (zero or homogeneous of degree 1); only such rules feed the ideal
     construction, while derivatives work for any rule.
 
-    Instances are immutable.  Three caches, each filled on first use,
+    Instances are immutable.  Two caches, each filled on first use,
     memoize pure results, so concurrent use can at worst duplicate work:
-    the integer form of the images (``_int_images``), the derivatives of
-    single words as polynomials, keyed by word (``calculus.word_partials``
-    fills ``_word_partials``), and the same derivatives on ints, keyed by
-    degree and column (``calculus.column_partials`` fills
-    ``_column_partials``).  Both derivative tables grow with every word
-    asked for and are never trimmed.
+    the integer form of the images (``_int_images``) and the derivatives
+    of single words as polynomials, keyed by word
+    (``calculus.word_partials`` fills ``_word_partials``).  The
+    derivative table grows with every word asked for and is never
+    trimmed.
     """
 
     __slots__ = ("n", "field", "images", "homogeneous",
-                 "_word_partials", "_column_partials", "_int_images")
+                 "_word_partials", "_int_images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -156,7 +155,6 @@ class CommRule:
         self.homogeneous = all(
             e.is_homogeneous(1) for m in images for r in m.rows for e in r)
         self._word_partials = {}
-        self._column_partials = {}
         self._int_images = None
 
     @classmethod
@@ -316,7 +314,7 @@ def _prepend(table, a, sub, acc):
 
     ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
     is updated in place and may gain zero values.  Keys only need ``+``:
-    ``calculus.column_partials`` passes dicts keyed by column and a table
+    ``optimal._normal_partials`` passes dicts keyed by column and a table
     whose words are column offsets.
     """
     for row, out in zip(table[a - 1], acc):

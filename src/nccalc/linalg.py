@@ -8,11 +8,11 @@ ints: residues over F_p, and over Q numerators over one common
 denominator per subspace.  A residual is found by replacing each pivot
 word with minus its tail, and is held as a dict from the normal words
 to its nonzero ints; on ints it is a fixed multiple of the true one,
-which is all that membership, sums and kernels need.  Preimages,
-intersections and the invariant-subspace rounds of ``optimal`` all take
-one kernel step, ``Subspace.kernel_of``, which recombines the basis by
-the kernel's echelon coordinates.  It reads each residual as its
-nonzero entries and peels the system before any elimination (structured
+which is all that membership, sums and kernels need.  Preimages and
+the invariant-subspace rounds of ``optimal`` both take one kernel
+step, ``Subspace.kernel_of``, which recombines the basis by the
+kernel's echelon coordinates.  It reads each residual as its nonzero
+entries and peels the system before any elimination (structured
 Gaussian elimination, after LaMacchia and Odlyzko): an equation with
 one unknown fixes it at zero, an unknown in one equation is solved from
 it, and an unknown in none is free.  Only the dense core that remains
@@ -788,12 +788,6 @@ class Subspace:
                 f"degree {other.degree} over n={other.n}")
         if self.field != other.field:
             raise ValueError("subspace coefficient fields differ")
-
-    def intersect(self, other: "Subspace"):
-        """Intersection: the combinations of this basis that ``other``
-        reduces to zero (the residual is linear)."""
-        self._check(other)
-        return self.kernel_of([other._reduce_ints(r) for r in self._int_rows()])
 
     def kernel_of(self, residuals):
         """Kernel of a linear map restricted to this subspace.

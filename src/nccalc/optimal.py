@@ -70,9 +70,10 @@ of degree s is L*E*D times its true value.  The factor is one nonzero
 constant for the whole system, so its kernel C does not change, and the
 residuals kept for the next degree are put over their least common
 denominator again.  Only C's basis, usually empty or tiny, is made of
-field elements.  (``compute_U`` takes every word of degree s, not only
-normal ones; it reduces the derivatives ``calculus.column_partials``
-expands in the free algebra.)
+field elements.  (``compute_U`` runs the same recursion on every word:
+modulo zero subspaces below degree s, where every word is normal and
+the table holds the derivatives themselves, then once modulo its
+``prev`` at degree s.)
 
 The system stays sparse from the recursion to the kernel step.  Each
 residual is a dict of its nonzero ints keyed by normal word, the same
@@ -206,7 +207,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
-from .calculus import _partials, column_partials
+from .calculus import _partials
 from .commrule import CommRule, NonHomogeneousRuleError, _int_images, _prepend
 from .freealg import NCPoly, format_poly, word_index
 from .linalg import Subspace, _int_entries, _signed_codec, nullspace
@@ -270,6 +271,12 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
         out = {c: [{j: x // g for j, x in d.items()} for d in parts]
                for c, parts in out.items()}
     return system, (out, den // g)
+
+
+def _unit_partials(n):
+    """``_normal_partials``' table of degree 1: D_j(x^w) = delta_jw, the
+    empty word at column 0 of degree 0."""
+    return {w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1
 
 
 def _equation_rows(known, n):
@@ -354,20 +361,22 @@ def _partials_table(rows, den, n, words):
 def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     """Degree-s polynomials whose every partial derivative lies in prev.
 
-    Every word's derivatives come from ``column_partials`` on ints (over
-    Q, L^(s-1) times their values) and are reduced against prev's int
-    tails, so each residual is one fixed multiple of the true one.
+    ``_normal_partials`` builds the exact derivative tables of degrees
+    2..s-1 modulo zero subspaces, then the system of all n^s words
+    modulo prev, whose kernel on the full component is U_s.
     """
     _require_homogeneous(rule)
     if s < 2:
         raise ValueError(f"the derivative-preimage step starts at degree 2, got {s}")
     if prev.degree != s - 1 or prev.n != rule.n or prev.field != rule.field:
         raise ValueError(f"previous component must live at degree {s - 1}")
-    top = prev.ambient_dim
-    residuals = [{k * top + c: x for k, part in enumerate(column_partials(rule, s, col))
-                  for c, x in prev._reduce_ints(part.items()).items()}
-                 for col in range(rule.n ** s)]
-    return Subspace.full(rule.n, s, rule.field).kernel_of(residuals)
+    n, field = rule.n, rule.field
+    known = _unit_partials(n)
+    for d in range(2, s):
+        known = _normal_partials(rule, Subspace.zero(n, d - 1, field), known,
+                                 range(n ** d))[1]
+    system = _normal_partials(rule, prev, known, range(n ** s))[0]
+    return Subspace.full(n, s, field).kernel_of(system)
 
 
 def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
@@ -478,15 +487,15 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     """Build the filtration degree by degree up to max_degree.
 
     Logs one DEBUG record per degree s >= 2 on the ``nccalc`` logger:
-    how many right-shift residuals went to ``rref`` and their rank,
-    dim L_s, the number of normal words |N_s|, the size |N_s| x
-    n*|N_{s-1}| of the derivative system of the normal words and its rank
-    |N_s| - dim C, dim U_s, the invariant rounds, dim I_s, and how the
-    kernel step solved the system: the number of unknowns (normal words)
-    the peel settled and the shape, equations x unknowns, of the dense
-    core it left for ``nullspace``.  For thm4.1-I at degree 3 that is
-    ``normal words=4 derivative system=4x6 rank=4 dim U=4`` and
-    ``peeled=1 core=5x3``.
+    how many right-shift residuals went to ``_rref_rational`` (over Q) or
+    ``_rref_mod`` (over F_p) and their rank, dim L_s, the number of
+    normal words |N_s|, the size |N_s| x n*|N_{s-1}| of the derivative
+    system of the normal words and its rank |N_s| - dim C, dim U_s, the
+    invariant rounds, dim I_s, and how the kernel step solved the system:
+    the number of unknowns (normal words) the peel settled and the shape,
+    equations x unknowns, of the dense core it left for ``nullspace``.
+    For thm4.1-I at degree 3 that is ``normal words=4 derivative
+    system=4x6 rank=4 dim U=4`` and ``peeled=1 core=5x3``.
 
     While the quotient is free and the rule dense, the degrees from 3 on
     build their derivative system as packed rows, one per equation, and
@@ -503,8 +512,7 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     log = logging.getLogger("nccalc")
     n, field = rule.n, rule.field
     comps = [Subspace.zero(n, 1, field)]
-    # D_j(x^w) = delta_jw: the empty word, at column 0 of degree 0
-    known = ({w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1)
+    known = _unit_partials(n)
     # whether the last table-built degree left a dense core, and the
     # equations' rows with their den while the degrees are packed
     dense, packed = False, None

@@ -338,6 +338,13 @@ def orbit_stays_inside(rule, start, space):
     return True
 
 
+def intersect(a, b):
+    """Intersection: the combinations of a's basis that b reduces to zero
+    (the residual is linear)."""
+    a._check(b)
+    return a.kernel_of([b._reduce_ints(r) for r in a._int_rows()])
+
+
 def grid_intersection(sub1, sub2, coeffs=range(-2, 3)):
     """Brute-force intersection: enumerate small combinations of sub1's
     basis and keep those lying in sub2."""

@@ -11,6 +11,7 @@ from nccalc import (
     MatrixPoly,
     NCPoly,
     OneForm,
+    Subspace,
     VectorField,
     builtin,
     differential,
@@ -22,10 +23,10 @@ from nccalc import (
     vf_right_action,
     word_partials,
 )
-from nccalc.calculus import column_partials
-from nccalc.commrule import NonHomogeneousRuleError, _int_images
+from nccalc.commrule import _int_images
 from nccalc.examples import build_example
 from nccalc.freealg import index_word, word_index
+from nccalc.optimal import _normal_partials, _unit_partials
 from nccalc.rulefile import parse_rule_dict
 from helpers import (
     field_partials,
@@ -538,27 +539,23 @@ def _column_table_rule(name):
 @pytest.mark.parametrize("name", ["thm4.1-I", "ex3.5", "thm4.1-I-moved", "F3",
                                   "n3-Fp:10007", f"n3-Fp:{2**61 - 1}"])
 def test_column_table_matches_word_partials(name):
-    rule, words, shuffled = (_column_table_rule(name) for _ in range(3))
-    n = rule.n
-    scale, p, _ = _int_images(rule)
-    keys = [(m, col) for m in range(1, 6) for col in range(n ** m)]
-    for m, col in keys:
-        want = [{word_index(u, m - 1, n): x for u, x in d.terms.items()}
-                for d in word_partials(words, index_word(col, m, n))]
-        got = column_partials(rule, m, col)
-        if p is None:
-            # over Q a degree-m entry carries L^(m-1) times the true value
-            got = [{c: Fraction(x, scale ** (m - 1)) for c, x in d.items()} for d in got]
-        else:
-            want = [{c: x.val for c, x in d.items()} for d in want]
-        assert got == want
-    # the suffix memo does not depend on the order of the calls
-    random.Random(6300).shuffle(keys)
-    for m, col in keys:
-        column_partials(shuffled, m, col)
-    assert shuffled._column_partials == rule._column_partials
-
-
-def test_column_table_needs_a_homogeneous_rule():
-    with pytest.raises(NonHomogeneousRuleError):
-        column_partials(_non_homogeneous_rule(QQ), 2, 0)
+    # the table compute_U builds: modulo zero subspaces every word is
+    # normal, so the table holds the exact derivatives over its den
+    rule, words = (_column_table_rule(name) for _ in range(2))
+    n, field = rule.n, rule.field
+    p = _int_images(rule)[1]
+    known = _unit_partials(n)
+    for m in range(2, 6):
+        prev = Subspace.zero(n, m - 1, field)
+        known = _normal_partials(rule, prev, known, range(n ** m))[1]
+        table, den = known
+        assert sorted(table) == list(range(n ** m))
+        for col, got in table.items():
+            want = [{word_index(u, m - 1, n): x for u, x in d.terms.items()}
+                    for d in word_partials(words, index_word(col, m, n))]
+            if p is None:
+                got = [{c: Fraction(x, den) for c, x in d.items()} for d in got]
+            else:
+                assert den == 1
+                want = [{c: x.val for c, x in d.items()} for d in want]
+            assert got == want

@@ -14,14 +14,14 @@ from fractions import Fraction
 import pytest
 
 from nccalc import (GF, QQ, FpElement, IdealPropertyViolation, Subspace, builtin, linalg,
-                    optimal, optimal_ideal, word_partials)
+                    optimal, optimal_ideal, parse_expr, word_partials)
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
 from nccalc.optimal import (_equation_rows, _ideal_slice, _normal_partials, _packed_partials,
-                            _partials_table)
+                            _partials_table, _unit_partials)
 from nccalc.rulefile import parse_rule_dict
-from helpers import (dense_ideal_slice, dense_optimal_ideal, random_homogeneous_rule,
-                     random_invertible, rule_over)
+from helpers import (dense_ideal_component, dense_ideal_slice, dense_optimal_ideal,
+                     random_homogeneous_rule, random_invertible, rule_over)
 from test_acceptance import _dim_pool
 from test_calculus import _RULE3
 
@@ -165,7 +165,7 @@ def test_zero_rule_derivative_rows_hold_one_entry(field):
     # D_k(x^a*w) = delta_ak*w: each word's row of the derivative system
     # holds one entry, so the peel settles every unknown and leaves no core
     rule = rule_over(build_example("ex3.2-zero"), field)
-    known = ({w: [{0: 1} if j == w else {} for j in range(2)] for w in range(2)}, 1)
+    known = _unit_partials(2)
     for s in range(2, 10):
         prev = Subspace.zero(2, s - 1, field)
         words = _ideal_slice(prev)[0].free
@@ -193,19 +193,24 @@ def test_filtration_eliminates_only_small_blocks(monkeypatch):
     assert sum(cells) < 20_000 and max(widths) <= 64
 
 
-@pytest.mark.parametrize("name, p, dims", [
-    ("thm4.1-III", 3, [2, 3, 2, 1, 0]),
-    ("thm4.1-III", 5, [2, 3, 4, 5, 4, 3, 2]),
-    ("ex3.1-diag", 5, [2, 3, 4, 3, 2, 1, 0]),
-])
-def test_small_primes_gain_relations(name, p, dims):
+@pytest.mark.parametrize("name, p, dims, gens", [
+    ("thm4.1-III", 3, [2, 3, 2, 1, 0, 0], ["x1*x2 - x2*x1", "x1^3", "x2^3"]),
+    ("thm4.1-III", 5, [2, 3, 4, 5, 4, 3, 2, 1], ["x1*x2 - x2*x1", "x1^5", "x2^5"]),
+    ("ex3.1-diag", 5, [2, 3, 4, 3, 2, 1, 0], ["x1*x2 - 1/2*x2*x1", "x1^4", "x2^4"]),
+], ids=["thm4.1-III-3-dims0", "thm4.1-III-5-dims1", "ex3.1-diag-5-dims2"])
+def test_small_primes_gain_relations(name, p, dims, gens):
     # over Q each of these quotients has dim s+1 in degree s; mod a small
     # prime sums cancel in the residue tails and the ideal grows (over
-    # F_3, x1^3 and x2^3 have zero derivatives)
-    rule = build_example(name, GF(p))
+    # F_3, x1^3 and x2^3 have zero derivatives), and every I_s is the
+    # slice of the ideal that the closed form's generators produce
+    field = GF(p)
+    rule = build_example(name, field)
     got = optimal_ideal(rule, len(dims))
     assert [d for _, d in got.quotient_dims()] == dims
     assert echelon(got.components) == echelon(dense_optimal_ideal(rule, len(dims)))
+    gens = [parse_expr(g, ("x1", "x2"), field=field) for g in gens]
+    for s, comp in enumerate(got.components, 1):
+        assert comp.equal(dense_ideal_component(gens, s, 2, field))
 
 
 # ---- the packed prefix: free degrees on the rows of their equations ----

@@ -222,6 +222,8 @@ def test_non_homogeneous_rule_rejected():
                     MatrixPoly([[zero, zero], [zero, x1]])])
     with pytest.raises(NonHomogeneousRuleError):
         optimal_ideal(bad, 3)
+    with pytest.raises(NonHomogeneousRuleError):
+        compute_U(bad, 2, Subspace.zero(2, 1, QQ))
     assert issubclass(NonHomogeneousRuleError, ValueError)
 
 
