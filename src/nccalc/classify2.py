@@ -180,19 +180,22 @@ def match_family(rule: CommRule) -> list[FamilyParams]:
     swapped_rule = rule.change_basis(SWAP)
     results = []
     for fam in ("I", "II", "III", "IV"):
-        for swapped in (False, True):
-            candidate = _extract(fam, swapped_rule if swapped else rule)
+        for swapped, target in ((False, rule), (True, swapped_rule)):
+            # an unswapped candidate read off the target
+            candidate = _extract(fam, target)
             if candidate is None:
                 continue
-            candidate = replace(candidate, swapped=swapped)
-            if candidate in results:
+            flagged = replace(candidate, swapped=swapped)
+            if flagged in results:
                 continue
             try:
                 rebuilt = build_family(candidate, rule.field)
             except ValueError:
                 continue
-            if rebuilt == rule:
-                results.append(candidate)
+            # SWAP is an involution: the swapped rebuild equals the rule
+            # exactly when the unswapped one equals the swapped rule
+            if rebuilt == target:
+                results.append(flagged)
     return results
 
 

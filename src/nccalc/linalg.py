@@ -12,19 +12,19 @@ which is all that membership, sums and kernels need.  Preimages and
 the invariant-subspace rounds of ``optimal`` both take one kernel
 step, ``Subspace.kernel_of``, which recombines the basis by the
 kernel's echelon coordinates.  It reads each residual as its nonzero
-entries and peels the system before any elimination (structured
-Gaussian elimination, after LaMacchia and Odlyzko): an equation with
-one unknown fixes it at zero, an unknown in one equation is solved from
-it, and an unknown in none is free.  Only the dense core that remains
-goes to ``nullspace``, so a permutation-like system, such as the zero
-rule's derivative system, takes no elimination at all.  A sum is a
-block elimination: the added vectors' residuals, which live on the free
-columns, are eliminated alone and their pivots are then cleared from
-the old tails.  Dense rows remain only where they are eliminated (a
-sum's residuals, on the free columns; a kernel step's core; and the
-kernel vectors, of length dim, that ``from_vectors`` puts in echelon
-form) and in ``span`` and ``rows``, of length n^s.  Field elements
-appear only at the API boundary.
+entries and peels the system before any elimination, by one rule: an
+equation with one unknown fixes it at zero, which may leave another
+equation with one.  Only the core on the unknowns not fixed goes to
+``nullspace``, an unknown in no equation as a zero column, so a
+permutation-like system, such as the zero rule's derivative system,
+takes no elimination at all.  A sum is a block elimination: the added
+vectors' residuals, which live on the free columns, are eliminated
+alone and their pivots are then cleared from the old tails.  Dense rows
+remain only where they are eliminated (a sum's residuals, on the free
+columns; a kernel step's core, and its kernel vectors over the unknowns
+not fixed, which ``from_vectors`` puts in echelon form) and in ``span``
+and ``rows``, of length n^s.  Field elements appear only at the API
+boundary.
 
 ``rref`` eliminates on plain ints, never on field objects.  Over F_p it
 works on the residues ``FpElement.val`` and wraps the result back.
@@ -83,7 +83,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import attrgetter, itemgetter
 
@@ -592,8 +592,9 @@ class Subspace:
     Inside, residuals, sums and kernels multiply and add ints, and each
     output entry is reduced mod p or put over a common denominator once.
     Sums extend the tails by block elimination on the free columns, and
-    kernels peel their system before they eliminate its dense core; only
-    ``from_vectors`` eliminates rows of length n^s.
+    kernels fix the unknowns that an equation holds alone before they
+    eliminate the core on the rest; only ``from_vectors`` eliminates rows
+    of length n^s.
     """
 
     __slots__ = ("n", "degree", "field", "tails", "den", "free", "_p")
@@ -800,104 +801,69 @@ class Subspace:
         sum_t a_t*rows[t] with sum_t a_t*residuals[t] = 0.
 
         The system has one unknown a_t per basis row and one equation per
-        coordinate, and is solved by structured Gaussian elimination
-        (``_kernel``): unknowns that an equation alone or no equation
-        settles are peeled off, and only the dense core that remains goes
-        to ``nullspace``.  The kernel's coordinates a form a subspace of
-        F^dim, which is the degree-1 component over dim generators; its
-        echelon rows recombine this basis into the canonical echelon basis
-        of the kernel.  A combination's first nonzero column is the pivot
-        of its first row with a_t != 0, and the basis rows are zero on
-        each other's pivots, so the recombined rows are already reduced,
-        with pivots those of the coordinates' pivot rows.
+        coordinate.  ``_kernel`` peels it first: an unknown that is alone
+        in an equation is fixed at zero, and only the core left over, on
+        the m unknowns not fixed, goes to ``nullspace``.  The kernel's
+        coordinates on those unknowns form a subspace of F^m, the degree-1
+        component over m generators; its echelon rows recombine this basis
+        into the canonical echelon basis of the kernel.  A combination's
+        first nonzero column is the pivot of its first row with a_t != 0,
+        and the basis rows are zero on each other's pivots, so the
+        recombined rows are already reduced, with pivots those of the
+        coordinates' pivot rows.
         """
         return self._kernel(residuals)[0]
 
     def _kernel(self, residuals):
         """``kernel_of``, as ``(kernel, peeled, core)``: ``peeled`` counts
-        the unknowns the peel settled (fixed at zero, solved or free), and
-        ``core`` is the (equations, unknowns) shape of the dense core
-        handed to ``nullspace``.
+        the unknowns the peel fixed at zero, and ``core`` is the
+        (equations, unknowns) shape of the system handed to ``nullspace``.
 
-        Each residual is read as its nonzero entries, and the peel repeats
-        three steps to a fixpoint: an equation with one live unknown fixes
-        it at zero; an unknown in exactly one live equation is solved from
-        it, which removes both; an unknown in no live equation is free.
-        No step changes an entry, so the core is the submatrix of the
-        live equations on the live unknowns, and ``nullspace`` is called
-        on it exactly once, even when it is empty.  When the kernel is
-        nonzero, the solved unknowns are then back-substituted, latest
-        first, in field arithmetic.
+        Each residual is read as its nonzero entries, and the peel has one
+        rule, repeated to a fixpoint: an equation with one live unknown
+        fixes that unknown at zero, which may leave another equation with
+        one.  No step changes an entry, so the core is the submatrix of the
+        equations that still hold a live unknown on all the live unknowns;
+        an unknown in no equation is a zero column there, and ``nullspace``
+        gives its unit vector.  ``nullspace`` is called on the core exactly
+        once, even when it is empty, and its basis is put in echelon form
+        on the core's own coordinates, the live unknowns in increasing
+        order; the fixed unknowns are zero in every kernel vector, so that
+        basis relabels to the echelon basis on all of them.
         """
         field, dim = self.field, self.dim
         rows = [r if type(r) is dict else dict(filter(itemgetter(1), enumerate(r)))
                 for r in residuals]
-        # weight[e]: the live unknowns of equation e; live[t]: the live
-        # equations of unknown t
+        # weight[e]: the live unknowns of equation e
         weight = Counter(chain.from_iterable(rows))
-        live = list(map(len, rows))
-        dead, gone, solved = set(), set(), []
-        if 1 in weight.values() or 1 in live:
+        single = [e for e, w in weight.items() if w == 1]
+        gone = set()
+        if single:
             # the equations' unknowns, built only when something peels
             cols = {e: [] for e in weight}
             for t, r in enumerate(rows):
                 for e in r:
                     cols[e].append(t)
-            single = [e for e, w in weight.items() if w == 1]
-            lone = [t for t, k in enumerate(live) if k == 1]
-            while single or lone:
-                if single:
-                    e = single.pop()
-                    if weight[e] != 1:
-                        continue
-                    # the equation's one live unknown is zero
-                    t = next(t for t in cols[e] if t not in gone)
-                    gone.add(t)
-                    for f in rows[t]:
-                        if f not in dead:
-                            weight[f] -= 1
-                            if weight[f] == 1:
-                                single.append(f)
-                else:
-                    t = lone.pop()
-                    if t in gone or live[t] != 1:
-                        continue
-                    # the unknown's one live equation determines it
-                    e = next(e for e in rows[t] if e not in dead)
-                    gone.add(t)
-                    dead.add(e)
-                    solved.append((t, e))
-                    for u in cols[e]:
-                        if u not in gone:
-                            live[u] -= 1
-                            if live[u] == 1:
-                                lone.append(u)
-        core_words = [t for t in compress(range(dim), live) if t not in gone]
-        core_eqs = sorted([e for e, w in weight.items() if w and e not in dead])
+            while single:
+                e = single.pop()
+                if weight[e] != 1:
+                    continue
+                # the equation's one live unknown is zero
+                t = next(t for t in cols[e] if t not in gone)
+                gone.add(t)
+                for f in rows[t]:
+                    weight[f] -= 1
+                    if weight[f] == 1:
+                        single.append(f)
+        core_words = [t for t in range(dim) if t not in gone]
+        core_eqs = sorted([e for e, w in weight.items() if w])
         core = list(map(list, zip(*[map(rows[t].get, core_eqs, repeat(0))
                                     for t in core_words])))
-        vectors = []
-        for vec in nullspace(core, len(core_words), field):
-            x = [field.zero] * dim
-            for t, v in zip(core_words, vec):
-                x[t] = v
-            vectors.append(x)
-        # the unknowns in no live equation are free
-        for t, k in enumerate(live):
-            if not k and t not in gone:
-                x = [field.zero] * dim
-                x[t] = field.one
-                vectors.append(x)
-        if vectors and solved:
-            of = field.of
-            for t, e in reversed(solved):
-                # a_t * x_t = -sum over the equation's other unknowns
-                inv = -field.one / of(rows[t][e])
-                terms = [(u, of(rows[u][e])) for u in cols[e] if u != t]
-                for x in vectors:
-                    x[t] = inv * sum((c * x[u] for u, c in terms), field.zero)
-        coords = Subspace.from_vectors(vectors, self.dim, 1, field)
-        rows = list(self.tails.items())
+        coords = Subspace.from_vectors(nullspace(core, len(core_words), field),
+                                       len(core_words), 1, field)
+        # the basis rows of the live unknowns, indexed by core coordinate
+        basis = list(self.tails.items())
+        rows = [basis[t] for t in core_words]
         den, p = self.den, self._p
         tails = {}
         for t, ctail in coords.tails.items():
@@ -914,7 +880,7 @@ class Subspace:
                 acc = {c: v % p for c, v in acc.items()}
             tails[pivot] = sorted((c, v) for c, v in acc.items() if v)
         kernel = Subspace(self.n, self.degree, self.field, *_lowest(tails, coords.den * den))
-        return kernel, self.dim - len(core_words), (len(core), len(core_words))
+        return kernel, len(gone), (len(core), len(core_words))
 
     def _extended(self, rows):
         """Span of this subspace and the vectors with the given (column,

@@ -80,11 +80,11 @@ residual is a dict of its nonzero ints keyed by normal word, the same
 dicts serve as the next degree's table, and a word's row of the system
 joins its n residuals under disjoint keys.  ``Subspace.kernel_of``
 peels the system before any elimination (see ``linalg``): an equation
-with one word fixes that word at zero, a word in one equation is solved
-from it, and only the dense core left over is eliminated.  For the zero
-rule D_k(x^a * w) = delta_ak * w, so every row holds one entry and every
-equation one word; the peel settles the whole system, and each degree
-of its free quotient costs time and memory linear in 2^s.
+with one word fixes that word at zero, and only the core on the words
+left over is eliminated.  For the zero rule D_k(x^a * w) = delta_ak * w,
+so every row holds one entry and every equation one word; the peel fixes
+every word, and each degree of its free quotient costs time and memory
+linear in 2^s.
 
 Free degrees of a dense rule take packed rows instead.  While
 I_1 = ... = I_{s-1} = 0, every word is normal, L_s = 0, and the table
@@ -121,14 +121,15 @@ whose kernel is zero with no lift; any other system takes the
 certified CRT lift of ``linalg``.
 
 Degree 2 always takes the table.  A degree s >= 3 is packed when
-I_{s-1} = 0 and the kernel step of degree s-1 left a dense core of at
-least half its unknowns: then the peel would hand ``nullspace`` a dense
-core of Python ints anyway, while a packed row costs a few bytes per
-cell.  Once packed, the degrees stay packed while the quotient stays
-free; at the first I_s != 0 the rows are transposed into the table
-once, and the next degree reads the table.  The zero rule's system
-peels to an empty core, so its free quotient keeps the peel, which
-touches its n^s entries where packed rows would take n^(2s) cells.
+I_{s-1} = 0 and the peel of degree s-1 fixed at most half its words,
+leaving a core on the rest: then the peel would hand ``nullspace`` a
+dense core of Python ints anyway, while a packed row costs a few bytes
+per cell.  Once packed, the degrees stay packed while the quotient
+stays free; at the first I_s != 0 the rows are transposed into the
+table once, and the next degree reads the table.  The zero rule's peel
+fixes every word and leaves an empty core, so its free quotient keeps
+the peel, which touches its n^s entries where packed rows would take
+n^(2s) cells.
 
 By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
@@ -492,10 +493,13 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     normal words |N_s|, the size |N_s| x n*|N_{s-1}| of the derivative
     system of the normal words and its rank |N_s| - dim C, dim U_s, the
     invariant rounds, dim I_s, and how the kernel step solved the system:
-    the number of unknowns (normal words) the peel settled and the shape,
-    equations x unknowns, of the dense core it left for ``nullspace``.
-    For thm4.1-I at degree 3 that is ``normal words=4 derivative
-    system=4x6 rank=4 dim U=4`` and ``peeled=1 core=5x3``.
+    ``peeled``, the number of unknowns (normal words) the peel fixed at
+    zero, and ``core``, the shape, equations x unknowns, of the system it
+    handed to ``nullspace``, whose unknowns are all the words not fixed,
+    those in no equation included.  For thm4.1-I at degree 3 that is
+    ``normal words=4 derivative system=4x6 rank=4 dim U=4`` and
+    ``peeled=1 core=5x3``; for ex3.4 at degree 2, where three words lie
+    in no equation, ``peeled=1 core=0x3``.
 
     While the quotient is free and the rule dense, the degrees from 3 on
     build their derivative system as packed rows, one per equation, and
@@ -544,8 +548,8 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
         # the left shifts alone have dim n*dim I_{s-1}; the right shifts'
         # residuals add their rank.  The derivative system has a row per
         # normal word and n coordinates per normal word of degree s-1, and
-        # its kernel is C; the peel settles some of its unknowns and leaves
-        # a dense core of equations x unknowns
+        # its kernel is C; the peel fixes some of its unknowns at zero and
+        # leaves a core of equations x the other unknowns
         log.debug("degree %d: right-shift residuals=%d rank=%d dim L=%d "
                   "normal words=%d derivative system=%dx%d rank=%d dim U=%d "
                   "invariant rounds=%d dim I=%d peeled=%d core=%dx%d",
@@ -649,17 +653,18 @@ def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
     n = rule.n
     violations = []
     for b in elements:
-        label = format_poly(b, names)
         # the derivatives on ints, one common multiple of their values
         # (residues over F_p), reduced on the int tails as they are
-        for k, part in enumerate(_partials(rule, b)[0], 1):
-            if below._reduce_ints([(word_index(w, d - 1, n), c)
-                                   for w, c in part.items()]):
-                violations.append(Violation(d, label, "partial", k))
-        for k, row in enumerate(rule.apply(b).rows, 1):
-            for i, e in enumerate(row, 1):
-                if within._reduce_ints(_int_entries(e, d, within._p)[0]):
-                    violations.append(Violation(d, label, "entry", k, i))
+        failed = [("partial", k) for k, part in enumerate(_partials(rule, b)[0], 1)
+                  if below._reduce_ints([(word_index(w, d - 1, n), c)
+                                         for w, c in part.items()])]
+        failed += [("entry", k, i) for k, row in enumerate(rule.apply(b).rows, 1)
+                   for i, e in enumerate(row, 1)
+                   if within._reduce_ints(_int_entries(e, d, within._p)[0])]
+        if failed:
+            # only an element that fails is labelled
+            label = format_poly(b, names)
+            violations += [Violation(d, label, *f) for f in failed]
     return violations
 
 

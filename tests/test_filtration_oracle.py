@@ -97,6 +97,23 @@ def test_debug_log_has_one_record_per_degree(caplog):
     ]
 
 
+def test_debug_log_counts_words_in_no_equation_in_the_core(caplog):
+    caplog.set_level(logging.DEBUG, logger="nccalc")
+    optimal_ideal(build_example("ex3.4"), 3)
+    messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
+    # at degree 2 one word is alone in an equation and is fixed at zero;
+    # the other three lie in no equation, so the core handed to nullspace
+    # has no equation and three zero columns, one unit kernel vector each
+    assert messages == [
+        "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=4 "
+        "derivative system=4x4 rank=1 dim U=3 invariant rounds=1 dim I=3 "
+        "peeled=1 core=0x3",
+        "degree 3: right-shift residuals=1 rank=1 dim L=7 normal words=1 "
+        "derivative system=1x2 rank=1 dim U=7 invariant rounds=0 dim I=7 "
+        "peeled=1 core=0x0",
+    ]
+
+
 def test_ideal_slice_check_catches_a_component_missing_l_s(monkeypatch):
     rule = build_example("ex3.1-diag")
     optimal_ideal(rule, 3)

@@ -888,42 +888,65 @@ def test_peeling_kernel_settles_a_permutation_matrix(field, monkeypatch):
     assert calls[-1][:2] == ([], 0)
 
 
+def block_diagonal(rng):
+    """Residuals of nine unknowns: 1x1 blocks at unknowns 0, 1, 2, 7 and 8
+    around a 4x4 block of rank 3 with no zero entry."""
+    while True:
+        block = [[rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(4)]
+                 for _ in range(3)]
+        block.append([a - b for a, b in zip(block[0], block[1])])
+        if all(block[3]):
+            break
+    residuals = [[0] * 9 for _ in range(9)]
+    for t in (0, 1, 2, 7, 8):
+        residuals[t][t] = rng.choice([-2, 1, 3])
+    for i in range(4):
+        residuals[3 + i][3:7] = block[i]
+    return residuals
+
+
 @pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
 def test_peeling_kernel_leaves_the_dense_block_of_a_block_diagonal(field, monkeypatch):
     calls = spy_on(monkeypatch, "nullspace")
     rng = random.Random(82)
     for _ in range(10):
-        # a 4x4 block of rank 3 with no zero entry
-        while True:
-            block = [[rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for _ in range(4)]
-                     for _ in range(3)]
-            block.append([a - b for a, b in zip(block[0], block[1])])
-            if all(block[3]):
-                break
-        # 1x1 blocks at unknowns 0, 1, 2, 7 and 8 around the dense block
-        residuals = [[0] * 9 for _ in range(9)]
-        for t in (0, 1, 2, 7, 8):
-            residuals[t][t] = rng.choice([-2, 1, 3])
-        for i in range(4):
-            residuals[3 + i][3:7] = block[i]
-        K, peeled, core = peel(residuals, field, calls)
+        K, peeled, core = peel(block_diagonal(rng), field, calls)
         assert (K.dim, peeled, core) == (1, 5, (4, 4))
 
 
 @pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
-def test_peeling_kernel_back_substitutes_solved_unknowns(field, monkeypatch):
+def test_peeling_kernel_echelons_vectors_over_the_unfixed_words(field, monkeypatch):
+    # the kernel vectors reach from_vectors over the four words of the
+    # dense block, not over all nine
+    lengths = []
+    real = Subspace.from_vectors.__func__
+
+    def spy(cls, vectors, n, degree, *rest):
+        lengths.append((n ** degree, [len(v) for v in vectors]))
+        return real(cls, vectors, n, degree, *rest)
+
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(spy))
+    residuals = block_diagonal(random.Random(84))
+    p = field.p if isinstance(field, linalg.PrimeField) else None
+    sparse = [{j: c % p if p else c for j, c in enumerate(r) if c} for r in residuals]
+    K = Subspace.full(9, 1, field).kernel_of(sparse)
+    assert lengths == [(4, [4])]
+    assert K == kernel_oracle(residuals, 9, field)
+
+
+@pytest.mark.parametrize("field", PEEL_FIELDS, ids=["Q", "Fp10007"])
+def test_peeling_kernel_hands_a_system_without_singletons_to_nullspace(field, monkeypatch):
     calls = spy_on(monkeypatch, "nullspace")
     # equations e0 = x0 + 2*x1, e1 = 3*x1 + x2 + 4*x3 and e2 = x3 - x4;
-    # x5 lies in no equation.  x4 lies in e2 alone, so it is solved from
-    # e2; then x3 lies in e1 alone, and x1 in e0 alone.  x0 and x2 are
-    # left in no live equation, and the kernel reaches x1, x3 and x4 only
-    # by back-substitution
+    # x5 lies in no equation.  Every equation holds two or more unknowns,
+    # so the peel fixes none, and the core is the whole system with x5 as
+    # a zero column, whose unit vector nullspace returns
     eqs = [[1, 2, 0, 0, 0, 0],
            [0, 3, 1, 4, 0, 0],
            [0, 0, 0, 1, -1, 0]]
     residuals = [list(col) for col in zip(*eqs)]
     K, peeled, core = peel(residuals, field, calls)
-    assert (peeled, core) == (6, (0, 0))
+    assert (peeled, core) == (0, (3, 6))
     half, eighth, quarter = (field.of(Fraction(*q)) for q in ((1, 2), (3, 8), (1, 4)))
     zero, one = field.zero, field.one
     assert K == Subspace.from_vectors([[one, -half, zero, eighth, eighth, zero],
