@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_var(selector: str, var_names) -> int:
-    if selector.isdigit():
+    if selector.isdecimal():
         k = int(selector)
     else:
         try:

@@ -234,7 +234,7 @@ def field_from_name(tag: str):
         return QQ
     if tag.startswith("Fp:"):
         body = tag[3:]
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ValueError(f"bad field tag {tag!r}")
         return GF(int(body))
     raise ValueError(f"bad field tag {tag!r}")

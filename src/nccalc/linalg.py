@@ -64,16 +64,17 @@ is one big-int multiply-add and a mask, and the loop over the columns
 runs in C.  Fields are reduced mod p only when read; they are wide
 enough for the most clearings a row can take, (min(rows, cols) + 1)
 times (p - 1)^2, so they never carry into each other, and no wider than
-the whole bytes that bound needs.  When it fits one 64-bit word, as it
-does for the primes below 2^26 up to min(rows, cols) = 2047, whole rows
-are packed and unpacked through ``array('Q')``; wider fields, such as
-those of ``Fp:`` moduli above about 2^26, are packed value by value.  A
-row that no step clears stays a list and is never packed, and the
-certificate walks only the nonzero entries of B, so the sparse cases
-(diagonal rules, the zero rule, near-identity bases) stay near linear
-time.  ``optimal`` builds the derivative systems of free degrees on
-packed rows of signed fields (``_signed_codec``), whose sums and int
-multiples are exact while every field fits its width.
+the whole bytes that bound needs.  One codec, ``_field_codec``, packs
+and unpacks every row: when a field fits one 64-bit word, as it does for
+the primes below 2^26 up to min(rows, cols) = 2047, whole rows go
+through ``array('Q')``; wider fields, such as those of ``Fp:`` moduli
+above about 2^26, are packed value by value.  A row that no step clears
+stays a list and is never packed, and the certificate walks only the
+nonzero entries of B, so the sparse cases (diagonal rules, the zero
+rule, near-identity bases) stay near linear time.  ``optimal`` builds
+the derivative systems of free degrees on packed rows of signed fields,
+the same codec's two's complements under a bias (``_signed_codec``),
+whose sums and int multiples are exact while every field fits its width.
 """
 
 from __future__ import annotations
@@ -257,28 +258,36 @@ def _rref_mod(rows, p):
     return red, pivots
 
 
-def _field_codec(bits):
+def _field_codec(bits, signed=False):
     """``(width, pack, unpack)`` for packed rows whose fields need ``bits``
     bits: fields of as few whole bytes as hold them.  ``pack(values)`` puts
     values[0] in the top field, and ``unpack(row, count)`` reads back the
-    ``count`` fields of a packed row, unreduced.  Fields of at most eight
-    bytes pass through ``array('Q')``, whole rows at a time."""
+    ``count`` fields of a packed row, unreduced, as a list.  Fields of at
+    most eight bytes pass through ``array('Q')``, whole rows at a time.
+    ``signed`` fields hold two's complements in at least eight bytes and
+    pass through ``array('q')``; ``_signed_codec`` adds the bias that
+    makes the packed row the plain sum of its fields."""
     size = (bits + 7) // 8
+    code = "Q"
+    if signed:
+        size, code = max(8, size), "q"
     if size <= 8:
-        return 8 * size, partial(_pack_words, size), partial(_unpack_words, size)
+        return 8 * size, partial(_pack_words, code, size), partial(_unpack_words, code, size)
 
     def pack(values):
-        return int.from_bytes(b"".join([v.to_bytes(size, "big") for v in values]), "big")
+        return int.from_bytes(b"".join([v.to_bytes(size, "big", signed=signed)
+                                        for v in values]), "big")
 
     def unpack(row, count):
         packed = row.to_bytes(size * count, "big")
-        return [int.from_bytes(packed[i:i + size], "big") for i in range(0, len(packed), size)]
+        return [int.from_bytes(packed[i:i + size], "big", signed=signed)
+                for i in range(0, len(packed), size)]
 
     return 8 * size, pack, unpack
 
 
-def _pack_words(size, values):
-    words = array("Q", values)
+def _pack_words(code, size, values):
+    words = array(code, values)
     if _SWAP:
         words.byteswap()
     if size == 8:
@@ -291,17 +300,17 @@ def _pack_words(size, values):
     return int.from_bytes(packed, "big")
 
 
-def _unpack_words(size, row, count):
+def _unpack_words(code, size, row, count):
     packed = row.to_bytes(size * count, "big")
     if size < 8:
         wide = bytearray(8 * count)
         for k in range(size):
             wide[8 - size + k::8] = packed[k::size]
         packed = wide
-    words = array("Q", packed)
+    words = array(code, packed)
     if _SWAP:
         words.byteswap()
-    return words
+    return words.tolist()
 
 
 def _signed_codec(bits):
@@ -309,46 +318,27 @@ def _signed_codec(bits):
     fields need ``bits`` bits, sign included.  A row is the plain int
     sum_i values[i] * 2^(width*(count - 1 - i)), so sums of rows and their
     int multiples act on every field at once, exactly while no field
-    outgrows its bits.  Fields are at least eight bytes wide, and eight
-    byte fields pass through ``array('q')``.
+    outgrows its bits.  Fields are at least eight bytes wide.
 
-    Both directions go through the biased row, the packed row plus
-    2^(width - 1) in every field, whose fields are then the values' two's
-    complements with their top bits flipped."""
-    size = max(8, (bits + 7) // 8)
+    The signed ``_field_codec`` packs two's complements; flipping their
+    top bits gives the biased row, the row plus 2^(width - 1) in every
+    field, so the bias is all this adds."""
+    width, pack, unpack = _field_codec(bits, signed=True)
     # 2^(width - 1) in one field, as big-endian bytes
-    top = b"\x80" + bytes(size - 1)
+    top = b"\x80" + bytes(width // 8 - 1)
 
     def bias(count):
         return int.from_bytes(top * count, "big")
 
-    if size == 8:
-        def pack(values):
-            words = array("q", values)
-            if _SWAP:
-                words.byteswap()
-            b = bias(len(words))
-            return (int.from_bytes(words, "big") ^ b) - b
+    def pack_signed(values):
+        b = bias(len(values))
+        return (pack(values) ^ b) - b
 
-        def unpack(row, count):
-            b = bias(count)
-            words = array("q", ((row + b) ^ b).to_bytes(8 * count, "big"))
-            if _SWAP:
-                words.byteswap()
-            return words.tolist()
-    else:
-        def pack(values):
-            b = bias(len(values))
-            return (int.from_bytes(b"".join([v.to_bytes(size, "big", signed=True)
-                                             for v in values]), "big") ^ b) - b
+    def unpack_signed(row, count):
+        b = bias(count)
+        return unpack((row + b) ^ b, count)
 
-        def unpack(row, count):
-            b = bias(count)
-            packed = ((row + b) ^ b).to_bytes(size * count, "big")
-            return [int.from_bytes(packed[i:i + size], "big", signed=True)
-                    for i in range(0, len(packed), size)]
-
-    return 8 * size, pack, unpack
+    return width, pack_signed, unpack_signed
 
 
 def _rref_fp(rows, p):

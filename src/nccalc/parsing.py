@@ -9,8 +9,10 @@ left-associative):
     atom     := rational | identifier | "(" expr ")"
     rational := int ("/" uint)?
 
-Parentheses nest at most ``MAX_NESTING`` levels deep; deeper input is a
-syntax error, not a recursion overflow.  Identifiers resolve to named
+``int`` and ``uint`` are runs of decimal digits, the characters ``int()``
+reads; a superscript digit is a syntax error.  Parentheses nest at most
+``MAX_NESTING`` levels deep; deeper input is a syntax error, not a
+recursion overflow.  Identifiers resolve to named
 scalar parameters first, then to generator names.  Printing back through freealg.format_poly uses the canonical
 term order; parse(print(parse(text))) equals parse(text).
 """
@@ -56,9 +58,9 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("num", text[i:j], line, col))
             col += j - i

@@ -36,7 +36,7 @@ class RuleFileError(ValueError):
     """A rule file that does not satisfy the schema."""
 
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 MAX_NESTING = 100
 
@@ -72,7 +72,7 @@ def parse_rule_dict(doc) -> RuleDocument:
             or not all(isinstance(v, str) for v in var_names)):
         raise RuleFileError(f'"vars" must list {n} generator names')
     for v in var_names:
-        if not _IDENT.match(v):
+        if not _IDENT.fullmatch(v):
             raise RuleFileError(f"generator name {v!r} is not an identifier")
     if len(set(var_names)) != n:
         raise RuleFileError("generator names must be unique")
@@ -81,7 +81,7 @@ def parse_rule_dict(doc) -> RuleDocument:
         raise RuleFileError('"params" must be an object')
     params = {}
     for name, value in raw_params.items():
-        if not _IDENT.match(name):
+        if not _IDENT.fullmatch(name):
             raise RuleFileError(f"parameter name {name!r} is not an identifier")
         if name in var_names:
             raise RuleFileError(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nccalc import (
+    GF,
     QQ,
     CommRule,
     FamilyParams,
@@ -13,6 +14,7 @@ from nccalc import (
     builtin,
     commutator_in_I2,
     commutes_mod_commutative,
+    is_regular,
     match_family,
     necessary_conditions,
     optimal_ideal,
@@ -230,6 +232,34 @@ def test_match_family_round_trip():
             assert any(params_match(p, m) for m in matches), (fam, p, matches)
             for m in matches:
                 assert build_family(m) == r
+
+
+def test_converse_of_theorem_4_1_over_f2():
+    # by the product rule, D_k(x1x2 - x2x1) = delta_1k*x2 - delta_2k*x1
+    # + A(x1)^2_k - A(x2)^1_k, so with T = tensor_coefficient it vanishes
+    # iff T(2,1,k,l) = T(1,2,k,l) + shift[k, l] for k, l = 1, 2: an
+    # affine subspace of codimension 4, here all 2^12 rules in it over F_2
+    F = GF(2)
+    shift = {(1, 1): 0, (1, 2): -1, (2, 1): 1, (2, 2): 0}
+    free = [(i, j, k, l) for i in (1, 2) for j in (1, 2) for k in (1, 2)
+            for l in (1, 2) if (i, j) != (2, 1)]
+    x1, x2 = NCPoly.gen(2, 1, F), NCPoly.gen(2, 2, F)
+    comm = x1 * x2 - x2 * x1
+    regular = 0
+    for bits in range(1 << len(free)):
+        t = {key: bits >> b & 1 for b, key in enumerate(free)}
+        for (k, l), c in shift.items():
+            t[2, 1, k, l] = (t[1, 2, k, l] + c) % 2
+        rule = CommRule.from_tensor(2, [(*key, c) for key, c in t.items() if c], F)
+        assert not partial(rule, 1, comm) and not partial(rule, 2, comm), t
+        if is_regular(rule):
+            regular += 1
+            # every regular rule lies in this set (its commutator is in
+            # I_2, and I_1 = 0) and in one of the four families, so over
+            # F_2 classify2's "families: none" marks an irregular rule
+            assert necessary_conditions(rule).ok, t
+            assert match_family(rule), t
+    assert regular == 126
 
 
 def test_commutator_membership():

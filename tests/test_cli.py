@@ -363,6 +363,17 @@ def test_exit_codes_for_usage_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert run("ideal", "--rule", str(bad), "--max-degree", "2")[0] == 1
+    # str.isdigit accepts a superscript digit that int() refuses
+    assert run("derive", "--rule", path, "--var", "\u00b2", "--expr", "x1")[0] == 1
+    assert run("derive", "--rule", path, "--var", "x1", "--expr", "x1^\u00b2")[0] == 1
+    cell = write_rule(tmp_path, "cell.json", {
+        "n": 2, "field": "Q", "vars": ["x1", "x2"],
+        "A": [[["\u00b2", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]})
+    assert run("ideal", "--rule", cell, "--max-degree", "2")[0] == 1
+    rels = tmp_path / "rels.txt"
+    rels.write_text("x1*x2 - x2*x1\nx1^\u00b2\n", encoding="utf-8")
+    assert run("check", "--rule", path, "--relations", str(rels),
+               "--max-degree", "2")[0] == 1
 
 
 def test_max_degree_below_one_is_a_usage_error(tmp_path):

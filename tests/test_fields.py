@@ -44,6 +44,8 @@ def test_field_names_round_trip():
         field_from_name("nope")
     with pytest.raises(ValueError):
         field_from_name("Fp:6")
+    with pytest.raises(ValueError, match="bad field tag"):
+        field_from_name("Fp:\u00b2")
 
 
 def test_fp_arithmetic_matches_integers_mod_p():

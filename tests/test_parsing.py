@@ -74,6 +74,13 @@ def test_error_positions():
         p("x1 + * x2")
     with pytest.raises(ExprSyntaxError, match=r"line 2"):
         p("x1 +\n* x2")
+    # a superscript digit is no decimal digit, though str.isdigit says it is
+    with pytest.raises(ExprSyntaxError) as err:
+        p("x1^\u00b2")
+    assert (err.value.line, err.value.col) == (1, 4)
+    with pytest.raises(ExprSyntaxError) as err:
+        p("x1 +\n\u00b2*x2")
+    assert (err.value.line, err.value.col) == (2, 1)
 
 
 def test_nesting_depth_is_bounded():
@@ -192,6 +199,11 @@ def test_rule_dict_validation_errors():
         parse_rule_dict(broken(vars=["x1", "x1"]))
     with pytest.raises(RuleFileError):
         parse_rule_dict(broken(vars=["x1", "2bad"]))
+    # a name with a trailing newline would print broken lines
+    with pytest.raises(RuleFileError, match="is not an identifier"):
+        parse_rule_dict(broken(vars=["x1\n", "x2"]))
+    with pytest.raises(RuleFileError, match="is not an identifier"):
+        parse_rule_dict(broken(params={"q\n": 1}))
     with pytest.raises(RuleFileError):
         parse_rule_dict(broken(field="Zp:7"))
     with pytest.raises(RuleFileError):
