@@ -6,31 +6,25 @@ D_k(x^i) = delta^i_k, and the twisted product rule
     D_k(x^a * w) = delta^a_k * w + sum_j A(x^a)^j_k * D_j(w)
 
 where the left factor acts through the rule's matrix images, not by
-plain multiplication.  The rule is applied in two ways, each by one
-step: prepending x^a to the n derivatives of w.
+plain multiplication.  The derivatives are the column D(f) of the
+triangular homomorphism Phi(f) = [[A(f), D(f)], [0, f]] (see
+``commrule``), and each is computed by one step: prepending x^a to the
+n derivatives of w.
 
-* A whole polynomial f splits by first letter as f = c + sum_a x^a*f_a,
-  so D(f) = sum_a (e_a*f_a + A(x^a)^T D(f_a)).  ``_partials`` evaluates
-  that over the prefix trie of f's words, deepest level first, in a
-  loop, and yields all n derivatives in one pass: O(d*n^(d+2)) work for
-  a dense degree-d polynomial instead of Theta(n^(2d)) word by word, and
-  no Python recursion per letter, so long words are fine.
+* ``_partials`` takes the D column of ``commrule._walk``: all n
+  derivatives of a whole polynomial in one pass over the prefix trie of
+  its words, O(d*n^(d+2)) work for a dense degree-d polynomial instead
+  of Theta(n^(2d)) word by word, and no Python recursion per letter, so
+  long words are fine.
 * ``word_partials`` memoizes the derivatives of single words per suffix
-  on the rule instance, as polynomials.
-
-The prepend step runs on the rule's integer form (``commrule``): over Q
-every value carries a known power of L, the lcm of the image
-coefficients' denominators.  A node of depth t in the trie of f carries
-den(f)*L^(top-1-t) times its true value (den(f) the lcm of f's
-denominators, top its longest word length), and a word of length m
-carries L^(m-1).  Each output coefficient is divided by its scale once,
-when it is turned back into a field element.
+  on the rule instance, as polynomials; on ints a word of length m
+  carries L^(m-1), L the lcm of the image coefficients' denominators.
 """
 
 from __future__ import annotations
 
 from .commrule import (CommRule, _int_images, _int_terms, _poly, _prepend, _reduced,
-                       _to_field, _to_ints)
+                       _to_field, _to_ints, _walk)
 from .freealg import NCPoly, check_letters, dot
 
 
@@ -69,40 +63,11 @@ def word_partials(rule: CommRule, w) -> tuple:
 
 
 def _partials(rule: CommRule, f: NCPoly):
-    """All n partial derivatives of f on ints, as (parts, D, p).
-
-    parts[k-1] maps words to D times their coefficient over Q (p is
-    None), or to their residue mod p over F_p (D = 1); ``_to_field``
-    turns it into field coefficients.
-
-    The node of a prefix q stands for f_q = sum c_w * u over the words
-    w = q*u of f.  Level t holds D(f_q) for the prefixes of length t;
-    each is built from its children's by the first-letter rule.
-    """
-    n = rule.n
-    scale, p, table = _int_images(rule)
-    terms, den, top = _int_terms(rule, f)
-    # a node at depth t carries den * L^(top-1-t) times its value
-    mult = 1
-    level = {}
-    for depth in range(top - 1, -1, -1):
-        nodes = {}
-        for w, c in terms.items():
-            if len(w) > depth:
-                q = w[:depth]
-                acc = nodes.get(q)
-                if acc is None:
-                    acc = nodes[q] = [{} for _ in range(n)]
-                # delta part: the suffixes after q*x^a are distinct keys
-                acc[w[depth] - 1][w[depth + 1:]] = c * mult
-        for q, sub in level.items():
-            _prepend(table, q[depth], sub, nodes[q[:depth]])
-        if p is not None:
-            nodes = {q: _reduced(acc, p) for q, acc in nodes.items()}
-        level = nodes
-        if depth:
-            mult *= scale
-    return level.get((), [{}] * n), den * mult, p
+    """All n partial derivatives of f on ints, as (parts, D, p): the
+    column D(f) of ``commrule._walk``, parts[k-1] mapping words to D
+    times their coefficient over Q (p None), or to their residue over F_p
+    (D = 1)."""
+    return _walk(rule, *_int_terms(rule, f), False, True)
 
 
 def partial(rule: CommRule, k: int, f: NCPoly) -> NCPoly:

@@ -116,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_var(selector: str, var_names) -> int:
     if selector.isdecimal():
-        k = int(selector)
+        try:
+            k = int(selector)
+        except ValueError:
+            raise UsageError(f"--var index of {len(selector)} digits is too long") from None
     else:
         try:
             k = var_names.index(selector) + 1

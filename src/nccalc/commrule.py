@@ -11,16 +11,25 @@ multiplication.  That single convention is what keeps every formula in
 this package free of transpositions; it matches how the matrices are
 conventionally displayed.
 
-The rule's arithmetic runs on plain ``int`` coefficients, never on field
+The twisted product rule D_k(f*g) = D_k(f)*g + sum_j A(f)^j_k * D_j(g)
+says exactly that Phi(f) = [[A(f), D(f)], [0, f]], D(f) the column of
+the n derivatives, is a unital homomorphism into (n+1) by (n+1)
+matrices.  With Phi(x^a) = [[A(x^a), e_a], [0, x^a]], f = c +
+sum_a x^a*f_a split by first letter has A(f) = c*I + sum_a
+A(x^a)*A(f_a) and D(f) = sum_a (e_a*f_a + A(x^a)*D(f_a)).  ``_walk``
+evaluates the columns asked for over the prefix trie of f's words, in
+a loop, each by the same step ``_prepend``; f itself is never carried.
+``CommRule.apply`` asks for A, ``calculus`` for D, and the closure
+checks of ``optimal`` for both.
+
+The arithmetic runs on plain ``int`` coefficients, never on field
 objects, so no multiply-add builds a ``Fraction`` or normalises by a
-gcd.  Over F_p the ints are the residues, reduced mod p once per step.
-Over Q the images are scaled once per rule by L, the lcm of their
-coefficients' denominators (``_int_images``, cached on the rule), and
-every value carries a known power of L: since (L*A)*(L^m*B) =
+gcd.  Over F_p the ints are the residues, reduced mod p once per trie
+node.  Over Q the images are scaled once per rule by L, the lcm of
+their coefficients' denominators (``_int_images``, cached on the rule),
+and every value carries a known power of L: since (L*A)*(L^m*B) =
 L^(m+1)*(A*B), one factor of L per letter.  Each output coefficient is
 divided by its scale once, when it is turned back into a field element.
-``CommRule.apply`` and the derivatives of ``calculus`` share this form
-and its one step, ``_prepend``.
 """
 
 from __future__ import annotations
@@ -190,43 +199,12 @@ class CommRule:
         return entry.terms.get((l,), self.field.zero)
 
     def apply(self, f: NCPoly) -> MatrixPoly:
-        """The unital homomorphism into matrices, extended linearly.
-
-        f splits by first letter as f = c + sum_a x^a*f_a, so A(f) =
-        c*I + sum_a A(x^a)*A(f_a).  The pass evaluates that over the
-        prefix trie of f's words, deepest level first, in a loop, on ints:
-        a node at depth t carries den(f)*L^(top-t) times its value (den(f)
-        the lcm of f's denominators, top its longest word length).
-        """
+        """The unital homomorphism into matrices, extended linearly: the
+        columns of A(f) from ``_walk``."""
         n = self.n
-        scale, p, table = _int_images(self)
-        terms, den, top = _int_terms(self, f)
-        # node q holds the columns of A(f_q): cols[i][k] is entry (k, i)
-        mult = 1
-        level = {}
-        for depth in range(top, -1, -1):
-            nodes = {}
-            for w, c in terms.items():
-                if len(w) >= depth:
-                    q = w[:depth]
-                    cols = nodes.get(q)
-                    if cols is None:
-                        cols = nodes[q] = [[{} for _ in range(n)] for _ in range(n)]
-                    if len(w) == depth:
-                        for i in range(n):
-                            cols[i][i][()] = c * mult
-            for q, sub in level.items():
-                for col, out in zip(sub, nodes[q[:depth]]):
-                    _prepend(table, q[depth], col, out)
-            if p is not None:
-                nodes = {q: [_reduced(col, p) for col in cols]
-                         for q, cols in nodes.items()}
-            level = nodes
-            if depth:
-                mult *= scale
-        cols = level.get((), [[{}] * n] * n)
-        return MatrixPoly([[_poly(self, _to_field(col[k], den * mult, p)) for col in cols]
-                           for k in range(n)])
+        cols, scale, p = _walk(self, *_int_terms(self, f), True, False)
+        return MatrixPoly([[_poly(self, _to_field(cols[i * n + k], scale, p))
+                            for i in range(n)] for k in range(n)])
 
     def change_basis(self, alpha) -> "CommRule":
         """The same rule written in new generators z^p = sum_i alpha[p][i] x^i.
@@ -292,11 +270,10 @@ def _int_images(rule: CommRule):
 
 
 def _int_terms(rule: CommRule, f: NCPoly):
-    """f's terms on ints, checked against the rule: (terms, den, top).
+    """f's terms on ints, checked against the rule: (terms, den).
 
     Over Q the ints carry den, the lcm of f's denominators, times their
-    value; over F_p they are residues and den is 1.  top is the length
-    of f's longest word.
+    value; over F_p they are residues and den is 1.
     """
     if f.n != rule.n:
         raise ValueError(f"polynomial has {f.n} generators, rule has {rule.n}")
@@ -305,8 +282,56 @@ def _int_terms(rule: CommRule, f: NCPoly):
     check_letters(sorted(set(chain.from_iterable(f.terms))), rule.n)
     p = _int_images(rule)[1]
     den = 1 if p is not None else lcm(*(c.denominator for c in f.terms.values()))
-    terms = _to_ints(f.terms, den, p)
-    return terms, den, max(map(len, terms), default=0)
+    return _to_ints(f.terms, den, p), den
+
+
+def _walk(rule: CommRule, terms, den, images, derivatives):
+    """The requested columns of Phi(f) on ints, as ``(cols, scale, p)``.
+
+    ``terms`` maps f's words to den times their coefficients over Q (p is
+    None), or to their residues over F_p (den 1).  ``cols`` is one flat
+    list of dicts from words to ints, ``scale`` times their values: with
+    ``images``, entry (k, i) of A(f) at (i-1)*n + k-1, then with
+    ``derivatives`` D_k(f) at the next n places.  The node of a prefix q
+    of depth t holds den*L^(start-t) times the columns of Phi(f_q), f_q
+    the sum of c_w*u over the words w = q*u of f; start is f's top degree
+    with ``images``, one less without.
+    """
+    n = rule.n
+    scale, p, table = _int_images(rule)
+    width = (n * n if images else 0) + (n if derivatives else 0)
+    top = max(map(len, terms), default=0)
+    mult = 1
+    level = {}
+    for depth in range(top if images else top - 1, -1, -1):
+        nodes = {}
+        for w, c in terms.items():
+            if len(w) > depth:
+                q = w[:depth]
+                node = nodes.get(q) or nodes.setdefault(q, [{} for _ in range(width)])
+                if derivatives:
+                    # e_a * f_(q*x^a) in D, the last n places: the suffixes
+                    # after q*x^a are distinct keys
+                    node[w[depth] - n - 1][w[depth + 1:]] = c * mult
+            elif images and len(w) == depth:
+                # c * I at the word's own node
+                node = nodes.get(w) or nodes.setdefault(w, [{} for _ in range(width)])
+                for i in range(0, n * n, n + 1):
+                    node[i][()] = c * mult
+        for q, sub in level.items():
+            out = nodes[q[:depth]]
+            if width == n:
+                _prepend(table, q[depth], sub, out)
+            else:
+                # each column of n dicts takes the same step
+                for c in range(0, width, n):
+                    _prepend(table, q[depth], sub[c:c + n], out[c:c + n])
+        if p is not None:
+            nodes = {q: _reduced(node, p) for q, node in nodes.items()}
+        level = nodes
+        if depth:
+            mult *= scale
+    return level.get((), [{}] * width), den * mult, p
 
 
 def _prepend(table, a, sub, acc):

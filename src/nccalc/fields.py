@@ -170,6 +170,14 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    def value(self, x: int, den: int = 1) -> Fraction:
+        """The rational x/den."""
+        return Fraction(x, den)
+
+    def values(self, ints, den: int = 1) -> list:
+        """The rationals x/den of the ints x."""
+        return [Fraction(x, den) if x else self.zero for x in ints]
+
     def __repr__(self):
         return "QQ"
 
@@ -205,6 +213,15 @@ class PrimeField:
         if isinstance(x, Fraction):
             return FpElement(0, self.p) + x
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
+
+    def value(self, x: int, den: int = 1) -> FpElement:
+        """The element x/den, den prime to p."""
+        return FpElement(x * pow(den, -1, self.p), self.p)
+
+    def values(self, ints, den: int = 1) -> list:
+        """The elements x/den of the ints x, den prime to p."""
+        p, inv = self.p, pow(den, -1, self.p)
+        return [FpElement(x * inv, p) for x in ints]
 
     def __repr__(self):
         return f"GF({self.p})"

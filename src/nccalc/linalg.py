@@ -26,14 +26,13 @@ not fixed, which ``from_vectors`` puts in echelon form) and in ``span``
 and ``rows``, of length n^s.  Field elements appear only at the API
 boundary.
 
-``rref`` eliminates on plain ints, never on field objects.  Over F_p it
-works on the residues ``FpElement.val`` and wraps the result back.
-``nullspace`` reads its rows in the field it is given: over F_p a
-system of ints takes one ``% p`` per entry, and the rows go to the
-modular elimination without any ``FpElement``.  Over Q, each row of
-Fractions is scaled to integers (rows of ints are taken as they are)
-and divided by its gcd, and
-``_rref_rational`` eliminates the primitive integer rows modulo the
+``rref``, ``nullspace`` and the sums of subspaces eliminate on plain
+ints, never on field objects, through one entry, ``_rref_ints``, and
+the field's ``values`` turn the result back.  Over F_p the ints are
+residues (``FpElement.val``, or one ``% p`` per entry of a system of
+ints) and go to the modular elimination.  Over Q, each row of Fractions
+is scaled to integers (rows of ints are taken as they are) and divided
+by its gcd, and ``_rref_rational`` eliminates the primitive integer rows modulo the
 primes of ``_PRIMES`` in turn, the largest primes below 2^26.  It
 returns the RREF as int rows over their least common denominator, and
 only what it has proved exact:
@@ -86,9 +85,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
-from .fields import FpElement, PrimeField
+from .fields import GF, QQ, FpElement, PrimeField
 from .freealg import NCPoly, index_word, word_index
 
 
@@ -98,9 +97,6 @@ from .freealg import NCPoly, index_word, word_index
 _PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108757,
            67108753, 67108747, 67108739, 67108729, 67108721, 67108709,
            67108693, 67108669, 67108667, 67108661)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # packed rows hold column col in their top field: 64-bit words in
 # big-endian order, whatever the machine's own
@@ -126,24 +122,30 @@ def rref(rows):
     if not kinds:
         return [], []
     if kinds <= {int, Fraction}:
-        red, den, pivots = _rref_rational(_integral(rows))
-        if red is None:
-            ncols = len(pivots)
-            return [[_ONE if j == i else _ZERO for j in range(ncols)]
-                    for i in range(ncols)], pivots
-        return [_fractions(r, den) for r in red], pivots
-    if kinds == {FpElement}:
-        moduli = set(map(attrgetter("p"), chain.from_iterable(rows)))
-        if len(moduli) == 1:
-            return _rref_fp(rows, moduli.pop())
-    return _rref_fraction(rows)
+        field, p, ints = QQ, None, _integral(rows)
+    elif kinds == {FpElement} and len(moduli := {c.p for r in rows for c in r}) == 1:
+        p = moduli.pop()
+        field, ints = GF(p), [[c.val for c in r] for r in rows]
+    else:
+        return _rref_fraction(rows)
+    red, den, pivots = _rref_ints(ints, p)
+    if red is None:
+        # full column rank: the RREF is the identity
+        red = [[int(i == j) for j in pivots] for i in pivots]
+    return [field.values(r, den) for r in red], pivots
 
 
-def _fractions(ints, den):
-    """The Fractions x/den of the ints x."""
-    if den == 1:
-        return [Fraction(x) if x else _ZERO for x in ints]
-    return [Fraction(x, den) if x else _ZERO for x in ints]
+def _rref_ints(rows, p):
+    """RREF of rows of ints as ``_rref_rational`` returns it over Q (p
+    None), and of rows of residues over F_p, with den 1: ``(red, den,
+    pivots)``, with red None at full column rank."""
+    if p is None:
+        return _rref_rational(rows)
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return [], 1, []
+    red, pivots = _rref_mod(rows, p)
+    return red or None, 1, pivots
 
 
 def _rref_fraction(rows):
@@ -341,21 +343,6 @@ def _signed_codec(bits):
     return width, pack_signed, unpack_signed
 
 
-def _rref_fp(rows, p):
-    """RREF over F_p on the residues, wrapped back into FpElement."""
-    vals = [v for v in ([c.val for c in r] for r in rows) if any(v)]
-    if not vals:
-        return [], []
-    red, pivots = _rref_mod(vals, p)
-    zero, one = FpElement(0, p), FpElement(1, p)
-    if not red:
-        # full column rank: the RREF is the identity
-        ncols = len(pivots)
-        return [[one if j == i else zero for j in range(ncols)] for i in range(ncols)], pivots
-    return [[FpElement(v, p) if v > 1 else (one if v else zero) for v in r]
-            for r in red], pivots
-
-
 def _rref_rational(rows):
     """RREF over Q via certified elimination mod the primes in _PRIMES.
 
@@ -485,21 +472,16 @@ def nullspace(rows, ncols, field):
     through ``field.of``.  Over Q the rows are eliminated as by ``rref``,
     except that a full column rank builds no identity.
     """
-    if isinstance(field, PrimeField):
-        p = field.p
-        rows = list(rows)
-        if set(map(type, chain.from_iterable(rows))) <= {int}:
-            vals = [[c % p for c in r] for r in rows]
-        else:
-            vals = [[field.of(c).val for c in r] for r in rows]
-        vals = [v for v in vals if any(v)]
-        red, pivots = _rref_mod(vals, p) if vals else ([], [])
-        value = partial(FpElement, p=p)
+    rows = [r if isinstance(r, list) else list(r) for r in rows]
+    p = field.p if isinstance(field, PrimeField) else None
+    if p is None:
+        rows = _integral(rows)
+    elif set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows = [[c % p for c in r] for r in rows]
     else:
-        # a full column rank (red is None) leaves no free column to read
-        red, den, pivots = _rref_rational(_integral(
-            [r if isinstance(r, list) else list(r) for r in rows]))
-        value = partial(Fraction, denominator=den)
+        rows = [[field.of(c).val for c in r] for r in rows]
+    # a full column rank (red is None) leaves no free column to read
+    red, den, pivots = _rref_ints(rows, p)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -510,7 +492,7 @@ def nullspace(rows, ncols, field):
         for t, col in enumerate(pivots):
             c = red[t][free]
             if c:
-                v[col] = value(-c)
+                v[col] = field.value(-c, den)
         basis.append(v)
     return basis
 
@@ -680,10 +662,8 @@ class Subspace:
 
     def _row_entries(self):
         """Each basis row as its (column, field value) entries."""
-        one, p = self.field.one, self._p
-        value = (partial(FpElement, p=p) if p is not None
-                 else partial(Fraction, denominator=self.den))
-        return [[(piv, one)] + [(c, value(v)) for c, v in tail]
+        one, value, den = self.field.one, self.field.value, self.den
+        return [[(piv, one)] + [(c, value(v, den)) for c, v in tail]
                 for piv, tail in self.tails.items()]
 
     def _int_rows(self):
@@ -727,12 +707,9 @@ class Subspace:
         vector with the given (column, value) entries, which name each
         column at most once.  It is zero exactly when the vector lies in
         the subspace."""
-        p = self._p
-        (ints,), scale = _scaled([list(entries)], p)
+        (ints,), scale = _scaled([list(entries)], self._p)
         res = list(map(self._reduce_ints(ints).get, self.free, repeat(0)))
-        if p is not None:
-            return [FpElement(x, p) for x in res]
-        return _fractions(res, scale * self.den)
+        return self.field.values(res, scale * self.den)
 
     def residual(self, poly: NCPoly) -> list:
         """Residual of a polynomial of this degree, as a list over ``free``."""
@@ -896,11 +873,8 @@ class Subspace:
         if not count:
             return self, 0
         distinct = [list(map(r.get, free, repeat(0))) for r in seen.values()]
-        if p is None:
-            red, rden, positions = _rref_rational(distinct)
-        else:
-            (red, positions), rden = _rref_mod(distinct, p), 1
-        if len(positions) == len(free):
+        red, rden, positions = _rref_ints(distinct, p)
+        if red is None:
             return Subspace.full(self.n, self.degree, self.field), count
         taken = set(positions)
         rest = [t for t in range(len(free)) if t not in taken]

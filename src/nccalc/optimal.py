@@ -139,7 +139,9 @@ survives exactly when the entries of A(c) reduce to zero modulo W.  So
 the rounds run on C alone: an entry lies in W exactly when its residual
 modulo L_s, which lives on the normal words, lies in C_t.  Each round
 either certifies closure or drops dim C_t, and I_s = L_s (+) C_t at the
-fixpoint.
+fixpoint.  The entries of A(c) come from ``commrule._walk`` on the
+ints of C_t's basis rows, which all carry C_t's den, so every entry
+has one scale.
 
 L_s itself takes no elimination of dense rows.  Write m = n^(s-1); the
 word x^a * w sits at column a*m + w, so the left shifts x^a * I_{s-1}
@@ -189,7 +191,8 @@ element of J_{deg r} fails too, and the full check fails.
 So ``check_consistent_ideal`` checks the generators against the slices at
 their own degrees and answers "consistent" at that cost; only when one
 fails does it check every basis element of J_1..J_S, to list the
-violations.
+violations.  Both conditions read the columns of Phi(r) = [[A(r), D(r)],
+[0, r]] (see ``commrule``), which one ``commrule._walk`` gives together.
 
 The slices themselves take the step that builds L_s.  A product u*r*v
 of degree d with u or v nonempty is x^a or x^b times a product of degree
@@ -206,11 +209,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
-from .calculus import _partials
-from .commrule import CommRule, NonHomogeneousRuleError, _int_images, _prepend
-from .freealg import NCPoly, format_poly, word_index
+from .commrule import (CommRule, NonHomogeneousRuleError, _int_images, _int_terms, _prepend,
+                       _walk)
+from .freealg import NCPoly, format_poly, index_word, word_index
 from .linalg import Subspace, _int_entries, _signed_codec, nullspace
 
 
@@ -385,30 +388,24 @@ def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
     lower + C, for a subspace ``lower`` closed under those entries and
     a ``space`` spanned inside its free columns.  Returns (C, rounds).
     """
+    n, s, top = rule.n, space.degree, space.ambient_dim
     size = len(lower.free)
-    top = space.ambient_dim
     rounds = 0
     # the zero space is closed, and so is one that fills lower's free
     # columns: then lower + C is the whole degree-s component
     while space.dim and space.dim < size:
         # an entry lies in lower + C exactly when its residual modulo
-        # lower, supported on lower's free columns, lies in C.  Each
-        # entry's ints carry its own scale, so the residuals are brought
-        # to their lcm before the kernel step; entry i's residual sits at
-        # keys i*n^s + c
-        parts = []
-        for b in space.basis_polys():
-            part = []
-            for row in rule.apply(b).rows:
-                for e in row:
-                    ints, scale = _int_entries(e, lower.degree, lower._p)
-                    low = lower._reduce_ints(ints)
-                    part.append((scale, space._reduce_ints(low.items())))
-            parts.append(part)
-        common = lcm(*(scale for part in parts for scale, _ in part))
-        residuals = [{i * top + c: x * (common // scale)
-                      for i, (scale, res) in enumerate(part) for c, x in res.items()}
-                     for part in parts]
+        # lower, supported on lower's free columns, lies in C.  Every basis
+        # row's ints carry space.den, so the entries of A on all of them
+        # share one scale; entry e's residual sits at keys e*n^s + c
+        residuals = []
+        for row in space._int_rows():
+            cols = _walk(rule, {index_word(c, s, n): x for c, x in row}, space.den,
+                         True, False)[0]
+            lows = [lower._reduce_ints([(word_index(w, s, n), x) for w, x in col.items()])
+                    for col in cols]
+            residuals.append({e * top + c: x for e, low in enumerate(lows)
+                              for c, x in space._reduce_ints(low.items()).items()})
         rounds += 1
         if not any(residuals):
             break
@@ -653,14 +650,15 @@ def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
     n = rule.n
     violations = []
     for b in elements:
-        # the derivatives on ints, one common multiple of their values
-        # (residues over F_p), reduced on the int tails as they are
-        failed = [("partial", k) for k, part in enumerate(_partials(rule, b)[0], 1)
+        # A(b) and D(b) from one walk, on ints: one common multiple of their
+        # values (residues over F_p), reduced on the int tails as they are
+        cols = _walk(rule, *_int_terms(rule, b), True, True)[0]
+        failed = [("partial", k) for k, part in enumerate(cols[n * n:], 1)
                   if below._reduce_ints([(word_index(w, d - 1, n), c)
                                          for w, c in part.items()])]
-        failed += [("entry", k, i) for k, row in enumerate(rule.apply(b).rows, 1)
-                   for i, e in enumerate(row, 1)
-                   if within._reduce_ints(_int_entries(e, d, within._p)[0])]
+        failed += [("entry", k, i) for k in range(1, n + 1) for i in range(1, n + 1)
+                   if within._reduce_ints([(word_index(w, d, n), c) for w, c in
+                                           cols[(i - 1) * n + k - 1].items()])]
         if failed:
             # only an element that fails is labelled
             label = format_poly(b, names)

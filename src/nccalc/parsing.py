@@ -10,9 +10,10 @@ left-associative):
     rational := int ("/" uint)?
 
 ``int`` and ``uint`` are runs of decimal digits, the characters ``int()``
-reads; a superscript digit is a syntax error.  Parentheses nest at most
-``MAX_NESTING`` levels deep; deeper input is a syntax error, not a
-recursion overflow.  Identifiers resolve to named
+reads; a superscript digit is a syntax error, and so is a run of more
+digits than ``int()`` reads (``sys.get_int_max_str_digits()``).
+Parentheses nest at most ``MAX_NESTING`` levels deep; deeper input is a
+syntax error, not a recursion overflow.  Identifiers resolve to named
 scalar parameters first, then to generator names.  Printing back through freealg.format_poly uses the canonical
 term order; parse(print(parse(text))) equals parse(text).
 """
@@ -106,6 +107,13 @@ class _Parser:
             tok = self.peek()
         raise ExprSyntaxError(message, tok[2], tok[3])
 
+    def number(self, tok) -> int:
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        try:
+            return int(tok[1])
+        except ValueError:
+            self.fail(f"integer of {len(tok[1])} digits is too long", tok)
+
     def parse(self) -> NCPoly:
         value = self.expr()
         kind, val, _, _ = self.peek()
@@ -139,20 +147,20 @@ class _Parser:
             tok = self.advance()
             if tok[0] != "num":
                 self.fail("expected an unsigned integer exponent", tok)
-            value = value ** int(tok[1])
+            value = value ** self.number(tok)
         return value
 
     def atom(self) -> NCPoly:
         tok = self.advance()
         kind, val, line, col = tok
         if kind == "num":
-            numerator = int(val)
+            numerator = self.number(tok)
             if self.at_op("/"):
                 self.advance()
                 den_tok = self.advance()
                 if den_tok[0] != "num":
                     self.fail("expected an integer denominator", den_tok)
-                denominator = int(den_tok[1])
+                denominator = self.number(den_tok)
                 if denominator == 0:
                     self.fail("division by zero in rational literal", den_tok)
                 value = Fraction(numerator, denominator)

@@ -158,6 +158,9 @@ def load_rule(path) -> RuleDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise RuleFileError(f"rule file is not valid JSON: {e}") from None
+    except ValueError as e:
+        # a JSON number longer than int() reads
+        raise RuleFileError(f"rule file holds a number that cannot be read: {e}") from None
     return parse_rule_dict(doc)
 
 

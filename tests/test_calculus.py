@@ -23,13 +23,14 @@ from nccalc import (
     vf_right_action,
     word_partials,
 )
-from nccalc.commrule import _int_images
+from nccalc.commrule import _int_images, _int_terms, _poly, _to_field, _walk
 from nccalc.examples import build_example
 from nccalc.freealg import index_word, word_index
 from nccalc.optimal import _normal_partials, _unit_partials
 from nccalc.rulefile import parse_rule_dict
 from helpers import (
     field_partials,
+    matrix_apply,
     partial_rightmost,
     random_any_rule,
     random_fraction_poly,
@@ -37,6 +38,7 @@ from helpers import (
     random_homogeneous_rule,
     random_poly,
     random_q_grid,
+    rand_proper_fraction,
     rule_over,
     word_table_partials,
 )
@@ -430,6 +432,30 @@ def test_fractional_draws_match_rightmost_oracle(field):
             for c, d in zip(y.components, want):
                 expected = expected + c * d
             _same_terms(vf_apply(rule, y, f), expected)
+
+
+@pytest.mark.parametrize("field", [QQ, FP, GF(2), GF(3)],
+                         ids=["Q", "Fp10007", "Fp2", "Fp3"])
+def test_one_walk_yields_images_and_derivatives(field):
+    # the walk that carries A's columns and D's column together is the
+    # triangular homomorphism f -> [[A(f), D(f)], [0, f]]: both halves
+    # against the oracles, on one scale, zero and constant polynomials
+    # included
+    rng = random.Random(9300 + getattr(field, "p", 0))
+    for n in (2, 2, 3):
+        rule = random_fraction_rule(rng, n, field)
+        polys = [NCPoly.zero(n, field),
+                 NCPoly.constant(n, rand_proper_fraction(rng, field, nonzero=True), field)]
+        polys += [random_fraction_poly(rng, n, 4 if n == 2 else 3, field) for _ in range(5)]
+        for f in polys:
+            cols, scale, p = _walk(rule, *_int_terms(rule, f), True, True)
+            assert len(cols) == n * n + n
+            got = [_poly(rule, _to_field(c, scale, p)) for c in cols]
+            want = matrix_apply(rule, f)
+            for k in range(1, n + 1):
+                for i in range(1, n + 1):
+                    _same_terms(got[(i - 1) * n + k - 1], want.entry(k, i))
+                _same_terms(got[n * n + k - 1], partial_rightmost(rule, k, f))
 
 
 @pytest.mark.parametrize("p", [2, 3])

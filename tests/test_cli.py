@@ -374,6 +374,26 @@ def test_exit_codes_for_usage_errors(tmp_path):
     rels.write_text("x1*x2 - x2*x1\nx1^\u00b2\n", encoding="utf-8")
     assert run("check", "--rule", path, "--relations", str(rels),
                "--max-degree", "2")[0] == 1
+    # int() refuses a run of more digits than sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        big = "9" * (limit + 700)
+        for expr in (big, f"x1^{big}", f"x1 + 1/{big}*x2"):
+            assert run("derive", "--rule", path, "--var", "x1", "--expr", expr)[0] == 1
+        assert run("derive", "--rule", path, "--var", big, "--expr", "x1")[0] == 1
+        cell = write_rule(tmp_path, "big_cell.json", {
+            "n": 2, "field": "Q", "vars": ["x1", "x2"],
+            "A": [[[f"{big}*x1", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]})
+        assert run("ideal", "--rule", cell, "--max-degree", "2")[0] == 1
+        param = tmp_path / "big_param.json"
+        param.write_text(json.dumps({"n": 2, "field": "Q", "vars": ["x1", "x2"],
+                                     "params": {"q": 1}, "A": [[["x1", "0"], ["0", "x1"]],
+                                                               [["x2", "0"], ["0", "x2"]]]}
+                                    ).replace('"q": 1', f'"q": {big}'))
+        assert run("ideal", "--rule", str(param), "--max-degree", "2")[0] == 1
+        rels.write_text(f"x1*x2 - x2*x1\n{big}*x1*x1\n")
+        assert run("check", "--rule", path, "--relations", str(rels),
+                   "--max-degree", "2")[0] == 1
 
 
 def test_max_degree_below_one_is_a_usage_error(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,16 @@ def test_error_positions():
     with pytest.raises(ExprSyntaxError) as err:
         p("x1 +\n\u00b2*x2")
     assert (err.value.line, err.value.col) == (2, 1)
+    # a run of more digits than int() reads, as a factor, a denominator or
+    # an exponent
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        big = "9" * (limit + 700)
+        for text, where in ((f"x1 + {big}", (1, 6)), (f"x1 +\n2/{big}*x2", (2, 3)),
+                            (f"x2*x1^{big}", (1, 7))):
+            with pytest.raises(ExprSyntaxError, match="too long") as err:
+                p(text)
+            assert (err.value.line, err.value.col) == where
 
 
 def test_nesting_depth_is_bounded():
