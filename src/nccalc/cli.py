@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 usage or parse problems (bad flags, malformed
 rule files or expressions, unreadable paths), 2 violated mathematical
 preconditions (non-homogeneous rule where homogeneity is required,
-singular change of basis, wrong generator count, ...).
+singular change of basis, wrong generator count, ...).  Output cut
+short by a closed pipe (``nccalc check ... | head -1``) exits 1 with no
+traceback: ``entry`` points stdout at the null device, so the flush at
+exit cannot fail again, and exits 1 as Python does on EPIPE.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -348,7 +352,17 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        # flushed here, so a closed pipe is met inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: the interpreter flushes
+        # stdout again at exit, so that flush must find the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

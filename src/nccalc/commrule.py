@@ -20,7 +20,8 @@ A(x^a)*A(f_a) and D(f) = sum_a (e_a*f_a + A(x^a)*D(f_a)).  ``_walk``
 evaluates the columns asked for over the prefix trie of f's words, in
 a loop, each by the same step ``_prepend``; f itself is never carried.
 ``CommRule.apply`` asks for A, ``calculus`` for D, and the closure
-checks of ``optimal`` for both.
+checks of ``optimal`` on single elements for both.  ``optimal``'s
+residual tables take the same step, word by word.
 
 The arithmetic runs on plain ``int`` coefficients, never on field
 objects, so no multiply-add builds a ``Fraction`` or normalises by a
@@ -339,8 +340,8 @@ def _prepend(table, a, sub, acc):
 
     ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
     is updated in place and may gain zero values.  Keys only need ``+``:
-    ``optimal._normal_partials`` passes dicts keyed by column and a table
-    whose words are column offsets.
+    ``optimal._normal_partials`` and ``_normal_images`` pass dicts keyed
+    by column and a table whose words are column offsets.
     """
     for row, out in zip(table[a - 1], acc):
         get = out.get

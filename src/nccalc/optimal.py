@@ -192,7 +192,33 @@ So ``check_consistent_ideal`` checks the generators against the slices at
 their own degrees and answers "consistent" at that cost; only when one
 fails does it check every basis element of J_1..J_S, to list the
 violations.  Both conditions read the columns of Phi(r) = [[A(r), D(r)],
-[0, r]] (see ``commrule``), which one ``commrule._walk`` gives together.
+[0, r]] (see ``commrule``), which one ``commrule._walk`` gives together
+for each generator.
+
+The listing reads them off one residual table per degree instead.  For
+every word W of degree d the table holds Dbar_k(W), the residual of
+D_k(W) modulo J_{d-1}, and Abar(W), whose entries are the residuals of
+those of A(W) modulo J_d.  Both follow from the table of degree d-1 by
+one product-rule step per word W = x^a * w:
+
+    D_k(x^a * w) = delta_ak * w + sum_j A(x^a)^j_k * D_j(w),
+    A(x^a * w)^i_k = sum_j A(x^a)^j_k * A(w)^i_j,
+
+with D(w) and A(w) replaced by Dbar(w) and Abar(w) and the sums reduced.
+That is exact because J is an ideal, so V*J_{e-1} <= J_e for V the
+linear forms: A(w) - Abar(w) has entries in J_{d-1}, so A(x^a) *
+(A(w) - Abar(w)) has entries in V*J_{d-1} <= J_d, and D_j(w) - Dbar_j(w)
+lies in J_{d-2}, so A(x^a)^j_k * (D_j(w) - Dbar_j(w)) lies in V*J_{d-2}
+<= J_{d-1}.  Dbar is ``_normal_partials`` run on all n^d words with
+J_{d-1} as its ``prev``, as ``compute_U`` runs it; Abar is the same
+step on the n columns of A, by ``_normal_images``.  Residuals are
+linear, so a basis row of J_d fails a check exactly when the int
+combination of its words' table entries is nonzero, and only a failing
+row is made a polynomial and labelled.  A table holds n^d * (n^2 + n)
+residuals, of up to codim J_{d-1} (Dbar) or codim J_d (Abar) ints
+each, and only the tables of degrees d-1 and d are alive at once.  The
+generators' own checks above, a handful of elements, keep the walk,
+where a table would cost n^deg.
 
 The slices themselves take the step that builds L_s.  A product u*r*v
 of degree d with u or v nonempty is x^a or x^b times a product of degree
@@ -241,16 +267,14 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
     (residues over F_p, with den 1).  Returns the system, one row per
     word, and ``known`` for the words.  A row holds only the nonzero
     ints of the word's n residuals over ``prev.free``: the entry of D_k
-    at free column c sits at key k*n^(s-1) + c.
+    at free column c sits at key k*n^(s-1) + c.  ``compute_U`` and the
+    violation listing run it on every word, the listing with an ideal
+    slice J_{s-1} as ``prev``.
     """
     n = rule.n
-    scale, p, images = _int_images(rule)
+    scale, p, _ = _int_images(rule)
     table, den = known
-    # A(x^a)'s entries with each x^b as the column offset of x^b times a
-    # word of degree s-2, as _prepend reads them
-    shift = n ** (prev.degree - 1)
-    shifted = [([[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
-                 for row in images[a]],) for a in range(n)]
+    shifted = _shifted_images(rule, n ** (prev.degree - 1))
     top = n ** prev.degree
     # D_k's free column c goes to key k*top + c of the word's row
     offsets = [k * top for k in range(n)]
@@ -268,19 +292,68 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
         system.append({off + c: x for off, d in zip(offsets, res) for c, x in d.items()})
     if p is not None:
         return system, (out, 1)
-    # the next table carries lead * prev.den: keep it in lowest terms
-    den = lead * prev.den
+    # the next table carries lead * prev.den
+    return system, _lowest_table(out, lead * prev.den)
+
+
+def _normal_images(rule: CommRule, within: Subspace, known):
+    """Abar of every degree-s word modulo ``within`` = J_s, from Abar of the
+    degree-(s-1) words modulo J_{s-1} (see the module docstring).
+
+    ``known`` is ``(table, den)``: table[w] lists the residuals of the
+    entries of A(w) as {free column: int}, entry (k, i) at (i-1)*n + k-1
+    as in ``commrule._walk``, den times their values over Q (residues
+    over F_p, with den 1).  Returns ``(table, den)`` for degree s.
+    """
+    n = rule.n
+    scale, p, _ = _int_images(rule)
+    table, den = known
+    top = n ** (within.degree - 1)
+    shifted = _shifted_images(rule, top)
+    reduce = within._reduce_ints
+    out = {}
+    for col in range(n * top):
+        a, w = divmod(col, top)
+        # A(x^a*w) = A(x^a)*A(w): each column of n entries takes one step
+        sub = table[w]
+        acc = [{} for _ in range(n * n)]
+        for c in range(0, n * n, n):
+            _prepend(shifted[a], 1, sub[c:c + n], acc[c:c + n])
+        out[col] = [reduce(d.items()) for d in acc]
+    if p is not None:
+        return out, 1
+    return _lowest_table(out, scale * den * within.den)
+
+
+def _shifted_images(rule: CommRule, shift):
+    """A(x^a)'s entries with each x^b as the column offset (b-1)*shift of
+    x^b times a word of the degree below, as ``_prepend`` reads them:
+    entry a-1 is the table of x^a alone, read as generator 1."""
+    images = _int_images(rule)[2]
+    return [([[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
+              for row in image],) for image in images]
+
+
+def _lowest_table(out, den):
+    """``(out, den)`` over Q with den and every residual's ints divided by
+    their gcd, so the next degree's ints stay small."""
     g = gcd(den, *chain.from_iterable(d.values() for parts in out.values() for d in parts))
     if g != 1:
         out = {c: [{j: x // g for j, x in d.items()} for d in parts]
                for c, parts in out.items()}
-    return system, (out, den // g)
+    return out, den // g
 
 
 def _unit_partials(n):
     """``_normal_partials``' table of degree 1: D_j(x^w) = delta_jw, the
     empty word at column 0 of degree 0."""
     return {w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1
+
+
+def _unit_images(n):
+    """``_normal_images``' table of degree 0: A of the empty word is the
+    identity, at column 0."""
+    return {0: [{0: 1} if i % (n + 1) == 0 else {} for i in range(n * n)]}, 1
 
 
 def _equation_rows(known, n):
@@ -704,8 +777,9 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
     J_{deg r}, every slice up to the bound passes (see the module
     docstring), so the report is consistent without enumerating the
     slices.  Otherwise every basis element of J_1..J_S is checked, degree
-    by degree, and all violations are listed in that order.  Violations
-    name the elements with the generator ``names`` (x1..xn by default).
+    by degree, on the residual tables of that degree's words, and all
+    violations are listed in that order.  Violations name the elements
+    with the generator ``names`` (x1..xn by default).
     """
     _require_homogeneous(rule)
     if max_degree < 1:
@@ -721,11 +795,73 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
                for r in own for d in (r.degree(),)):
         return ConsistencyReport("degree-bounded", max_degree, ())
     _extend_slices(slices, gens, max_degree)
+    return ConsistencyReport("degree-bounded", max_degree,
+                             tuple(_listed_violations(rule, slices, names)))
+
+
+def _listed_violations(rule: CommRule, slices, names=None) -> list:
+    """The closure failures of every basis element of J_1..J_S, for the
+    slices J_0..J_S, from the residual tables Dbar and Abar of all words
+    (see the module docstring), in ``_closure_violations``' order.
+
+    Logs one DEBUG record per degree d on the ``nccalc`` logger: dim J_d,
+    the width |free J_d| of Abar's residuals, the words in the table and
+    the failing basis elements.
+    """
+    import logging
+    log = logging.getLogger("nccalc")
+    n, field = rule.n, rule.field
+    p = slices[0]._p
+    # a row's A-entries in the order listed, (k, i) at (i-1)*n + k-1
+    entries = [(k, i, (i - 1) * n + k - 1) for k in range(1, n + 1) for i in range(1, n + 1)]
     violations = []
-    for d in range(1, max_degree + 1):
-        violations += _closure_violations(rule, d, slices[d].basis_polys(),
-                                          slices[d - 1], slices[d], names)
-    return ConsistencyReport("degree-bounded", max_degree, tuple(violations))
+    for d, partials, images in _residual_tables(rule, slices):
+        within = slices[d]
+        value, den = field.value, within.den
+        failing = 0
+        for row in within._int_rows():
+            failed = [("partial", k) for k in range(1, n + 1)
+                      if _combination(row, partials[0], k - 1, p)]
+            failed += [("entry", k, i) for k, i, e in entries
+                       if _combination(row, images[0], e, p)]
+            if failed:
+                # only an element that fails is labelled
+                b = NCPoly(n, field, {index_word(c, d, n): value(v, den) for c, v in row})
+                label = format_poly(b, names)
+                violations += [Violation(d, label, *f) for f in failed]
+                failing += 1
+        log.debug("listing degree %d: dim J=%d free=%d table words=%d failing=%d",
+                  d, within.dim, len(within.free), len(images[0]), failing)
+        # let the next degree's tables replace these
+        del partials, images
+    return violations
+
+
+def _residual_tables(rule: CommRule, slices):
+    """Yield ``(d, Dbar, Abar)`` for d = 1..S, the ``(table, den)`` pairs
+    of ``_normal_partials`` and ``_normal_images`` on every word of degree
+    d, modulo the slices J_{d-1} and J_d of J_0..J_S.  Each degree's
+    tables replace those of the degree before."""
+    n = rule.n
+    partials, images = _unit_partials(n), _unit_images(n)
+    for d in range(1, len(slices)):
+        if d > 1:
+            partials = _normal_partials(rule, slices[d - 1], partials, range(n ** d))[1]
+        images = _normal_images(rule, slices[d], images)
+        yield d, partials, images
+
+
+def _combination(row, table, e, p):
+    """Whether the (word, int) combination ``row`` of the table's residuals
+    at place e is nonzero."""
+    acc = {}
+    get = acc.get
+    for w, c in row:
+        for u, x in table[w][e].items():
+            acc[u] = get(u, 0) + c * x
+    if p is not None:
+        return any(x % p for x in acc.values())
+    return any(acc.values())
 
 
 def is_regular(rule: CommRule) -> bool:

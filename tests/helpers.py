@@ -10,8 +10,10 @@ intersection enumerates small coefficient combinations directly, the
 change of basis sums every alpha*beta*alpha*A term entry by entry, the
 Gauss-Jordan elimination mod p clears whole rows of reduced residues,
 the dense reduction walks whole echelon rows, the dense sum and ideal slice
-eliminate whole echelon rows in one ``rref``, and the dense ideal
-component eliminates every product u*g*v in one ``rref``.
+eliminate whole echelon rows in one ``rref``, the dense ideal
+component eliminates every product u*g*v in one ``rref``, and the walked
+listing takes A and D of each basis element from its own first-letter
+walk, never from the residual tables.
 """
 
 from fractions import Fraction
@@ -29,7 +31,7 @@ from nccalc import (
     substitute_generators,
     word_partials,
 )
-from nccalc.optimal import Violation
+from nccalc.optimal import Violation, _closure_violations, _extend_slices, _ideal_generators
 
 
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
@@ -506,6 +508,20 @@ def dense_consistent_ideal_violations(rule, generators, max_degree):
         out += dense_closure_violations(rule, d, slice_d.basis_polys(), below, slice_d)
         below = slice_d
     return tuple(out)
+
+
+def walk_listing_violations(rule, generators, max_degree, names=None):
+    """The violation listing of ``check_consistent_ideal`` by one
+    ``commrule._walk`` per basis element of J_1..J_S, each reduced modulo
+    the slices as it comes."""
+    gens, n, field = _ideal_generators(generators, rule.n, rule.field)
+    slices = [Subspace.zero(n, 0, field)]
+    _extend_slices(slices, gens, max_degree)
+    violations = []
+    for d in range(1, max_degree + 1):
+        violations += _closure_violations(rule, d, slices[d].basis_polys(),
+                                          slices[d - 1], slices[d], names)
+    return tuple(violations)
 
 
 def rule_over(rule, field):

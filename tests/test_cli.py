@@ -642,3 +642,28 @@ def test_change_basis_out_that_cannot_be_written_exits_1(tmp_path):
         assert err.startswith("nccalc: error: cannot write rule file: ")
         assert reason in err and err.count("\n") == 1
     assert not missing.parent.exists()
+
+
+def test_stdout_closed_after_one_line_exits_1_without_a_traceback(tmp_path):
+    # `nccalc check ... | head -1`: the listing runs to 1,387 lines, far
+    # past what the pipe holds, so its writes meet the closed pipe
+    rule = tmp_path / "ex35.json"
+    rule.write_text(run("examples", "show", "ex3.5")[1])
+    rel = tmp_path / "rels.txt"
+    rel.write_text("x1*x2 - x2*x1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nccalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nccalc.cli", "check", "--rule", str(rule),
+         "--relations", str(rel), "--max-degree", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"mode: degree-bounded\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
