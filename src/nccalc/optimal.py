@@ -196,7 +196,7 @@ violations.  Both conditions read the columns of Phi(r) = [[A(r), D(r)],
 for each generator.
 
 The listing reads them off one residual table per degree instead.  For
-every word W of degree d the table holds Dbar_k(W), the residual of
+a word W of degree d the table holds Dbar_k(W), the residual of
 D_k(W) modulo J_{d-1}, and Abar(W), whose entries are the residuals of
 those of A(W) modulo J_d.  Both follow from the table of degree d-1 by
 one product-rule step per word W = x^a * w:
@@ -209,16 +209,27 @@ That is exact because J is an ideal, so V*J_{e-1} <= J_e for V the
 linear forms: A(w) - Abar(w) has entries in J_{d-1}, so A(x^a) *
 (A(w) - Abar(w)) has entries in V*J_{d-1} <= J_d, and D_j(w) - Dbar_j(w)
 lies in J_{d-2}, so A(x^a)^j_k * (D_j(w) - Dbar_j(w)) lies in V*J_{d-2}
-<= J_{d-1}.  Dbar is ``_normal_partials`` run on all n^d words with
-J_{d-1} as its ``prev``, as ``compute_U`` runs it; Abar is the same
-step on the n columns of A, by ``_normal_images``.  Residuals are
-linear, so a basis row of J_d fails a check exactly when the int
-combination of its words' table entries is nonzero, and only a failing
-row is made a polynomial and labelled.  A table holds n^d * (n^2 + n)
-residuals, of up to codim J_{d-1} (Dbar) or codim J_d (Abar) ints
-each, and only the tables of degrees d-1 and d are alive at once.  The
-generators' own checks above, a handful of elements, keep the walk,
-where a table would cost n^deg.
+<= J_{d-1}.  Dbar is ``_normal_partials`` with J_{d-1} as its ``prev``,
+the step ``compute_U`` runs; Abar is the same step on the n columns of
+A, by ``_normal_images``.  Residuals are linear, so a basis row of J_d
+fails a check exactly when the int combination of its words' table
+entries is nonzero, and only a failing row is made a polynomial and
+labelled.
+
+A table holds n^2 + n residuals per word, of up to codim J_{d-1} (Dbar)
+or codim J_d (Abar) ints each, and only the tables of degrees d-1 and d
+are alive at once.  It pays where J_d holds most words: residuals are
+then short and one step per word serves many basis rows.  Where J_d
+holds few, the residuals are about as long as the unreduced images, and
+a table would hold n^2 + n of them per word where a walk holds one
+element's.  Since J_{d+1} holds the n independent copies x^i*J_d, J_d's
+share of the n^d words never falls as d grows.  So the degrees below
+the first where J_d holds at least half the words are listed by a walk
+per basis element, and the tables serve the degrees from there on.
+They hold the words that those degrees' basis rows use and the suffixes
+of those words, which the steps read, so a table's size follows the
+supports of J_d..J_S, not n^d.  The generators' own checks above, a
+handful of elements, keep the walk too.
 
 The slices themselves take the step that builds L_s.  A product u*r*v
 of degree d with u or v nonempty is x^a or x^b times a product of degree
@@ -267,9 +278,9 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
     (residues over F_p, with den 1).  Returns the system, one row per
     word, and ``known`` for the words.  A row holds only the nonzero
     ints of the word's n residuals over ``prev.free``: the entry of D_k
-    at free column c sits at key k*n^(s-1) + c.  ``compute_U`` and the
-    violation listing run it on every word, the listing with an ideal
-    slice J_{s-1} as ``prev``.
+    at free column c sits at key k*n^(s-1) + c.  ``compute_U`` runs it on
+    every word; the violation listing runs it with an ideal slice J_{s-1}
+    as ``prev``.
     """
     n = rule.n
     scale, p, _ = _int_images(rule)
@@ -296,14 +307,16 @@ def _normal_partials(rule: CommRule, prev: Subspace, known, words):
     return system, _lowest_table(out, lead * prev.den)
 
 
-def _normal_images(rule: CommRule, within: Subspace, known):
-    """Abar of every degree-s word modulo ``within`` = J_s, from Abar of the
-    degree-(s-1) words modulo J_{s-1} (see the module docstring).
+def _normal_images(rule: CommRule, within: Subspace, known, words):
+    """Abar of the degree-s words at the given columns modulo ``within`` =
+    J_s, from Abar of the degree-(s-1) words modulo J_{s-1} (see the
+    module docstring).
 
     ``known`` is ``(table, den)``: table[w] lists the residuals of the
     entries of A(w) as {free column: int}, entry (k, i) at (i-1)*n + k-1
     as in ``commrule._walk``, den times their values over Q (residues
-    over F_p, with den 1).  Returns ``(table, den)`` for degree s.
+    over F_p, with den 1), for each word w of degree s-1 with some x^a*w
+    among the words.  Returns ``(table, den)`` for the words.
     """
     n = rule.n
     scale, p, _ = _int_images(rule)
@@ -312,7 +325,7 @@ def _normal_images(rule: CommRule, within: Subspace, known):
     shifted = _shifted_images(rule, top)
     reduce = within._reduce_ints
     out = {}
-    for col in range(n * top):
+    for col in words:
         a, w = divmod(col, top)
         # A(x^a*w) = A(x^a)*A(w): each column of n entries takes one step
         sub = table[w]
@@ -801,8 +814,10 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
 
 def _listed_violations(rule: CommRule, slices, names=None) -> list:
     """The closure failures of every basis element of J_1..J_S, for the
-    slices J_0..J_S, from the residual tables Dbar and Abar of all words
-    (see the module docstring), in ``_closure_violations``' order.
+    slices J_0..J_S, in ``_closure_violations``' order: from the residual
+    tables Dbar and Abar of the words of degree d (see the module
+    docstring) where J_d holds at least half the n^d words, and from a
+    walk per basis element below that degree.
 
     Logs one DEBUG record per degree d on the ``nccalc`` logger: dim J_d,
     the width |free J_d| of Abar's residuals, the words in the table and
@@ -812,24 +827,33 @@ def _listed_violations(rule: CommRule, slices, names=None) -> list:
     log = logging.getLogger("nccalc")
     n, field = rule.n, rule.field
     p = slices[0]._p
+    # J_d's share of the words never falls as d grows (see the module
+    # docstring)
+    first = next((d for d in range(1, len(slices)) if 2 * slices[d].dim >= n ** d),
+                 len(slices))
     # a row's A-entries in the order listed, (k, i) at (i-1)*n + k-1
     entries = [(k, i, (i - 1) * n + k - 1) for k in range(1, n + 1) for i in range(1, n + 1)]
     violations = []
-    for d, partials, images in _residual_tables(rule, slices):
-        within = slices[d]
-        value, den = field.value, within.den
-        failing = 0
-        for row in within._int_rows():
-            failed = [("partial", k) for k in range(1, n + 1)
-                      if _combination(row, partials[0], k - 1, p)]
-            failed += [("entry", k, i) for k, i, e in entries
-                       if _combination(row, images[0], e, p)]
-            if failed:
-                # only an element that fails is labelled
-                b = NCPoly(n, field, {index_word(c, d, n): value(v, den) for c, v in row})
-                label = format_poly(b, names)
-                violations += [Violation(d, label, *f) for f in failed]
-                failing += 1
+    for d, partials, images in _residual_tables(rule, slices, first):
+        below, within = slices[d - 1], slices[d]
+        if d < first:
+            found = _closure_violations(rule, d, within.basis_polys(), below, within, names)
+            violations += found
+            failing = len({v.source for v in found})
+        else:
+            value, den = field.value, within.den
+            failing = 0
+            for row in within._int_rows():
+                failed = [("partial", k) for k in range(1, n + 1)
+                          if _combination(row, partials[0], k - 1, p)]
+                failed += [("entry", k, i) for k, i, e in entries
+                           if _combination(row, images[0], e, p)]
+                if failed:
+                    # only an element that fails is labelled
+                    b = NCPoly(n, field, {index_word(c, d, n): value(v, den) for c, v in row})
+                    label = format_poly(b, names)
+                    violations += [Violation(d, label, *f) for f in failed]
+                    failing += 1
         log.debug("listing degree %d: dim J=%d free=%d table words=%d failing=%d",
                   d, within.dim, len(within.free), len(images[0]), failing)
         # let the next degree's tables replace these
@@ -837,18 +861,39 @@ def _listed_violations(rule: CommRule, slices, names=None) -> list:
     return violations
 
 
-def _residual_tables(rule: CommRule, slices):
+def _residual_tables(rule: CommRule, slices, first):
     """Yield ``(d, Dbar, Abar)`` for d = 1..S, the ``(table, den)`` pairs
-    of ``_normal_partials`` and ``_normal_images`` on every word of degree
-    d, modulo the slices J_{d-1} and J_d of J_0..J_S.  Each degree's
-    tables replace those of the degree before."""
+    of ``_normal_partials`` and ``_normal_images`` on the words of degree
+    d that ``_listing_words`` names for ``first``, modulo the slices
+    J_{d-1} and J_d of J_0..J_S.  Each degree's tables replace those of
+    the degree before."""
     n = rule.n
+    words = _listing_words(slices, first)
     partials, images = _unit_partials(n), _unit_images(n)
     for d in range(1, len(slices)):
         if d > 1:
-            partials = _normal_partials(rule, slices[d - 1], partials, range(n ** d))[1]
-        images = _normal_images(rule, slices[d], images)
+            partials = _normal_partials(rule, slices[d - 1], partials, words[d])[1]
+        images = _normal_images(rule, slices[d], images, words.pop(d))
         yield d, partials, images
+
+
+def _listing_words(slices, first):
+    """For d = 1..S, the sorted words of degree d whose table rows are
+    read: from degree ``first`` on, those in the support of a basis row
+    of J_d, and at every degree the last d letters of those of degree
+    d+1, whose rows are built from theirs.  So the tables follow the
+    supports of J_first..J_S, not n^d."""
+    n = slices[0].n
+    words, need = {}, set()
+    for d in range(len(slices) - 1, 0, -1):
+        top = n ** d
+        need = {w % top for w in need}
+        if d >= first:
+            for piv, tail in slices[d].tails.items():
+                need.add(piv)
+                need.update(c for c, _ in tail)
+        words[d] = sorted(need)
+    return words
 
 
 def _combination(row, table, e, p):

@@ -45,13 +45,33 @@ def test_seeded_relations_listing_matches_the_walk(name, deg):
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:10007"])
-def test_three_generator_listing_matches_the_walk(field):
+@pytest.mark.parametrize("pairs", [[(1, 2)], [(1, 2), (1, 3), (2, 3)]], ids=["xy", "all"])
+def test_three_generator_listing_matches_the_walk(field, pairs):
+    # x*y - y*x alone leaves J_d under half the words up to degree 5, so
+    # every degree is walked; with all three commutators the tables list
+    # from degree 3 on
     doc = parse_rule_dict({"n": 3, "field": field, "vars": ["x", "y", "z"],
                            "A": _CI_IMAGES})
     rule = doc.rule
-    comm = _commutator(rule.field, 3)
-    got = check_consistent_ideal(rule, [comm], 5, names=doc.var_names).violations
-    assert got and got == walk_listing_violations(rule, [comm], 5, doc.var_names)
+    gens = [NCPoly.gen(3, i, rule.field) for i in (1, 2, 3)]
+    rels = [gens[i - 1] * gens[j - 1] - gens[j - 1] * gens[i - 1] for i, j in pairs]
+    got = check_consistent_ideal(rule, rels, 5, names=doc.var_names).violations
+    assert got and got == walk_listing_violations(rule, rels, 5, doc.var_names)
+
+
+def test_sparse_ideal_is_walked_without_tables(caplog):
+    # one degree-5 relation leaves J_d far under half the words up to
+    # degree 8: no degree builds a table, and the listing is the walk's
+    caplog.set_level(logging.DEBUG, logger="nccalc")
+    rule = build_example("thm4.1-I")
+    x1, x2 = NCPoly.gen(2, 1, QQ), NCPoly.gen(2, 2, QQ)
+    rel = x1 ** 4 * x2 - x2 * x1 ** 4 + x1 * x2 ** 4
+    got = check_consistent_ideal(rule, [rel], 8).violations
+    assert got and got == walk_listing_violations(rule, [rel], 8)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "nccalc" and r.getMessage().startswith("listing")]
+    assert len(messages) == 8
+    assert all("table words=0 " in m for m in messages)
 
 
 # every example over every field, but ex3.1-diag's q grid holds 1/2,
@@ -62,8 +82,10 @@ _EXAMPLES_OVER = [(name, field) for field in (QQ, GF(2), GF(3), GF(10007))
 
 @pytest.mark.parametrize("name, field", _EXAMPLES_OVER, ids=str)
 def test_table_rows_are_the_walked_columns_reduced(name, field):
-    # every word's Dbar and Abar are its walked D and A, reduced modulo the
-    # slices of an ideal J with a commutator and a seeded cubic
+    # every table word's Dbar and Abar are its walked D and A, reduced
+    # modulo the slices of an ideal J with a commutator and a seeded cubic;
+    # the tables hold J_d's support from degree 4 on and, at every degree,
+    # the suffixes of the words one degree up, and no other word
     rule = build_example(name, field)
     n = rule.n
     rng = random.Random(4700)
@@ -71,10 +93,12 @@ def test_table_rows_are_the_walked_columns_reduced(name, field):
     slices = [Subspace.zero(n, 0, field)]
     _extend_slices(slices, gens, 6)
     assert 0 < slices[6].dim < n ** 6
-    for d, (partials, pden), (images, aden) in _residual_tables(rule, slices):
-        assert len(partials) == len(images) == n ** d
+    held = {}
+    for d, (partials, pden), (images, aden) in _residual_tables(rule, slices, 4):
+        assert set(partials) == set(images)
+        held[d] = set(images)
         below, within = slices[d - 1], slices[d]
-        for col in range(n ** d):
+        for col in images:
             cols, scale, p = _walk(rule, {index_word(col, d, n): 1}, 1, True, True)
             for e, walked in enumerate(cols):
                 space, table, den = ((below, partials, pden) if e >= n * n
@@ -83,6 +107,10 @@ def test_table_rows_are_the_walked_columns_reduced(name, field):
                 got = field.values([row.get(c, 0) for c in space.free], den)
                 poly = NCPoly(n, field, _to_field(walked, scale, p))
                 assert got == space.residual(poly), (d, col, e)
+    for d in range(1, 7):
+        support = {c for row in slices[d]._int_rows() for c, _ in row} if d >= 4 else set()
+        above = {w % n ** d for w in held.get(d + 1, ())}
+        assert held[d] == support | above, d
 
 
 def test_debug_log_has_one_record_per_listed_degree(caplog):
@@ -91,12 +119,15 @@ def test_debug_log_has_one_record_per_listed_degree(caplog):
     rep = check_consistent_ideal(rule, [_commutator(QQ)], 4)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "nccalc" and r.getMessage().startswith("listing")]
-    # J is the commutator ideal: dim J_d = 2^d - (d+1)
+    # J is the commutator ideal: dim J_d = 2^d - (d+1).  J_1 and J_2 hold
+    # fewer than half the words and are walked; the tables hold their words
+    # as suffixes.  J_4's rows hold every word but x1^4 and x2^4.
     assert messages[:2] == [
         "listing degree 1: dim J=0 free=2 table words=2 failing=0",
         "listing degree 2: dim J=1 free=3 table words=4 failing=1"]
     assert len(messages) == 4
     for d, message in enumerate(messages, 1):
         failing = len({v.source for v in rep.violations if v.degree == d})
+        words = 2 ** d - 2 if d == 4 else 2 ** d
         assert message == (f"listing degree {d}: dim J={2 ** d - d - 1} free={d + 1} "
-                           f"table words={2 ** d} failing={failing}")
+                           f"table words={words} failing={failing}")
