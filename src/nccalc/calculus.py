@@ -16,50 +16,40 @@ n derivatives of w.
   its words, O(d*n^(d+2)) work for a dense degree-d polynomial instead
   of Theta(n^(2d)) word by word, and no Python recursion per letter, so
   long words are fine.
-* ``word_partials`` memoizes the derivatives of single words per suffix
-  on the rule instance, as polynomials; on ints a word of length m
-  carries L^(m-1), L the lcm of the image coefficients' denominators.
+* ``word_partials`` takes the derivatives of a single word by that step,
+  one letter at a time from the last, on ints, and makes polynomials of
+  them once at the end; a suffix of length m carries L^(m-1), L the lcm
+  of the image coefficients' denominators.  It keeps no table, and it
+  shares only ``_prepend`` with the walk.
 """
 
 from __future__ import annotations
 
 from .commrule import (CommRule, _int_images, _int_terms, _poly, _prepend, _reduced,
-                       _to_field, _to_ints, _walk)
+                       _to_field, _walk)
 from .freealg import NCPoly, check_letters, dot
 
 
 def word_partials(rule: CommRule, w) -> tuple:
     """All n partial derivatives of a single word, as a tuple indexed by k-1.
 
-    Memoized per suffix on the rule: the table is filled from the longest
-    cached suffix of w, one letter at a time, in a loop.
+    One product-rule step per letter, from the last, in a loop: the
+    suffix of length m holds L^(m-1) times its derivatives on ints.
     """
-    cache = rule._word_partials
-    got = cache.get(w)
-    if got is not None:
-        return got
     n = rule.n
     check_letters(w, n)
-    start = 0
-    while got is None and start < len(w):
-        start += 1
-        got = cache.get(w[start:])
-    if got is None:
-        got = cache[()] = (NCPoly.zero(n, rule.field),) * n
     scale, p, table = _int_images(rule)
-    # the cached suffix carries L^(length - 1) times its value
-    sub = [_to_ints(d.terms, scale ** max(len(w) - start - 1, 0), p) for d in got]
-    for i in range(start - 1, -1, -1):
+    # the derivatives of the empty word
+    sub, mult = [{}] * n, 1
+    for i in range(len(w) - 1, -1, -1):
         a = w[i]
-        mult = scale ** (len(w) - i - 1)
         acc = [{} for _ in range(n)]
         acc[a - 1][w[i + 1:]] = mult
         _prepend(table, a, sub, acc)
-        if p is not None:
-            acc = _reduced(acc, p)
-        got = cache[w[i:]] = tuple(_poly(rule, _to_field(d, mult, p)) for d in acc)
-        sub = acc
-    return got
+        sub = acc if p is None else _reduced(acc, p)
+        if i:
+            mult *= scale
+    return tuple(_poly(rule, _to_field(d, mult, p)) for d in sub)
 
 
 def _partials(rule: CommRule, f: NCPoly):

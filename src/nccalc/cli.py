@@ -188,7 +188,8 @@ def cmd_ideal(args) -> int:
 
 def _load_relations(path, doc):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is dropped
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as e:
         raise RuleFileError(f"cannot read relations file: {e}") from None

@@ -21,7 +21,8 @@ evaluates the columns asked for over the prefix trie of f's words, in
 a loop, each by the same step ``_prepend``; f itself is never carried.
 ``CommRule.apply`` asks for A, ``calculus`` for D, and the closure
 checks of ``optimal`` on single elements for both.  ``optimal``'s
-residual tables take the same step, word by word.
+residual tables take the same step, word by word, and so does
+``calculus.word_partials``, letter by letter.
 
 The arithmetic runs on plain ``int`` coefficients, never on field
 objects, so no multiply-add builds a ``Fraction`` or normalises by a
@@ -134,17 +135,12 @@ class CommRule:
     (zero or homogeneous of degree 1); only such rules feed the ideal
     construction, while derivatives work for any rule.
 
-    Instances are immutable.  Two caches, each filled on first use,
-    memoize pure results, so concurrent use can at worst duplicate work:
-    the integer form of the images (``_int_images``) and the derivatives
-    of single words as polynomials, keyed by word
-    (``calculus.word_partials`` fills ``_word_partials``).  The
-    derivative table grows with every word asked for and is never
-    trimmed.
+    Instances are immutable.  One cache, filled on first use, memoizes
+    the integer form of the images (``_int_images``), a pure result, so
+    concurrent use can at worst duplicate work.
     """
 
-    __slots__ = ("n", "field", "images", "homogeneous",
-                 "_word_partials", "_int_images")
+    __slots__ = ("n", "field", "images", "homogeneous", "_int_images")
 
     def __init__(self, images):
         images = tuple(images)
@@ -164,7 +160,6 @@ class CommRule:
         self.images = images
         self.homogeneous = all(
             e.is_homogeneous(1) for m in images for r in m.rows for e in r)
-        self._word_partials = {}
         self._int_images = None
 
     @classmethod
@@ -340,8 +335,8 @@ def _prepend(table, a, sub, acc):
 
     ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
     is updated in place and may gain zero values.  Keys only need ``+``:
-    ``optimal._normal_partials`` and ``_normal_images`` pass dicts keyed
-    by column and a table whose words are column offsets.
+    ``optimal._normal_step`` passes dicts keyed by column and a table
+    whose words are column offsets.
     """
     for row, out in zip(table[a - 1], acc):
         get = out.get

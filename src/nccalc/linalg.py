@@ -713,6 +713,7 @@ class Subspace:
 
     def residual(self, poly: NCPoly) -> list:
         """Residual of a polynomial of this degree, as a list over ``free``."""
+        self._check_poly(poly)
         d, n = self.degree, self.n
         return self.residual_of([(word_index(w, d, n), c) for w, c in poly.terms.items()])
 
@@ -728,8 +729,10 @@ class Subspace:
     def contains(self, poly: NCPoly):
         """Membership test for a homogeneous polynomial of matching degree.
 
-        The zero polynomial belongs to every subspace.
+        The zero polynomial of the subspace's algebra belongs to every
+        subspace.
         """
+        self._check_poly(poly)
         if not poly:
             return True
         if not poly.is_homogeneous(self.degree):
@@ -756,6 +759,12 @@ class Subspace:
                 f"degree {other.degree} over n={other.n}")
         if self.field != other.field:
             raise ValueError("subspace coefficient fields differ")
+
+    def _check_poly(self, poly: NCPoly):
+        if poly.n != self.n:
+            raise ValueError(f"polynomial has {poly.n} generators, subspace has {self.n}")
+        if poly.field != self.field:
+            raise ValueError("polynomial and subspace coefficient fields differ")
 
     def kernel_of(self, residuals):
         """Kernel of a linear map restricted to this subspace.

@@ -66,25 +66,25 @@ All of it runs on ints.  Over F_p they are residues.  Over Q the
 images' coefficients carry L, the lcm of their denominators, the
 residuals of the degree before carry their least common denominator E,
 and the tails of I_{s-1} their common denominator D, so every residual
-of degree s is L*E*D times its true value.  The factor is one nonzero
-constant for the whole system, so its kernel C does not change, and the
-residuals kept for the next degree are put over their least common
-denominator again.  Only C's basis, usually empty or tiny, is made of
-field elements.  (``compute_U`` runs the same recursion on every word:
-modulo zero subspaces below degree s, where every word is normal and
-the table holds the derivatives themselves, then once modulo its
-``prev`` at degree s.)
+of degree s is L*E*D times its true value.  They are put over their
+least common denominator again, which divides every one by the same
+constant: the system built from them has one nonzero factor in place
+of the true values, so its kernel C does not change.  Only C's basis,
+usually empty or tiny, is made of field elements.  (``compute_U`` runs
+the same recursion on every word: modulo zero subspaces below degree s,
+where every word is normal and the table holds the derivatives
+themselves, then once modulo its ``prev`` at degree s.)
 
 The system stays sparse from the recursion to the kernel step.  Each
 residual is a dict of its nonzero ints keyed by normal word, the same
 dicts serve as the next degree's table, and a word's row of the system
-joins its n residuals under disjoint keys.  ``Subspace.kernel_of``
-peels the system before any elimination (see ``linalg``): an equation
-with one word fixes that word at zero, and only the core on the words
-left over is eliminated.  For the zero rule D_k(x^a * w) = delta_ak * w,
-so every row holds one entry and every equation one word; the peel fixes
-every word, and each degree of its free quotient costs time and memory
-linear in 2^s.
+joins its n residuals under disjoint keys (``_derivative_rows``).
+``Subspace.kernel_of`` peels the system before any elimination (see
+``linalg``): an equation with one word fixes that word at zero, and only
+the core on the words left over is eliminated.  For the zero rule
+D_k(x^a * w) = delta_ak * w, so every row holds one entry and every
+equation one word; the peel fixes every word, and each degree of its
+free quotient costs time and memory linear in 2^s.
 
 Free degrees of a dense rule take packed rows instead.  While
 I_1 = ... = I_{s-1} = 0, every word is normal, L_s = 0, and the table
@@ -209,12 +209,13 @@ That is exact because J is an ideal, so V*J_{e-1} <= J_e for V the
 linear forms: A(w) - Abar(w) has entries in J_{d-1}, so A(x^a) *
 (A(w) - Abar(w)) has entries in V*J_{d-1} <= J_d, and D_j(w) - Dbar_j(w)
 lies in J_{d-2}, so A(x^a)^j_k * (D_j(w) - Dbar_j(w)) lies in V*J_{d-2}
-<= J_{d-1}.  Dbar is ``_normal_partials`` with J_{d-1} as its ``prev``,
-the step ``compute_U`` runs; Abar is the same step on the n columns of
-A, by ``_normal_images``.  Residuals are linear, so a basis row of J_d
-fails a check exactly when the int combination of its words' table
-entries is nonzero, and only a failing row is made a polynomial and
-labelled.
+<= J_{d-1}.  The two are column blocks of Phi(x^a * w) = Phi(x^a) *
+Phi(w) (see ``commrule``), so one step, ``_normal_step``, gives both:
+on the D column modulo J_{d-1}, the step the filtration and
+``compute_U`` run, and on the n columns of A modulo J_d.  Residuals
+are linear, so a basis row of J_d fails a check exactly when the int
+combination of its words' table entries is nonzero, and only a failing
+row is made a polynomial and labelled.
 
 A table holds n^2 + n residuals per word, of up to codim J_{d-1} (Dbar)
 or codim J_d (Abar) ints each, and only the tables of degrees d-1 and d
@@ -267,75 +268,53 @@ def _require_homogeneous(rule: CommRule):
             "(every image entry a linear form)")
 
 
-def _normal_partials(rule: CommRule, prev: Subspace, known, words):
-    """The derivative system of the degree-s words at the given columns
-    modulo ``prev`` = I_{s-1}, by the recursion on normal words (see the
-    module docstring).
+def _normal_step(rule: CommRule, space: Subspace, known, words, derivatives):
+    """The residual table of the degree-s words at the given columns, from
+    that of the degree s-1, by one product-rule step per word x^a * w
+    (see the module docstring): of the n derivatives modulo ``space`` =
+    I_{s-1} or J_{s-1} with ``derivatives``, else of the n^2 entries of A
+    modulo ``space`` = J_s.
 
     ``known`` is ``(table, den)``: for each word w of degree s-1 with
-    some x^a*w among the words, table[w][j] is the residual of D_j(w)
-    modulo I_{s-2} as {free column: int}, den times its values over Q
-    (residues over F_p, with den 1).  Returns the system, one row per
-    word, and ``known`` for the words.  A row holds only the nonzero
-    ints of the word's n residuals over ``prev.free``: the entry of D_k
-    at free column c sits at key k*n^(s-1) + c.  ``compute_U`` runs it on
-    every word; the violation listing runs it with an ideal slice J_{s-1}
-    as ``prev``.
+    some x^a*w among the words, table[w] lists the residuals of w's
+    derivatives or entries, one degree down, as {free column: int}, den
+    times their values over Q (residues over F_p, with den 1); entry
+    (k, i) of A sits at (i-1)*n + k-1, as in ``commrule._walk``.
+    Returns ``(table, den)`` for the words.
     """
     n = rule.n
     scale, p, _ = _int_images(rule)
     table, den = known
-    shifted = _shifted_images(rule, n ** (prev.degree - 1))
-    top = n ** prev.degree
-    # D_k's free column c goes to key k*top + c of the word's row
-    offsets = [k * top for k in range(n)]
+    # the table's entries, of D or of A, have degree space.degree - 1
+    shifted = _shifted_images(rule, n ** (space.degree - 1))
+    top = n ** (space.degree if derivatives else space.degree - 1)
+    width = n if derivatives else n * n
     lead = 1 if p is not None else scale * den
-    reduce = prev._reduce_ints
-    system, out = [], {}
-    for col in words:
-        a, w = divmod(col, top)
-        # D_k(x^a*w) = delta_ak*w + sum_j A(x^a)^j_k*D_j(w), on lead times
-        # its values
-        acc = [{} for _ in range(n)]
-        acc[a][w] = lead
-        _prepend(shifted[a], 1, table[w], acc)
-        out[col] = res = [reduce(d.items()) for d in acc]
-        system.append({off + c: x for off, d in zip(offsets, res) for c, x in d.items()})
-    if p is not None:
-        return system, (out, 1)
-    # the next table carries lead * prev.den
-    return system, _lowest_table(out, lead * prev.den)
-
-
-def _normal_images(rule: CommRule, within: Subspace, known, words):
-    """Abar of the degree-s words at the given columns modulo ``within`` =
-    J_s, from Abar of the degree-(s-1) words modulo J_{s-1} (see the
-    module docstring).
-
-    ``known`` is ``(table, den)``: table[w] lists the residuals of the
-    entries of A(w) as {free column: int}, entry (k, i) at (i-1)*n + k-1
-    as in ``commrule._walk``, den times their values over Q (residues
-    over F_p, with den 1), for each word w of degree s-1 with some x^a*w
-    among the words.  Returns ``(table, den)`` for the words.
-    """
-    n = rule.n
-    scale, p, _ = _int_images(rule)
-    table, den = known
-    top = n ** (within.degree - 1)
-    shifted = _shifted_images(rule, top)
-    reduce = within._reduce_ints
+    reduce = space._reduce_ints
     out = {}
     for col in words:
         a, w = divmod(col, top)
-        # A(x^a*w) = A(x^a)*A(w): each column of n entries takes one step
+        # D_k(x^a*w) = delta_ak*w + sum_j A(x^a)^j_k*D_j(w) and
+        # A(x^a*w) = A(x^a)*A(w), on lead times their values: each column
+        # of n entries takes one step
         sub = table[w]
-        acc = [{} for _ in range(n * n)]
-        for c in range(0, n * n, n):
+        acc = [{} for _ in range(width)]
+        if derivatives:
+            acc[a][w] = lead
+        for c in range(0, width, n):
             _prepend(shifted[a], 1, sub[c:c + n], acc[c:c + n])
         out[col] = [reduce(d.items()) for d in acc]
     if p is not None:
         return out, 1
-    return _lowest_table(out, scale * den * within.den)
+    return _lowest_table(out, lead * space.den)
+
+
+def _derivative_rows(table, words, top):
+    """The derivative system of the words, one row per word, from their
+    Dbar rows modulo a space of n^(s-1) = ``top`` words: the entry of D_k
+    at free column c sits at key k*top + c."""
+    return [{k * top + c: x for k, d in enumerate(table[w]) for c, x in d.items()}
+            for w in words]
 
 
 def _shifted_images(rule: CommRule, shift):
@@ -358,14 +337,14 @@ def _lowest_table(out, den):
 
 
 def _unit_partials(n):
-    """``_normal_partials``' table of degree 1: D_j(x^w) = delta_jw, the
-    empty word at column 0 of degree 0."""
+    """The Dbar table of degree 1: D_j(x^w) = delta_jw, the empty word at
+    column 0 of degree 0."""
     return {w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1
 
 
 def _unit_images(n):
-    """``_normal_images``' table of degree 0: A of the empty word is the
-    identity, at column 0."""
+    """The Abar table of degree 0: A of the empty word is the identity, at
+    column 0."""
     return {0: [{0: 1} if i % (n + 1) == 0 else {} for i in range(n * n)]}, 1
 
 
@@ -440,7 +419,7 @@ def _packed_partials(rule, rows, den, last):
 
 
 def _partials_table(rows, den, n, words):
-    """``_normal_partials``' table for the given words of a free degree,
+    """The Dbar table of ``_normal_step`` for the given words of a free degree,
     from the rows of its equations: the inverse of ``_equation_rows``."""
     top = len(rows) // n
     cols = list(zip(*rows))
@@ -451,9 +430,9 @@ def _partials_table(rows, den, n, words):
 def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     """Degree-s polynomials whose every partial derivative lies in prev.
 
-    ``_normal_partials`` builds the exact derivative tables of degrees
-    2..s-1 modulo zero subspaces, then the system of all n^s words
-    modulo prev, whose kernel on the full component is U_s.
+    ``_normal_step`` builds the exact derivative tables of degrees 2..s-1
+    modulo zero subspaces, then the residuals of all n^s words modulo
+    prev, whose system has the kernel U_s on the full component.
     """
     _require_homogeneous(rule)
     if s < 2:
@@ -462,10 +441,10 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
         raise ValueError(f"previous component must live at degree {s - 1}")
     n, field = rule.n, rule.field
     known = _unit_partials(n)
-    for d in range(2, s):
-        known = _normal_partials(rule, Subspace.zero(n, d - 1, field), known,
-                                 range(n ** d))[1]
-    system = _normal_partials(rule, prev, known, range(n ** s))[0]
+    for d in range(2, s + 1):
+        known = _normal_step(rule, prev if d == s else Subspace.zero(n, d - 1, field),
+                             known, range(n ** d), True)
+    system = _derivative_rows(known[0], range(n ** s), n ** (s - 1))
     return Subspace.full(n, s, field).kernel_of(system)
 
 
@@ -515,6 +494,10 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
     loop terminates within dim(space) + 1 rounds.
     """
     _require_homogeneous(rule)
+    if space.n != rule.n:
+        raise ValueError(f"space has {space.n} generators, rule has {rule.n}")
+    if space.field != rule.field:
+        raise ValueError("space and rule coefficient fields differ")
     return _closed_complement(rule, Subspace.zero(space.n, space.degree, space.field),
                               space)[0]
 
@@ -615,7 +598,8 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
             peeled, core = 0, (len(eqs), len(l_s.free))
         else:
             l_s, shifted = _ideal_slice(comps[-1])
-            system, known = _normal_partials(rule, comps[-1], known, l_s.free)
+            known = _normal_step(rule, comps[-1], known, l_s.free, True)
+            system = _derivative_rows(known[0], l_s.free, n ** (s - 1))
             if s == max_degree:
                 # no degree reads this table: free it before the kernel step
                 known = None
@@ -863,17 +847,16 @@ def _listed_violations(rule: CommRule, slices, names=None) -> list:
 
 def _residual_tables(rule: CommRule, slices, first):
     """Yield ``(d, Dbar, Abar)`` for d = 1..S, the ``(table, den)`` pairs
-    of ``_normal_partials`` and ``_normal_images`` on the words of degree
-    d that ``_listing_words`` names for ``first``, modulo the slices
-    J_{d-1} and J_d of J_0..J_S.  Each degree's tables replace those of
-    the degree before."""
+    of ``_normal_step`` on the words of degree d that ``_listing_words``
+    names for ``first``, modulo the slices J_{d-1} and J_d of J_0..J_S.
+    Each degree's tables replace those of the degree before."""
     n = rule.n
     words = _listing_words(slices, first)
     partials, images = _unit_partials(n), _unit_images(n)
     for d in range(1, len(slices)):
         if d > 1:
-            partials = _normal_partials(rule, slices[d - 1], partials, words[d])[1]
-        images = _normal_images(rule, slices[d], images, words.pop(d))
+            partials = _normal_step(rule, slices[d - 1], partials, words[d], True)
+        images = _normal_step(rule, slices[d], images, words.pop(d), False)
         yield d, partials, images
 
 

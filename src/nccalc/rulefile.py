@@ -148,7 +148,8 @@ def _too_deep(text):
 
 def load_rule(path) -> RuleDocument:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is dropped, as RFC 8259 allows
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise RuleFileError(f"cannot read rule file: {e}") from None

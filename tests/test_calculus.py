@@ -26,7 +26,7 @@ from nccalc import (
 from nccalc.commrule import _int_images, _int_terms, _poly, _to_field, _walk
 from nccalc.examples import build_example
 from nccalc.freealg import index_word, word_index
-from nccalc.optimal import _normal_partials, _unit_partials
+from nccalc.optimal import _normal_step, _unit_partials
 from nccalc.rulefile import parse_rule_dict
 from helpers import (
     field_partials,
@@ -383,21 +383,20 @@ def test_word_partials_of_long_words():
     m = 1500
     ones = (1,) * m
     assert word_partials(r, ones) == (NCPoly.from_word(2, ones[1:]), NCPoly.zero(2))
-    # filled from the cached suffix x1^1500
     assert word_partials(r, (2,) + ones) == (NCPoly.zero(2), NCPoly.from_word(2, ones))
 
 
 def test_word_partials_table_matches_whole_polynomial_derivatives():
-    # every suffix entry the table holds, filled from long and short words
-    # in random order, equals the prefix-trie derivative of that word
+    # the letter-by-letter derivatives of every suffix of random words, long
+    # and short, equal the prefix-trie derivatives of that suffix
     rng = random.Random(6200)
     for name in ("thm4.1-I", "ex3.5"):
-        rule, fresh = build_example(name), build_example(name)
+        rule = build_example(name)
         for _ in range(40):
-            word_partials(rule, tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7))))
-        for w, parts in rule._word_partials.items():
-            f = NCPoly.from_word(2, w)
-            assert parts == tuple(partial(fresh, k, f) for k in (1, 2))
+            w = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7)))
+            for i in range(len(w) + 1):
+                f = NCPoly.from_word(2, w[i:])
+                assert word_partials(rule, w[i:]) == tuple(partial(rule, k, f) for k in (1, 2))
 
 
 def _same_terms(got, want):
@@ -480,7 +479,6 @@ def test_invalid_letters_are_refused():
         # a polynomial built around from_word is refused by the derivative
         with pytest.raises(ValueError, match=f"letter {bad} out of range 1..2"):
             partial(rule, 1, NCPoly(2, QQ, {w: Fraction(1)}))
-    assert rule._word_partials == {}
 
 
 # a diagonal rule whose image denominators have lcm L = 420
@@ -504,7 +502,7 @@ def test_long_words_under_a_scaled_rule():
     d2 = q21 ** a * _geometric(q22, b) * NCPoly.from_word(2, w[:-1])
     assert word_partials(rule, w) == (d1, d2)
     assert rule._int_images[0] == 420
-    # one letter more, from the cached suffix
+    # one letter more
     x2 = NCPoly.gen(2, 2)
     assert word_partials(rule, (2,) + w) == (q12 * x2 * d1,
                                              NCPoly.from_word(2, w) + q22 * x2 * d2)
@@ -573,7 +571,7 @@ def test_column_table_matches_word_partials(name):
     known = _unit_partials(n)
     for m in range(2, 6):
         prev = Subspace.zero(n, m - 1, field)
-        known = _normal_partials(rule, prev, known, range(n ** m))[1]
+        known = _normal_step(rule, prev, known, range(n ** m), True)
         table, den = known
         assert sorted(table) == list(range(n ** m))
         for col, got in table.items():

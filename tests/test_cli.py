@@ -600,6 +600,29 @@ def test_relations_file_that_is_not_utf8_exits_1(tmp_path):
     assert err.startswith(f"nccalc: error: cannot read relations file: {_NOT_UTF8}")
 
 
+def test_byte_order_marks_are_ignored(tmp_path):
+    # some editors save UTF-8 with a leading byte-order mark; a rule file
+    # and a relations file with one read as the plain files do
+    code, doc, _ = run("examples", "show", "ex3.5")
+    assert code == 0
+    plain, marked = tmp_path / "rule.json", tmp_path / "bom.json"
+    plain.write_text(doc, encoding="utf-8")
+    marked.write_text(doc, encoding="utf-8-sig")
+    rels, rels_marked = tmp_path / "rels.txt", tmp_path / "bom.txt"
+    rels.write_text("x1*x2 - x2*x1\n", encoding="utf-8")
+    rels_marked.write_text("x1*x2 - x2*x1\n", encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert rels_marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    ideal = ["ideal", "--max-degree", "4", "--basis", "--json"]
+    check = ["check", "--max-degree", "4"]
+    want_ideal = run(*ideal, "--rule", str(plain))
+    want_check = run(*check, "--rule", str(plain), "--relations", str(rels))
+    assert want_ideal[0] == 0 and "verdict: inconsistent" in want_check[1]
+    assert run(*ideal, "--rule", str(marked)) == want_ideal
+    for rule, rel in ((marked, rels), (plain, rels_marked), (marked, rels_marked)):
+        assert run(*check, "--rule", str(rule), "--relations", str(rel)) == want_check
+
+
 def test_deeply_nested_rule_file_exits_1(tmp_path):
     # 5,000 levels, refused before the JSON decoder reads them
     deep = tmp_path / "deep.json"

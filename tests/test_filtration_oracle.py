@@ -17,8 +17,8 @@ from nccalc import (GF, QQ, FpElement, IdealPropertyViolation, Subspace, builtin
                     optimal, optimal_ideal, parse_expr, word_partials)
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
-from nccalc.optimal import (_equation_rows, _ideal_slice, _normal_partials, _packed_partials,
-                            _partials_table, _unit_partials)
+from nccalc.optimal import (_derivative_rows, _equation_rows, _ideal_slice, _normal_step,
+                            _packed_partials, _partials_table, _unit_partials)
 from nccalc.rulefile import parse_rule_dict
 from helpers import (dense_ideal_component, dense_ideal_slice, dense_optimal_ideal,
                      random_homogeneous_rule, random_invertible, rule_over)
@@ -153,7 +153,8 @@ def test_normal_word_derivatives_match_word_table(field):
         for s in range(2, 7):
             prev = comps[s - 2]
             words = _ideal_slice(prev)[0].free
-            system, known = _normal_partials(rule, prev, known, words)
+            known = _normal_step(rule, prev, known, words, True)
+            system = _derivative_rows(known[0], words, prev.ambient_dim)
             table, den = known
             factor = None
             for col, row in zip(words, system):
@@ -186,7 +187,8 @@ def test_zero_rule_derivative_rows_hold_one_entry(field):
     for s in range(2, 10):
         prev = Subspace.zero(2, s - 1, field)
         words = _ideal_slice(prev)[0].free
-        system, known = _normal_partials(rule, prev, known, words)
+        known = _normal_step(rule, prev, known, words, True)
+        system = _derivative_rows(known[0], words, prev.ambient_dim)
         assert len(system) == 2 ** s
         assert all(len(row) == 1 for row in system)
         _, peeled, core = Subspace.coordinate(2, s, field, words)._kernel(system)
@@ -335,7 +337,7 @@ def test_packed_prefix_hands_over_to_the_table(n, p, seed, dims, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
 def test_packed_rows_match_the_table_recursion(field, monkeypatch):
     # the packed recursion, read back into a table, is the table that
-    # _normal_partials builds from the same table, den included.  The
+    # _normal_step builds from the same table, den included.  The
     # basis change has large denominators, so over Q the fields of
     # degree 5 need more than 64 bits
     widths = []
@@ -355,7 +357,7 @@ def test_packed_rows_match_the_table_recursion(field, monkeypatch):
             if s > 2:
                 rows = _packed_partials(rule, *_equation_rows(known, n), False)
                 got = _partials_table(*rows, n, words)
-            known = _normal_partials(rule, prev, known, words)[1]
+            known = _normal_step(rule, prev, known, words, True)
             if s > 2:
                 assert got == known
     if field == QQ:

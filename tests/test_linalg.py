@@ -256,6 +256,29 @@ def test_shape_mismatch_rejected():
         W1.equal(W2)
 
 
+def test_polynomials_from_another_algebra_are_refused():
+    # x1*x2 over two generators is not a vector of the span of x1*x2 over
+    # three; membership, residuals and preimages refuse it, like a
+    # polynomial over Q against a subspace over F_5
+    W = Subspace.span([x(3, 1, 2)], 2, n=3, field=QQ)
+    zero5 = Subspace.zero(2, 2, GF(5))
+    cases = [(W, x(2, 1, 2), "polynomial has 2 generators, subspace has 3"),
+             (W, NCPoly.zero(2), "polynomial has 2 generators, subspace has 3"),
+             (W, NCPoly.from_word(3, (1, 2), GF(5)),
+              "polynomial and subspace coefficient fields differ"),
+             (zero5, x(2, 1, 2), "polynomial and subspace coefficient fields differ")]
+    for space, poly, message in cases:
+        with pytest.raises(ValueError, match=message):
+            space.contains(poly)
+        with pytest.raises(ValueError, match=message):
+            space.residual(poly)
+        with pytest.raises(ValueError, match=message):
+            preimage([poly] * space.n ** 2, space, 2, space.n, space.field)
+    # the polynomials of the subspace's own algebra still pass
+    assert W.contains(x(3, 1, 2)) and not W.contains(x(3, 2, 1))
+    assert zero5.residual(NCPoly.from_word(2, (1, 2), GF(5)))[1] == GF(5).one
+
+
 # ---- the modular rref against the Fraction elimination ----
 
 def assert_same_rref(rows):

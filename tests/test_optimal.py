@@ -75,6 +75,17 @@ def test_largest_invariant_fixtures():
     assert largest_invariant(r, u).equal(u)
 
 
+def test_largest_invariant_refuses_a_space_of_another_algebra():
+    # the rule has two generators over Q: a space over three generators,
+    # or over F_5, is no subspace its matrices act on
+    rule = build_example("thm4.1-I")
+    with pytest.raises(ValueError, match="space has 3 generators, rule has 2"):
+        largest_invariant(rule, Subspace.full(3, 2, QQ))
+    with pytest.raises(ValueError, match="space and rule coefficient fields differ"):
+        largest_invariant(rule, Subspace.full(2, 2, GF(5)))
+    assert largest_invariant(rule, Subspace.full(2, 2, QQ)).dim == 4
+
+
 def test_largest_invariant_strict_shrink():
     r = strict_fixpoint_rule()
     u = compute_U(r, 2, Subspace.zero(2, 1, QQ))
