@@ -11,52 +11,31 @@ triangular homomorphism Phi(f) = [[A(f), D(f)], [0, f]] (see
 ``commrule``), and each is computed by one step: prepending x^a to the
 n derivatives of w.
 
-* ``_partials`` takes the D column of ``commrule._walk``: all n
-  derivatives of a whole polynomial in one pass over the prefix trie of
-  its words, O(d*n^(d+2)) work for a dense degree-d polynomial instead
-  of Theta(n^(2d)) word by word, and no Python recursion per letter, so
-  long words are fine.
-* ``word_partials`` takes the derivatives of a single word by that step,
-  one letter at a time from the last, on ints, and makes polynomials of
-  them once at the end; a suffix of length m carries L^(m-1), L the lcm
-  of the image coefficients' denominators.  It keeps no table, and it
-  shares only ``_prepend`` with the walk.
+``_partials`` takes the D column of ``commrule._walk``: all n
+derivatives of a whole polynomial in one pass over the prefix trie of
+its words, O(d*n^(d+2)) work for a dense degree-d polynomial instead of
+Theta(n^(2d)) word by word, and no Python recursion per letter, so long
+words are fine.  ``word_partials`` is the same walk on a single word.
 """
 
 from __future__ import annotations
 
-from .commrule import (CommRule, _int_images, _int_terms, _poly, _prepend, _reduced,
-                       _to_field, _walk)
+from .commrule import CommRule, _int_terms, _poly, _walk
 from .freealg import NCPoly, check_letters, dot
 
 
 def word_partials(rule: CommRule, w) -> tuple:
-    """All n partial derivatives of a single word, as a tuple indexed by k-1.
-
-    One product-rule step per letter, from the last, in a loop: the
-    suffix of length m holds L^(m-1) times its derivatives on ints.
-    """
-    n = rule.n
-    check_letters(w, n)
-    scale, p, table = _int_images(rule)
-    # the derivatives of the empty word
-    sub, mult = [{}] * n, 1
-    for i in range(len(w) - 1, -1, -1):
-        a = w[i]
-        acc = [{} for _ in range(n)]
-        acc[a - 1][w[i + 1:]] = mult
-        _prepend(table, a, sub, acc)
-        sub = acc if p is None else _reduced(acc, p)
-        if i:
-            mult *= scale
-    return tuple(_poly(rule, _to_field(d, mult, p)) for d in sub)
+    """All n partial derivatives of a single word, as a tuple indexed by k-1:
+    the walk of the word alone."""
+    check_letters(w, rule.n)
+    parts, scale = _walk(rule, {tuple(w): 1}, 1, False, True)
+    return tuple(_poly(rule, d, scale) for d in parts)
 
 
 def _partials(rule: CommRule, f: NCPoly):
-    """All n partial derivatives of f on ints, as (parts, D, p): the
-    column D(f) of ``commrule._walk``, parts[k-1] mapping words to D
-    times their coefficient over Q (p None), or to their residue over F_p
-    (D = 1)."""
+    """All n partial derivatives of f on ints, as (parts, D): the column
+    D(f) of ``commrule._walk``, parts[k-1] mapping words to D times their
+    coefficient over Q, or to their residue over F_p (D = 1)."""
     return _walk(rule, *_int_terms(rule, f), False, True)
 
 
@@ -64,8 +43,8 @@ def partial(rule: CommRule, k: int, f: NCPoly) -> NCPoly:
     """The k-th partial derivative of f under the rule."""
     if not 1 <= k <= rule.n:
         raise ValueError(f"derivative index {k} out of range 1..{rule.n}")
-    parts, scale, p = _partials(rule, f)
-    return _poly(rule, _to_field(parts[k - 1], scale, p))
+    parts, scale = _partials(rule, f)
+    return _poly(rule, parts[k - 1], scale)
 
 
 class _Components:
@@ -149,8 +128,8 @@ class VectorField(_Components):
 
 def differential(rule: CommRule, f: NCPoly) -> OneForm:
     """d f as a one-form: component k is the k-th partial derivative."""
-    parts, scale, p = _partials(rule, f)
-    return OneForm(_poly(rule, _to_field(d, scale, p)) for d in parts)
+    parts, scale = _partials(rule, f)
+    return OneForm(_poly(rule, d, scale) for d in parts)
 
 
 def left_mul_form(rule: CommRule, f: NCPoly, omega: OneForm) -> OneForm:

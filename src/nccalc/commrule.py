@@ -19,28 +19,27 @@ sum_a x^a*f_a split by first letter has A(f) = c*I + sum_a
 A(x^a)*A(f_a) and D(f) = sum_a (e_a*f_a + A(x^a)*D(f_a)).  ``_walk``
 evaluates the columns asked for over the prefix trie of f's words, in
 a loop, each by the same step ``_prepend``; f itself is never carried.
-``CommRule.apply`` asks for A, ``calculus`` for D, and the closure
-checks of ``optimal`` on single elements for both.  ``optimal``'s
-residual tables take the same step, word by word, and so does
-``calculus.word_partials``, letter by letter.
+``CommRule.apply`` asks for A, ``calculus`` for D, of a polynomial or
+of a single word, and the closure checks of ``optimal`` on single
+elements for both.  ``optimal``'s residual tables take the same step,
+word by word.
 
 The arithmetic runs on plain ``int`` coefficients, never on field
 objects, so no multiply-add builds a ``Fraction`` or normalises by a
-gcd.  Over F_p the ints are the residues, reduced mod p once per trie
-node.  Over Q the images are scaled once per rule by L, the lcm of
-their coefficients' denominators (``_int_images``, cached on the rule),
-and every value carries a known power of L: since (L*A)*(L^m*B) =
+gcd.  The field's ``ints`` and ``values`` convert at the two ends.
+Over F_p the ints are the residues, reduced mod p once per trie node.
+Over Q the images are scaled once per rule by L, the lcm of their
+coefficients' denominators (``_int_images``, cached on the rule), and
+every value carries a known power of L: since (L*A)*(L^m*B) =
 L^(m+1)*(A*B), one factor of L per letter.  Each output coefficient is
 divided by its scale once, when it is turned back into a field element.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import lcm
 
-from .fields import QQ, FpElement, PrimeField
+from .fields import QQ
 from .freealg import NCPoly, check_letters, dot
 from .linalg import invert_matrix
 
@@ -198,9 +197,9 @@ class CommRule:
         """The unital homomorphism into matrices, extended linearly: the
         columns of A(f) from ``_walk``."""
         n = self.n
-        cols, scale, p = _walk(self, *_int_terms(self, f), True, False)
-        return MatrixPoly([[_poly(self, _to_field(cols[i * n + k], scale, p))
-                            for i in range(n)] for k in range(n)])
+        cols, scale = _walk(self, *_int_terms(self, f), True, False)
+        return MatrixPoly([[_poly(self, cols[i * n + k], scale) for i in range(n)]
+                           for k in range(n)])
 
     def change_basis(self, alpha) -> "CommRule":
         """The same rule written in new generators z^p = sum_i alpha[p][i] x^i.
@@ -242,26 +241,23 @@ class CommRule:
 
 
 def _int_images(rule: CommRule):
-    """The rule's images on ints, cached on the rule: (L, p, table).
+    """The rule's images on ints, cached on the rule: (L, table).
 
-    Over Q, L is the lcm of the image coefficients' denominators and p is
-    None; over F_p, L is 1.  table[a-1][k] lists (j, terms) for the
-    nonzero entries A(x^a)^j_k, with terms the (word, int) pairs of the
-    entry scaled by L (over Q) or its residues (over F_p).
+    Over Q, L is the lcm of the image coefficients' denominators; over
+    F_p, L is 1.  table[a-1][k] lists (j, terms) for the nonzero entries
+    A(x^a)^j_k, with terms the (word, int) pairs of the entry scaled by L
+    (over Q) or its residues (over F_p).
     """
     got = rule._int_images
     if got is None:
         field = rule.field
-        if isinstance(field, PrimeField):
-            scale, p = 1, field.p
-        else:
-            scale = lcm(*(c.denominator for m in rule.images for row in m.rows
-                          for e in row for c in e.terms.values()))
-            p = None
-        table = tuple(tuple(tuple((j, tuple(_to_ints(e.terms, scale, p).items()))
+        scale = field.ints([c for m in rule.images for row in m.rows
+                            for e in row for c in e.terms.values()])[1]
+        table = tuple(tuple(tuple((j, tuple(zip(e.terms,
+                                                field.ints(e.terms.values(), scale)[0])))
                                   for j, e in enumerate(row) if e)
                             for row in m.rows) for m in rule.images)
-        got = rule._int_images = (scale, p, table)
+        got = rule._int_images = (scale, table)
     return got
 
 
@@ -276,25 +272,24 @@ def _int_terms(rule: CommRule, f: NCPoly):
     if f.field != rule.field:
         raise ValueError("polynomial and rule coefficient fields differ")
     check_letters(sorted(set(chain.from_iterable(f.terms))), rule.n)
-    p = _int_images(rule)[1]
-    den = 1 if p is not None else lcm(*(c.denominator for c in f.terms.values()))
-    return _to_ints(f.terms, den, p), den
+    ints, den = rule.field.ints(f.terms.values())
+    return dict(zip(f.terms, ints)), den
 
 
 def _walk(rule: CommRule, terms, den, images, derivatives):
-    """The requested columns of Phi(f) on ints, as ``(cols, scale, p)``.
+    """The requested columns of Phi(f) on ints, as ``(cols, scale)``.
 
-    ``terms`` maps f's words to den times their coefficients over Q (p is
-    None), or to their residues over F_p (den 1).  ``cols`` is one flat
-    list of dicts from words to ints, ``scale`` times their values: with
-    ``images``, entry (k, i) of A(f) at (i-1)*n + k-1, then with
-    ``derivatives`` D_k(f) at the next n places.  The node of a prefix q
-    of depth t holds den*L^(start-t) times the columns of Phi(f_q), f_q
-    the sum of c_w*u over the words w = q*u of f; start is f's top degree
-    with ``images``, one less without.
+    ``terms`` maps f's words to den times their coefficients over Q, or
+    to their residues over F_p (den 1).  ``cols`` is one flat list of
+    dicts from words to ints, ``scale`` times their values (residues over
+    F_p): with ``images``, entry (k, i) of A(f) at (i-1)*n + k-1, then
+    with ``derivatives`` D_k(f) at the next n places.  The node of a
+    prefix q of depth t holds den*L^(start-t) times the columns of
+    Phi(f_q), f_q the sum of c_w*u over the words w = q*u of f; start is
+    f's top degree with ``images``, one less without.
     """
-    n = rule.n
-    scale, p, table = _int_images(rule)
+    n, p = rule.n, rule.field.p
+    scale, table = _int_images(rule)
     width = (n * n if images else 0) + (n if derivatives else 0)
     top = max(map(len, terms), default=0)
     mult = 1
@@ -315,39 +310,38 @@ def _walk(rule: CommRule, terms, den, images, derivatives):
                 for i in range(0, n * n, n + 1):
                     node[i][()] = c * mult
         for q, sub in level.items():
-            out = nodes[q[:depth]]
-            if width == n:
-                _prepend(table, q[depth], sub, out)
-            else:
-                # each column of n dicts takes the same step
-                for c in range(0, width, n):
-                    _prepend(table, q[depth], sub[c:c + n], out[c:c + n])
+            _prepend(table, q[depth], sub, nodes[q[:depth]])
         if p is not None:
             nodes = {q: _reduced(node, p) for q, node in nodes.items()}
         level = nodes
         if depth:
             mult *= scale
-    return level.get((), [{}] * width), den * mult, p
+    return level.get((), [{}] * width), den * mult
 
 
 def _prepend(table, a, sub, acc):
-    """Add sum_j A(x^a)^j_k * sub[j] into acc[k] for every k.
+    """Add sum_j A(x^a)^j_k * sub[c+j] into acc[c+k] for every k and every
+    block of n places from c on: each column of n entries takes the step.
 
-    ``sub`` and ``acc`` are lists of n dicts from words to ints; ``acc``
-    is updated in place and may gain zero values.  Keys only need ``+``:
-    ``optimal._normal_step`` passes dicts keyed by column and a table
-    whose words are column offsets.
+    ``sub`` and ``acc`` are equal-length lists of dicts from words to
+    ints, n per block; ``acc`` is updated in place and may gain zero
+    values.  Keys only need ``+``: ``optimal._normal_step`` passes dicts
+    keyed by column and a table whose words are column offsets.
     """
-    for row, out in zip(table[a - 1], acc):
-        get = out.get
-        for j, entry in row:
-            d = sub[j]
-            if not d:
-                continue
-            for v, x in entry:
-                for u, c in d.items():
-                    key = v + u
-                    out[key] = get(key, 0) + x * c
+    rows = table[a - 1]
+    n = len(rows)
+    for c in range(0, len(acc), n):
+        for k, row in enumerate(rows, c):
+            out = acc[k]
+            get = out.get
+            for j, entry in row:
+                d = sub[c + j]
+                if not d:
+                    continue
+                for v, x in entry:
+                    for u, y in d.items():
+                        key = v + u
+                        out[key] = get(key, 0) + x * y
 
 
 def _reduced(acc, p):
@@ -355,30 +349,15 @@ def _reduced(acc, p):
     return [{u: r for u, c in d.items() if (r := c % p)} for d in acc]
 
 
-def _to_ints(terms, scale, p):
-    """Field coefficients as ints: ``scale`` times their values over Q
-    (exact when scale clears every denominator), residues over F_p."""
-    if p is not None:
-        return {u: c.val for u, c in terms.items()}
-    if scale == 1:
-        return {u: c.numerator for u, c in terms.items()}
-    return {u: c.numerator * (scale // c.denominator) for u, c in terms.items()}
-
-
-def _to_field(ints, scale, p):
-    """Field coefficients from ints carrying ``scale`` times their value
-    over Q (residues over F_p), zeros dropped."""
-    if p is not None:
-        return {u: FpElement(c, p) for u, c in ints.items() if c}
-    if scale == 1:
-        return {u: Fraction(c) for u, c in ints.items() if c}
-    return {u: Fraction(c, scale) for u, c in ints.items() if c}
-
-
-def _poly(rule: CommRule, terms) -> NCPoly:
-    # terms come from _to_field, already free of zeros
+def _poly(rule: CommRule, ints, scale) -> NCPoly:
+    """The polynomial of the rule's algebra whose terms ``ints`` maps
+    words to: scale times the coefficients over Q, residues over F_p
+    (``_walk``'s output), zeros dropped."""
+    if 0 in ints.values():
+        ints = {u: c for u, c in ints.items() if c}
     p = NCPoly.__new__(NCPoly)
-    p.n, p.field, p.terms = rule.n, rule.field, terms
+    p.n, p.field = rule.n, rule.field
+    p.terms = dict(zip(ints, rule.field.values(ints.values(), scale)))
     return p
 
 

@@ -6,11 +6,19 @@ descriptor object with ``zero``, ``one``, ``of`` (coercion) and a stable
 is plain ``fractions.Fraction``; prime-field elements are canonical
 representatives in ``[0, p)`` with operator overloading so the linear
 algebra code never branches on the field.
+
+The hot loops run on plain ints instead, and the descriptor owns that
+form of its values: ``ints(values, scale)`` gives ints that stand for
+the values, and ``values(ints, scale)`` turns them back.  Over Q the
+ints are scale times the values, scale by default the lcm of their
+denominators; over F_p they are the residues of scale times the values,
+scale 1 by default.  ``p`` is the characteristic, None over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 # the first thirteen primes; the first twelve alone let the strong
 # pseudoprime 318665857834031151167461 = 399165290221 * 798330580441 through
@@ -160,6 +168,7 @@ class RationalField:
     """Descriptor for the field of rationals."""
 
     name = "Q"
+    p = None
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -176,7 +185,26 @@ class RationalField:
 
     def values(self, ints, den: int = 1) -> list:
         """The rationals x/den of the ints x."""
+        if den == 1:
+            return [Fraction(x) if x else self.zero for x in ints]
         return [Fraction(x, den) if x else self.zero for x in ints]
+
+    def ints(self, values, scale: int | None = None):
+        """``(ints, scale)``: scale times the values, a collection read
+        twice unless scale is given.  The scale must be a multiple of
+        every denominator.  By default it is their lcm, the least one;
+        then values that are all ints come back themselves, uncopied, and
+        values other than ints and Fractions raise ValueError."""
+        if scale is None:
+            kinds = set(map(type, values))
+            if kinds <= {int}:
+                return values, 1
+            if not kinds <= {int, Fraction}:
+                raise ValueError("rationals must be ints or Fractions")
+            scale = lcm(*[v.denominator for v in values])
+        if scale == 1:
+            return [v.numerator for v in values], 1
+        return [v.numerator * (scale // v.denominator) for v in values], scale
 
     def __repr__(self):
         return "QQ"
@@ -222,6 +250,16 @@ class PrimeField:
         """The elements x/den of the ints x, den prime to p."""
         p, inv = self.p, pow(den, -1, self.p)
         return [FpElement(x * inv, p) for x in ints]
+
+    def ints(self, values, scale: int | None = None):
+        """``(ints, scale)``: the residues in [0, p) of scale times the
+        values, which are anything ``of`` takes; scale is 1 by default,
+        else prime to p."""
+        p, of = self.p, self.of
+        ints = [v % p if type(v) is int else of(v).val for v in values]
+        if scale is None or scale == 1:
+            return ints, 1
+        return [x * scale % p for x in ints], scale
 
     def __repr__(self):
         return f"GF({self.p})"

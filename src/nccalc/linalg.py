@@ -27,12 +27,12 @@ and ``rows``, of length n^s.  Field elements appear only at the API
 boundary.
 
 ``rref``, ``nullspace`` and the sums of subspaces eliminate on plain
-ints, never on field objects, through one entry, ``_rref_ints``, and
-the field's ``values`` turn the result back.  Over F_p the ints are
-residues (``FpElement.val``, or one ``% p`` per entry of a system of
-ints) and go to the modular elimination.  Over Q, each row of Fractions
-is scaled to integers (rows of ints are taken as they are) and divided
-by its gcd, and ``_rref_rational`` eliminates the primitive integer rows modulo the
+ints, never on field objects, through one entry, ``_rref_ints``; the
+field's ``ints`` and ``values`` convert at either end, here and
+wherever a Subspace reads or builds field elements.  Over F_p the ints
+are residues and go to the modular elimination.  Over Q each row is
+scaled by the lcm of its denominators and divided by its gcd, and
+``_rref_rational`` eliminates the primitive integer rows modulo the
 primes of ``_PRIMES`` in turn, the largest primes below 2^26.  It
 returns the RREF as int rows over their least common denominator, and
 only what it has proved exact:
@@ -87,7 +87,7 @@ from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
-from .fields import GF, QQ, FpElement, PrimeField
+from .fields import GF, QQ, FpElement
 from .freealg import NCPoly, index_word, word_index
 
 
@@ -114,21 +114,23 @@ def rref(rows):
     Rows of ``int`` and ``Fraction`` entries, or of ``FpElement`` over
     one modulus, are eliminated on ints as the module docstring
     describes, and give ``Fraction`` or ``FpElement`` entries; any other
-    entries are eliminated in their own arithmetic.
+    entries are eliminated in their own arithmetic.  Rows of unequal
+    length raise ValueError.
     """
     # no path writes to an input row, so lists are read in place
     rows = [r if isinstance(r, list) else list(r) for r in rows]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("rows of unequal length")
     kinds = set(map(type, chain.from_iterable(rows)))
     if not kinds:
         return [], []
     if kinds <= {int, Fraction}:
-        field, p, ints = QQ, None, _integral(rows)
+        field = QQ
     elif kinds == {FpElement} and len(moduli := {c.p for r in rows for c in r}) == 1:
-        p = moduli.pop()
-        field, ints = GF(p), [[c.val for c in r] for r in rows]
+        field = GF(moduli.pop())
     else:
         return _rref_fraction(rows)
-    red, den, pivots = _rref_ints(ints, p)
+    red, den, pivots = _rref_ints([field.ints(r)[0] for r in rows], field.p)
     if red is None:
         # full column rank: the RREF is the identity
         red = [[int(i == j) for j in pivots] for i in pivots]
@@ -347,7 +349,7 @@ def _rref_rational(rows):
     """RREF over Q via certified elimination mod the primes in _PRIMES.
 
     Takes lists of ints, each a nonzero multiple of the row it stands for
-    (``_integral`` scales rows of Fractions so), and returns ``(red, den,
+    (``QQ.ints`` scales rows of Fractions so), and returns ``(red, den,
     pivots)``: the RREF is red/den, with red rows of ints and den their
     least common denominator, or red is None (and den is 1) when the
     column rank is full.  Only the ``_rref_fraction`` fallback builds
@@ -387,22 +389,8 @@ def _rref_rational(rows):
         if lift is not None:
             return lift + (pivots,)
     red, pivots = _rref_fraction([[Fraction(c) for c in r] for r in rows])
-    den = lcm(*(c.denominator for r in red for c in r))
-    return [[c.numerator * (den // c.denominator) for c in r] for r in red], den, pivots
-
-
-def _integral(rows):
-    """Rows of ints and Fractions as rows of ints: each Fraction row
-    times the lcm of its denominators."""
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows
-    out = []
-    for r in rows:
-        dens = [c.denominator for c in r]
-        den = lcm(*dens)
-        out.append([c.numerator * (den // d) for c, d in zip(r, dens)] if den != 1
-                   else [c.numerator for c in r])
-    return out
+    den = QQ.ints([c for r in red for c in r])[1]
+    return [QQ.ints(r, den)[0] for r in red], den, pivots
 
 
 def _reconstruct(u, m, bound):
@@ -466,22 +454,19 @@ def nullspace(rows, ncols, field):
     ``field``.
 
     Returns the canonical basis: one vector per free column, with a one
-    in that column, in increasing column order.  Over F_p every entry is
-    read mod p and eliminated on the residues: a system of ints takes one
-    ``% p`` per entry, and one holding other values reads every entry
-    through ``field.of``.  Over Q the rows are eliminated as by ``rref``,
-    except that a full column rank builds no identity.
+    in that column, in increasing column order.  Every row is read by
+    ``field.ints``: over F_p as the residues of its entries, anything
+    ``field.of`` takes; over Q, where the entries must be ints and
+    Fractions, as by ``rref``, except that a full column rank builds no
+    identity.  A row whose length is not ``ncols`` raises ValueError, and
+    so does an entry over Q that is not rational.
     """
     rows = [r if isinstance(r, list) else list(r) for r in rows]
-    p = field.p if isinstance(field, PrimeField) else None
-    if p is None:
-        rows = _integral(rows)
-    elif set(map(type, chain.from_iterable(rows))) <= {int}:
-        rows = [[c % p for c in r] for r in rows]
-    else:
-        rows = [[field.of(c).val for c in r] for r in rows]
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError(f"expected rows of length {ncols}, got {len(r)}")
     # a full column rank (red is None) leaves no free column to read
-    red, den, pivots = _rref_ints(rows, p)
+    red, den, pivots = _rref_ints([field.ints(r)[0] for r in rows], field.p)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
@@ -511,26 +496,6 @@ def invert_matrix(rows, field):
     if pivots != list(range(m)):
         return None
     return [r[m:] for r in red]
-
-
-def _scaled(rows, p):
-    """Lists of (column, field value) pairs on ints, as ``(lists,
-    scale)``: residues over F_p with scale 1, and over Q the values times
-    scale, the lcm of all their denominators."""
-    if p is not None:
-        return [[(c, v % p if type(v) is int else v.val) for c, v in r] for r in rows], 1
-    scale = lcm(*[v.denominator for r in rows for _, v in r])
-    return [[(c, v.numerator * (scale // v.denominator)) for c, v in r] for r in rows], scale
-
-
-def _int_entries(poly, degree, p):
-    """A homogeneous polynomial as ``(entries, scale)``: its (column, int)
-    entries at the given degree are residues over F_p, with scale 1, and
-    over Q its coefficients times scale, the lcm of their denominators."""
-    n = poly.n
-    (ints,), scale = _scaled([[(word_index(w, degree, n), c)
-                               for w, c in poly.terms.items()]], p)
-    return ints, scale
 
 
 def _lowest(tails, den):
@@ -581,7 +546,7 @@ class Subspace:
         # derived: the free columns in increasing order, and the modulus
         # (None over Q)
         self.free = [c for c in range(n ** degree) if c not in tails]
-        self._p = field.p if isinstance(field, PrimeField) else None
+        self._p = field.p
 
     # ---- constructors ----
 
@@ -604,15 +569,20 @@ class Subspace:
         for v in vectors:
             if len(v) != dim:
                 raise ValueError(f"expected vectors of length {dim}, got {len(v)}")
-        rows, pivots = rref(vectors)
+        # the entries are coerced first, so the elimination runs in the field
+        rows, pivots = rref([[field.of(x) for x in v] for v in vectors])
         pivset = set(pivots)
         free = [c for c in range(dim) if c not in pivset]
         # an RREF row is zero on the other pivots: read it on the free
         # columns only; the lcm of its entries' denominators is the least
         # common one
-        tails, den = _scaled([[(c, row[c]) for c in free if row[c]] for row in rows],
-                             field.p if isinstance(field, PrimeField) else None)
-        return cls(n, degree, field, dict(zip(pivots, tails)), den)
+        cols = [[c for c in free if row[c]] for row in rows]
+        ints, den = field.ints([row[c] for row, cs in zip(rows, cols) for c in cs])
+        # each row takes the next len(cs) ints: zip stops at the end of cs
+        # before it reads another
+        ints = iter(ints)
+        tails = {piv: list(zip(cs, ints)) for piv, cs in zip(pivots, cols)}
+        return cls(n, degree, field, tails, den)
 
     @classmethod
     def span(cls, polys, degree, n=None, field=None):
@@ -706,9 +676,13 @@ class Subspace:
         """Residual modulo this subspace, as a list over ``free``, of the
         vector with the given (column, value) entries, which name each
         column at most once.  It is zero exactly when the vector lies in
-        the subspace."""
-        (ints,), scale = _scaled([list(entries)], self._p)
-        res = list(map(self._reduce_ints(ints).get, self.free, repeat(0)))
+        the subspace.  A column outside the component raises ValueError."""
+        entries = list(entries)
+        cols = [c for c, _ in entries]
+        if not all(0 <= c < self.ambient_dim for c in cols):
+            raise ValueError(f"columns must lie in 0..{self.ambient_dim - 1}")
+        ints, scale = self.field.ints([v for _, v in entries])
+        res = list(map(self._reduce_ints(zip(cols, ints)).get, self.free, repeat(0)))
         return self.field.values(res, scale * self.den)
 
     def residual(self, poly: NCPoly) -> list:
@@ -723,6 +697,9 @@ class Subspace:
 
         The residual is zero exactly when vec lies in the subspace.
         """
+        if len(vec) != self.ambient_dim:
+            raise ValueError(
+                f"expected a vector of length {self.ambient_dim}, got {len(vec)}")
         res = self.residual_of([(c, x) for c, x in enumerate(vec) if x])
         return self._dense(zip(self.free, res))
 
@@ -739,7 +716,9 @@ class Subspace:
             raise ValueError(
                 f"membership test needs a homogeneous polynomial of degree "
                 f"{self.degree}, got {poly}")
-        return not self._reduce_ints(_int_entries(poly, self.degree, self._p)[0])
+        d, n, terms = self.degree, self.n, poly.terms
+        ints = self.field.ints(terms.values())[0]
+        return not self._reduce_ints(zip([word_index(w, d, n) for w in terms], ints))
 
     def contains_subspace(self, other: "Subspace"):
         self._check(other)
@@ -786,8 +765,12 @@ class Subspace:
         first nonzero column is the pivot of its first row with a_t != 0,
         and the basis rows are zero on each other's pivots, so the
         recombined rows are already reduced, with pivots those of the
-        coordinates' pivot rows.
+        coordinates' pivot rows.  A residual count other than ``dim``
+        raises ValueError.
         """
+        if len(residuals) != self.dim:
+            raise ValueError(f"expected {self.dim} residuals, one per basis row, "
+                             f"got {len(residuals)}")
         return self._kernel(residuals)[0]
 
     def _kernel(self, residuals):

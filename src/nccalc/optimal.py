@@ -252,7 +252,7 @@ from math import gcd
 from .commrule import (CommRule, NonHomogeneousRuleError, _int_images, _int_terms, _prepend,
                        _walk)
 from .freealg import NCPoly, format_poly, index_word, word_index
-from .linalg import Subspace, _int_entries, _signed_codec, nullspace
+from .linalg import Subspace, _signed_codec, nullspace
 
 
 class IdealPropertyViolation(RuntimeError):
@@ -282,8 +282,8 @@ def _normal_step(rule: CommRule, space: Subspace, known, words, derivatives):
     (k, i) of A sits at (i-1)*n + k-1, as in ``commrule._walk``.
     Returns ``(table, den)`` for the words.
     """
-    n = rule.n
-    scale, p, _ = _int_images(rule)
+    n, p = rule.n, rule.field.p
+    scale = _int_images(rule)[0]
     table, den = known
     # the table's entries, of D or of A, have degree space.degree - 1
     shifted = _shifted_images(rule, n ** (space.degree - 1))
@@ -295,14 +295,11 @@ def _normal_step(rule: CommRule, space: Subspace, known, words, derivatives):
     for col in words:
         a, w = divmod(col, top)
         # D_k(x^a*w) = delta_ak*w + sum_j A(x^a)^j_k*D_j(w) and
-        # A(x^a*w) = A(x^a)*A(w), on lead times their values: each column
-        # of n entries takes one step
-        sub = table[w]
+        # A(x^a*w) = A(x^a)*A(w), on lead times their values
         acc = [{} for _ in range(width)]
         if derivatives:
             acc[a][w] = lead
-        for c in range(0, width, n):
-            _prepend(shifted[a], 1, sub[c:c + n], acc[c:c + n])
+        _prepend(shifted[a], 1, table[w], acc)
         out[col] = [reduce(d.items()) for d in acc]
     if p is not None:
         return out, 1
@@ -321,7 +318,7 @@ def _shifted_images(rule: CommRule, shift):
     """A(x^a)'s entries with each x^b as the column offset (b-1)*shift of
     x^b times a word of the degree below, as ``_prepend`` reads them:
     entry a-1 is the table of x^a alone, read as generator 1."""
-    images = _int_images(rule)[2]
+    images = _int_images(rule)[1]
     return [([[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
               for row in image],) for image in images]
 
@@ -373,8 +370,8 @@ def _packed_partials(rule, rows, den, last):
     for degree s.  Over Q the rows are put over their least common den
     for the next degree, unless it is the ``last``.
     """
-    n = rule.n
-    scale, p, images = _int_images(rule)
+    n, p = rule.n, rule.field.p
+    scale, images = _int_images(rule)
     top = len(rows[0])
     m = len(rows) // n
     size = n * top
@@ -659,8 +656,9 @@ def _ideal_generators(generators, n=None, field=None):
 def _next_slice(prev: Subspace, gens) -> Subspace:
     """J_d from J_{d-1}: J_d = sum_i x^i*J_{d-1} + J_{d-1}*x^i + R_d, with
     R_d the span of the degree-d generators."""
-    d = prev.degree + 1
-    return _ideal_slice(prev, [_int_entries(g, d, prev._p)[0]
+    d, n, ints = prev.degree + 1, prev.n, prev.field.ints
+    return _ideal_slice(prev, [list(zip([word_index(w, d, n) for w in g.terms],
+                                        ints(g.terms.values())[0]))
                                for g in gens if g.degree() == d])[0]
 
 

@@ -44,7 +44,7 @@ def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
 def rand_proper_fraction(rng, field=QQ, lo=-6, hi=6, nonzero=False):
     """A field element drawn as num/den with den in 2..7: never a
     denominator multiple of the field's characteristic."""
-    char = getattr(field, "p", 0)
+    char = field.p
     dens = [d for d in range(2, 8) if not char or d % char]
     while True:
         c = field.of(Fraction(rng.randint(lo, hi), rng.choice(dens)))
@@ -274,9 +274,9 @@ def field_partials(rule, f):
 
 
 def word_table_partials(rule, f):
-    """All n derivatives of f as sum_w c_w * word_partials(w): the
-    memoized per-word table, independent of the prefix-trie walk (the two
-    share only the prepend step, which ``partial_rightmost`` checks)."""
+    """All n derivatives of f as sum_w c_w * word_partials(w): the walk
+    once per word, a check of ``word_partials`` on whole polynomials and
+    never an oracle for the walk."""
     out = [NCPoly.zero(rule.n, rule.field)] * rule.n
     for w, c in f.terms.items():
         out = [acc + c * d for acc, d in zip(out, word_partials(rule, w))]
@@ -473,13 +473,13 @@ def dense_optimal_ideal(rule, max_degree):
 
 
 def dense_closure_violations(rule, d, elements, below, slice_d):
-    """The closure check of ``optimal`` with derivatives from the per-word
-    table, entries from ``matrix_apply`` and one dense
+    """The closure check of ``optimal`` with derivatives from
+    ``field_partials``, entries from ``matrix_apply`` and one dense
     ``Subspace.contains`` per polynomial."""
     out = []
     for b in elements:
         label = str(b)
-        for k, p in enumerate(word_table_partials(rule, b), 1):
+        for k, p in enumerate(field_partials(rule, b), 1):
             if p and not below.contains(p):
                 out.append(Violation(d, label, "partial", k))
         for k, row in enumerate(matrix_apply(rule, b).rows, 1):

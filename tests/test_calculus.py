@@ -23,7 +23,7 @@ from nccalc import (
     vf_right_action,
     word_partials,
 )
-from nccalc.commrule import _int_images, _int_terms, _poly, _to_field, _walk
+from nccalc.commrule import _int_images, _int_terms, _poly, _walk
 from nccalc.examples import build_example
 from nccalc.freealg import index_word, word_index
 from nccalc.optimal import _normal_step, _unit_partials
@@ -357,7 +357,10 @@ def test_prefix_trie_pass_matches_word_table(field):
         n = rule.n
         top = 4 if n == 3 else (7 if rule.homogeneous else 5)
         for f in _oracle_polys(rng, n, field, top):
-            want = word_table_partials(rule, f)
+            # the pass over the whole trie and the walk once per word, each
+            # against the oracle on field elements
+            want = field_partials(rule, f)
+            assert word_table_partials(rule, f) == want
             assert [partial(rule, k, f) for k in range(1, n + 1)] == want
             assert list(differential(rule, f).components) == want
             y = VectorField(random_poly(rng, n, 2, field) for _ in range(n))
@@ -387,8 +390,8 @@ def test_word_partials_of_long_words():
 
 
 def test_word_partials_table_matches_whole_polynomial_derivatives():
-    # the letter-by-letter derivatives of every suffix of random words, long
-    # and short, equal the prefix-trie derivatives of that suffix
+    # the derivatives of every suffix of random words, long and short,
+    # equal the rightmost-letter derivatives of that suffix
     rng = random.Random(6200)
     for name in ("thm4.1-I", "ex3.5"):
         rule = build_example(name)
@@ -396,7 +399,8 @@ def test_word_partials_table_matches_whole_polynomial_derivatives():
             w = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 7)))
             for i in range(len(w) + 1):
                 f = NCPoly.from_word(2, w[i:])
-                assert word_partials(rule, w[i:]) == tuple(partial(rule, k, f) for k in (1, 2))
+                assert word_partials(rule, w[i:]) == tuple(partial_rightmost(rule, k, f)
+                                                           for k in (1, 2))
 
 
 def _same_terms(got, want):
@@ -412,7 +416,7 @@ def test_fractional_draws_match_rightmost_oracle(field):
     # rules and polynomials with denominators 2..7 exercise the scaling by
     # the lcm of the image denominators and of the polynomial's; over F_2
     # and F_3 the integer sums often cancel modulo p
-    rng = random.Random(9100 + getattr(field, "p", 0))
+    rng = random.Random(9100 + (field.p or 0))
     for n in (2, 2, 2, 3):
         rule = random_fraction_rule(rng, n, field)
         polys = [NCPoly.zero(n, field)]
@@ -440,16 +444,16 @@ def test_one_walk_yields_images_and_derivatives(field):
     # triangular homomorphism f -> [[A(f), D(f)], [0, f]]: both halves
     # against the oracles, on one scale, zero and constant polynomials
     # included
-    rng = random.Random(9300 + getattr(field, "p", 0))
+    rng = random.Random(9300 + (field.p or 0))
     for n in (2, 2, 3):
         rule = random_fraction_rule(rng, n, field)
         polys = [NCPoly.zero(n, field),
                  NCPoly.constant(n, rand_proper_fraction(rng, field, nonzero=True), field)]
         polys += [random_fraction_poly(rng, n, 4 if n == 2 else 3, field) for _ in range(5)]
         for f in polys:
-            cols, scale, p = _walk(rule, *_int_terms(rule, f), True, True)
+            cols, scale = _walk(rule, *_int_terms(rule, f), True, True)
             assert len(cols) == n * n + n
-            got = [_poly(rule, _to_field(c, scale, p)) for c in cols]
+            got = [_poly(rule, c, scale) for c in cols]
             want = matrix_apply(rule, f)
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
@@ -567,7 +571,7 @@ def test_column_table_matches_word_partials(name):
     # normal, so the table holds the exact derivatives over its den
     rule, words = (_column_table_rule(name) for _ in range(2))
     n, field = rule.n, rule.field
-    p = _int_images(rule)[1]
+    p = field.p
     known = _unit_partials(n)
     for m in range(2, 6):
         prev = Subspace.zero(n, m - 1, field)

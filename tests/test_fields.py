@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -135,3 +136,40 @@ def test_fp_equality_matches_hash():
         for v in values:
             if u == v:
                 assert hash(u) == hash(v), (u, v)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(10007)], ids=["Q", "Fp2", "Fp10007"])
+def test_ints_and_values_are_inverse(field):
+    # ints(values) is (scale times the values, scale) over Q and (residues,
+    # 1) over F_p; values(ints, scale) gives the values back, for the
+    # computed scale, for a given one and for den 1
+    assert QQ.p is None and field.p in (None, 2, 10007)
+    char = field.p or 0
+    dens = [d for d in range(1, 8) if not char or d % char]
+    rng = random.Random(2500 + char)
+    for _ in range(60):
+        values = [field.of(Fraction(rng.randint(-9, 9), rng.choice(dens)))
+                  for _ in range(rng.randint(0, 6))]
+        ints, scale = field.ints(values)
+        assert all(type(x) is int for x in ints)
+        if field.p is None:
+            # the least scale: it shares no factor with every int
+            assert scale == lcm(1, *[v.denominator for v in values])
+            assert gcd(scale, *ints) == 1
+        else:
+            assert scale == 1 and all(0 <= x < field.p for x in ints)
+        assert field.values(ints, scale) == values
+        given, more = field.ints(values, 3 * scale)
+        assert more == 3 * scale
+        assert given == ([3 * x for x in ints] if field.p is None
+                         else [3 * x % field.p for x in ints])
+        assert field.values(given, more) == values
+        # integer values: den 1, and plain ints read as the field's values
+        whole = [rng.randint(-20, 20) for _ in range(rng.randint(0, 6))]
+        ints, scale = field.ints(whole)
+        assert scale == 1
+        assert ints == (whole if field.p is None else [x % field.p for x in whole])
+        assert field.ints([field.of(x) for x in whole]) == (ints, 1)
+        assert field.values(ints) == [field.of(x) for x in whole]
+        assert all(type(v) is type(field.one) for v in field.values(ints, scale))
+

@@ -279,6 +279,47 @@ def test_polynomials_from_another_algebra_are_refused():
     assert zero5.residual(NCPoly.from_word(2, (1, 2), GF(5)))[1] == GF(5).one
 
 
+def test_from_vectors_eliminates_in_the_field():
+    # 3*(1, 2) = (3, 1) mod 5: the rows are proportional in F_5, not over
+    # Q; ints and Fractions are read as elements of the subspace's field
+    F = GF(5)
+    W = Subspace.from_vectors([[1, 2], [3, 1]], 2, 1, F)
+    assert W.dim == 1
+    assert W.rows == [[F.one, F.of(2)]]
+    assert Subspace.from_vectors([[1, 2]], 2, 1, F) == W
+    assert Subspace.from_vectors([[Fraction(1, 3), 4]], 2, 1, F) == W
+    assert Subspace.from_vectors([[1, 2], [3, 1]], 2, 1, QQ).dim == 2
+
+
+def test_inputs_of_the_wrong_shape_are_refused():
+    # each of these answered silently wrong, or with an IndexError
+    with pytest.raises(ValueError, match="expected rows of length 2, got 3"):
+        nullspace([[1, 1, 1]], 2, QQ)
+    with pytest.raises(ValueError, match="expected rows of length 3, got 2"):
+        nullspace([[1, 1]], 3, QQ)
+    with pytest.raises(ValueError, match="rationals must be ints or Fractions"):
+        nullspace([[FpElement(1, 5)] * 2], 2, QQ)
+    with pytest.raises(ValueError, match="rows of unequal length"):
+        rref([[1, 2], [3]])
+    full = Subspace.full(2, 1, QQ)
+    for residuals in ([[1], [1], [1]], [[1]]):
+        with pytest.raises(ValueError, match=f"expected 2 residuals, one per basis row, "
+                                             f"got {len(residuals)}"):
+            full.kernel_of(residuals)
+    W = Subspace.span([x(2, 1, 2)], 2, n=2, field=QQ)
+    for column in (7, 4, -1):
+        with pytest.raises(ValueError, match=r"columns must lie in 0\.\.3"):
+            W.residual_of([(column, 1)])
+    with pytest.raises(ValueError, match="expected a vector of length 4, got 2"):
+        W.reduce([1, 2])
+    # the same calls on inputs of the right shape answer
+    assert nullspace([[1, 1]], 2, QQ) == [[-1, 1]]
+    assert rref([[1, 2], [3, 4]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert full.kernel_of([[1], [1]]).rows == [[1, -1]]
+    assert W.residual_of([(3, 1)]) == [0, 0, 1]
+    assert W.reduce([1, 2, 0, 0]) == [1, 0, 0, 0]
+
+
 # ---- the modular rref against the Fraction elimination ----
 
 def assert_same_rref(rows):
@@ -852,7 +893,7 @@ def kernel_oracle(residuals, m, field):
     elimination of the equations (one per coordinate): ``dense_rref_mod``
     over F_p, ``_rref_fraction`` over Q.  Returns the canonical Subspace."""
     eqs = [list(col) for col in zip(*residuals)]
-    if isinstance(field, linalg.PrimeField):
+    if field.p is not None:
         red, pivots = dense_rref_mod(eqs, field.p)
         red = [[field.of(c) for c in r] for r in red]
     else:
@@ -876,7 +917,7 @@ def peel(residuals, field, calls):
     against the rank ``_rref_fraction`` finds, and that each call ran
     ``nullspace`` once.  Returns (kernel, peeled, core)."""
     m = len(residuals)
-    p = field.p if isinstance(field, linalg.PrimeField) else None
+    p = field.p
     sparse = [{j: c for j, c in enumerate([c % p for c in r] if p else r) if c}
               for r in residuals]
     dense = [[field.of(c) for c in r] for r in residuals]
@@ -950,7 +991,7 @@ def test_peeling_kernel_echelons_vectors_over_the_unfixed_words(field, monkeypat
 
     monkeypatch.setattr(Subspace, "from_vectors", classmethod(spy))
     residuals = block_diagonal(random.Random(84))
-    p = field.p if isinstance(field, linalg.PrimeField) else None
+    p = field.p
     sparse = [{j: c % p if p else c for j, c in enumerate(r) if c} for r in residuals]
     K = Subspace.full(9, 1, field).kernel_of(sparse)
     assert lengths == [(4, [4])]

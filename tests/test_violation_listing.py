@@ -7,7 +7,7 @@ import random
 import pytest
 
 from nccalc import GF, QQ, NCPoly, Subspace, check_consistent_ideal
-from nccalc.commrule import _to_field, _walk
+from nccalc.commrule import _poly, _walk
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
 from nccalc.optimal import _extend_slices, _residual_tables
@@ -99,13 +99,13 @@ def test_table_rows_are_the_walked_columns_reduced(name, field):
         held[d] = set(images)
         below, within = slices[d - 1], slices[d]
         for col in images:
-            cols, scale, p = _walk(rule, {index_word(col, d, n): 1}, 1, True, True)
+            cols, scale = _walk(rule, {index_word(col, d, n): 1}, 1, True, True)
             for e, walked in enumerate(cols):
                 space, table, den = ((below, partials, pden) if e >= n * n
                                      else (within, images, aden))
                 row = table[col][e - n * n if e >= n * n else e]
                 got = field.values([row.get(c, 0) for c in space.free], den)
-                poly = NCPoly(n, field, _to_field(walked, scale, p))
+                poly = _poly(rule, walked, scale)
                 assert got == space.residual(poly), (d, col, e)
     for d in range(1, 7):
         support = {c for row in slices[d]._int_rows() for c, _ in row} if d >= 4 else set()
