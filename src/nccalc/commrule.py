@@ -135,8 +135,9 @@ class CommRule:
     construction, while derivatives work for any rule.
 
     Instances are immutable.  One cache, filled on first use, memoizes
-    the integer form of the images (``_int_images``), a pure result, so
-    concurrent use can at worst duplicate work.
+    the integer form of the images (``_int_images``) and the walks' rows
+    laid over their blocks, pure results, so concurrent use can at worst
+    duplicate work.
     """
 
     __slots__ = ("n", "field", "images", "homogeneous", "_int_images")
@@ -241,12 +242,13 @@ class CommRule:
 
 
 def _int_images(rule: CommRule):
-    """The rule's images on ints, cached on the rule: (L, table).
+    """The rule's images on ints, cached on the rule: (L, table, blocks).
 
     Over Q, L is the lcm of the image coefficients' denominators; over
     F_p, L is 1.  table[a-1][k] lists (j, terms) for the nonzero entries
     A(x^a)^j_k, with terms the (word, int) pairs of the entry scaled by L
-    (over Q) or its residues (over F_p).
+    (over Q) or its residues (over F_p).  ``blocks`` maps a number of
+    places to ``_blocks(table, places)``, filled by ``_walk`` as it asks.
     """
     got = rule._int_images
     if got is None:
@@ -257,7 +259,7 @@ def _int_images(rule: CommRule):
                                                 field.ints(e.terms.values(), scale)[0])))
                                   for j, e in enumerate(row) if e)
                             for row in m.rows) for m in rule.images)
-        got = rule._int_images = (scale, table)
+        got = rule._int_images = (scale, table, {})
     return got
 
 
@@ -289,8 +291,9 @@ def _walk(rule: CommRule, terms, den, images, derivatives):
     f's top degree with ``images``, one less without.
     """
     n, p = rule.n, rule.field.p
-    scale, table = _int_images(rule)
+    scale, table, blocks = _int_images(rule)
     width = (n * n if images else 0) + (n if derivatives else 0)
+    rows = blocks.get(width) or blocks.setdefault(width, _blocks(table, width))
     top = max(map(len, terms), default=0)
     mult = 1
     level = {}
@@ -310,7 +313,7 @@ def _walk(rule: CommRule, terms, den, images, derivatives):
                 for i in range(0, n * n, n + 1):
                     node[i][()] = c * mult
         for q, sub in level.items():
-            _prepend(table, q[depth], sub, nodes[q[:depth]])
+            _prepend(rows[q[depth] - 1], sub, nodes[q[:depth]])
         if p is not None:
             nodes = {q: _reduced(node, p) for q, node in nodes.items()}
         level = nodes
@@ -319,29 +322,38 @@ def _walk(rule: CommRule, terms, den, images, derivatives):
     return level.get((), [{}] * width), den * mult
 
 
-def _prepend(table, a, sub, acc):
+def _blocks(table, width):
+    """Each letter's rows of ``table`` laid over ``width`` places, n per
+    block, as ``_prepend`` reads them: row c+k lists (c+j, terms) for
+    each entry (j, terms) of row k, for every block from c on.  One block
+    is the table itself."""
+    n = len(table)
+    if width == n:
+        return table
+    return [[[(c + j, terms) for j, terms in row] for c in range(0, width, n) for row in rows]
+            for rows in table]
+
+
+def _prepend(rows, sub, acc):
     """Add sum_j A(x^a)^j_k * sub[c+j] into acc[c+k] for every k and every
-    block of n places from c on: each column of n entries takes the step.
+    block of n places from c on, for x^a's ``rows`` from ``_blocks``:
+    each column of n entries takes the step.
 
     ``sub`` and ``acc`` are equal-length lists of dicts from words to
-    ints, n per block; ``acc`` is updated in place and may gain zero
-    values.  Keys only need ``+``: ``optimal._normal_step`` passes dicts
-    keyed by column and a table whose words are column offsets.
+    ints; ``acc`` is updated in place and may gain zero values.  Keys
+    only need ``+``: ``optimal._normal_step`` passes dicts keyed by
+    column and rows whose words are column offsets.
     """
-    rows = table[a - 1]
-    n = len(rows)
-    for c in range(0, len(acc), n):
-        for k, row in enumerate(rows, c):
-            out = acc[k]
-            get = out.get
-            for j, entry in row:
-                d = sub[c + j]
-                if not d:
-                    continue
-                for v, x in entry:
-                    for u, y in d.items():
-                        key = v + u
-                        out[key] = get(key, 0) + x * y
+    for out, row in zip(acc, rows):
+        get = out.get
+        for j, entry in row:
+            d = sub[j]
+            if not d:
+                continue
+            for v, x in entry:
+                for u, y in d.items():
+                    key = v + u
+                    out[key] = get(key, 0) + x * y
 
 
 def _reduced(acc, p):

@@ -38,9 +38,10 @@ returns the RREF as int rows over their least common denominator, and
 only what it has proved exact:
 
 * full column rank mod any prime means full column rank over Q (a minor
-  that is nonzero mod p is nonzero), so the answer is the identity; the
-  first prime alone settles the common, free-quotient case, and
-  ``nullspace`` then builds no identity at all;
+  that is nonzero mod p is nonzero), so the answer is the identity, and
+  ``nullspace`` then builds no identity at all (``optimal`` decides the
+  free degrees mod the first prime itself, on this fact, and hands its
+  RREF over as the first prime's when the rank falls short);
 * otherwise the RREFs mod several primes are combined by the Chinese
   remainder theorem.  A prime is lucky when its rank and pivots are
   those over Q; an unlucky one has a lower rank, or the same rank with
@@ -71,9 +72,11 @@ above about 2^26, are packed value by value.  A row that no step clears
 stays a list and is never packed, and the certificate walks only the
 nonzero entries of B, so the sparse cases (diagonal rules, the zero
 rule, near-identity bases) stay near linear time.  ``optimal`` builds
-the derivative systems of free degrees on packed rows of signed fields,
-the same codec's two's complements under a bias (``_signed_codec``),
-whose sums and int multiples are exact while every field fits its width.
+the derivative systems of free degrees on the same packed rows: of
+residues mod one prime, in unsigned fields, and where a degree's rank
+falls short over Q, of exact signed fields, the codec's two's
+complements under a bias (``_signed_codec``), whose sums and int
+multiples are exact while every field fits its width.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
@@ -345,7 +348,7 @@ def _signed_codec(bits):
     return width, pack_signed, unpack_signed
 
 
-def _rref_rational(rows):
+def _rref_rational(rows, first=None):
     """RREF over Q via certified elimination mod the primes in _PRIMES.
 
     Takes lists of ints, each a nonzero multiple of the row it stands for
@@ -354,24 +357,36 @@ def _rref_rational(rows):
     least common denominator, or red is None (and den is 1) when the
     column rank is full.  Only the ``_rref_fraction`` fallback builds
     Fractions.
+
+    ``first``, when given, is ``(red, pivots)`` as ``_rref_mod`` returns
+    it for the first prime of ``_PRIMES``, of some integer matrix whose
+    rows span the same space over Q as these (a nonzero multiple of
+    theirs, say), and stands in for the elimination mod that prime.  Like
+    any such reduction its key is never better than the lucky one, and
+    when it equals it, it is the reduction of the true RREF; either way
+    the certificate checks the lift against ``rows`` alone.
     """
-    ints = []
-    for r in rows:
-        g = gcd(*r)
-        if g > 1:
-            r = [a // g for a in r]
-        # a zero row has g == 0
-        if g:
-            ints.append(r)
-    if not ints:
-        return [], 1, []
-    ncols = len(ints[0])
+    # the nonzero rows over the gcds of their entries, which a prime
+    # eliminates: a primitive integer row is never zero mod p.  Given the
+    # first prime's RREF, they wait until a second prime needs them
+    ints = None
+    if first is None:
+        ints = _primitive(rows)
+        if not ints:
+            return [], 1, []
+    ncols = len(rows[0])
     # (-rank, pivots) of the primes combined so far: lucky primes have the
     # least key, and a prime with a greater one is unlucky
     best = None
     for p in _PRIMES:
-        # a primitive integer row is never zero mod p
-        red, pivots = _rref_mod([[a % p for a in r] for r in ints], p)
+        if first is not None:
+            red, pivots = first
+            # let the combination below drop these rows when it moves on
+            first = None
+        else:
+            if ints is None:
+                ints = _primitive(rows)
+            red, pivots = _rref_mod([[a % p for a in r] for r in ints], p)
         if len(pivots) == ncols:
             return None, 1, pivots
         key = (-len(pivots), pivots)
@@ -385,12 +400,25 @@ def _rref_rational(rows):
             modulus *= p
         else:
             continue
-        lift = _certified_lift(combined, pivots, modulus, ints)
+        lift = _certified_lift(combined, pivots, modulus, rows)
         if lift is not None:
             return lift + (pivots,)
     red, pivots = _rref_fraction([[Fraction(c) for c in r] for r in rows])
     den = QQ.ints([c for r in red for c in r])[1]
     return [QQ.ints(r, den)[0] for r in red], den, pivots
+
+
+def _primitive(rows):
+    """The nonzero integer rows, each divided by the gcd of its entries."""
+    ints = []
+    for r in rows:
+        g = gcd(*r)
+        if g > 1:
+            r = [a // g for a in r]
+        # a zero row has g == 0
+        if g:
+            ints.append(r)
+    return ints
 
 
 def _reconstruct(u, m, bound):
@@ -410,14 +438,15 @@ def _reconstruct(u, m, bound):
 def _certified_lift(red, pivots, m, ints):
     """``(rows, den)`` with rows/den the rational RREF whose image mod m
     is ``red``, den the least common denominator, or None unless it
-    provably spans the row space of the integer rows ``ints``."""
+    provably spans the row space of the integer rows ``ints``, which may
+    include zero rows."""
     ncols = len(red[0])
     bound = isqrt(m // 2)
     lifted = {1: (1, 1)}
     entries = []
     for r in red:
         terms = []
-        for j in filter(r.__getitem__, range(ncols)):
+        for j in compress(range(ncols), r):
             q = lifted.get(r[j])
             if q is None:
                 q = _reconstruct(r[j], m, bound)
@@ -432,7 +461,7 @@ def _certified_lift(red, pivots, m, ints):
     where = {col: t for t, col in enumerate(pivots)}
     for a in ints:
         acc = [0] * ncols
-        for j in filter(a.__getitem__, range(ncols)):
+        for j in compress(range(ncols), a):
             t = where.get(j)
             if t is not None:
                 c = a[j]
@@ -465,8 +494,14 @@ def nullspace(rows, ncols, field):
     for r in rows:
         if len(r) != ncols:
             raise ValueError(f"expected rows of length {ncols}, got {len(r)}")
+    return _kernel_basis(*_rref_ints([field.ints(r)[0] for r in rows], field.p), ncols,
+                         field)
+
+
+def _kernel_basis(red, den, pivots, ncols, field):
+    """``nullspace``'s basis, over ``field``, from the RREF ``(red, den,
+    pivots)`` of the system as ``_rref_ints`` returns it."""
     # a full column rank (red is None) leaves no free column to read
-    red, den, pivots = _rref_ints([field.ints(r)[0] for r in rows], field.p)
     pivset = set(pivots)
     basis = []
     for free in range(ncols):

@@ -104,32 +104,49 @@ from E_1[j] = e_j; in practice the first packed degree reads E_{s-1}
 off the table.  Each row is one Python int with a field per column, as
 in ``linalg``'s packed elimination, so an equation costs at most n^2
 big-int multiply-adds, where the table costs n^2 dict updates per entry
-of each word's derivatives.  The fields are as wide as a running bound
-on them needs, and are read back through a bias.  Over F_p they hold
-residues, reduced once per degree; over Q they hold exact signed ints,
-put over their least common denominator once per degree.  The decoded
-rows go to ``nullspace`` once per degree, in the orientation it
-eliminates, so U_s comes out canonical, and the invariant rounds below
-follow as for any degree.
+of each word's derivatives.
 
-Over Q the rows are lead times the true system, an integer matrix with
-the same kernel.  ``nullspace`` eliminates it modulo word-size primes,
-and full column rank mod the first prime already proves U_s = 0: some
-maximal minor is nonzero mod p, so it is a nonzero integer, and the
-rank over Q is full too.  That settles every degree of a free quotient
-whose kernel is zero with no lift; any other system takes the
-certified CRT lift of ``linalg``.
+The packed degrees are decided modulo one prime q: the rule's own p
+over F_p, and the first prime of ``linalg._PRIMES`` over Q.  The step
+runs on residues: the rows of degree s-1 mod q, the images' ints (over
+Q scaled by L, the lcm of their denominators) and the lead mod q, in
+fields wide enough for a sum of products of residues.  Each degree's
+fields are reduced mod q once, and its nonzero rows go straight to the
+modular elimination, in the orientation it eliminates.  Over Q the
+residue rows are those of an integer matrix, a nonzero multiple of the
+true system: the lead of degree s is L times that of degree s-1, and no
+gcd divides it out.  So full column rank mod q proves U_s = 0: some
+maximal minor is nonzero mod q, so it is a nonzero integer, and the
+rank over Q is full too.  Such a degree builds nothing exact, and a
+dense rule's free quotient, whose systems almost always have full rank,
+is decided on residues alone.
+
+A degree whose rank falls short mod q takes its kernel otherwise.
+Over F_p the residues are exact, and the kernel comes from the same
+RREF.  Over Q the residues are dropped, and the exact rows of the
+degree are replayed from the last exact ones: those the prefix started
+from, or those of the last degree whose rank fell short.  They hold
+exact signed ints, read back through a bias, and are put over their
+least common denominator once per degree.  They go to
+``linalg._rref_rational`` with the mod-q RREF as its first prime's, so
+no system is eliminated twice mod one prime, and the kernel is the
+certified lift (or a full rank another prime proves).  Either way U_s
+comes out canonical, and the invariant rounds below follow as for any
+degree.  The residues of the next degree start from the exact rows.
+Rank mod q never exceeds the rank over Q, so a prime that divides L or
+the den only costs a lift: the answer is never taken from residues
+alone unless their rank is full.
 
 Degree 2 always takes the table.  A degree s >= 3 is packed when
 I_{s-1} = 0 and the peel of degree s-1 fixed at most half its words,
 leaving a core on the rest: then the peel would hand ``nullspace`` a
 dense core of Python ints anyway, while a packed row costs a few bytes
 per cell.  Once packed, the degrees stay packed while the quotient
-stays free; at the first I_s != 0 the rows are transposed into the
-table once, and the next degree reads the table.  The zero rule's peel
-fixes every word and leaves an empty core, so its free quotient keeps
-the peel, which touches its n^s entries where packed rows would take
-n^(2s) cells.
+stays free; at the first I_s != 0, whose rank fell short, the exact
+rows (residues over F_p) are transposed into the table once, and the
+next degree reads the table.  The zero rule's peel fixes every word and
+leaves an empty core, so its free quotient keeps the peel, which
+touches its n^s entries where packed rows would take n^(2s) cells.
 
 By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
@@ -249,10 +266,14 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from .commrule import (CommRule, NonHomogeneousRuleError, _int_images, _int_terms, _prepend,
-                       _walk)
+from .commrule import (CommRule, NonHomogeneousRuleError, _blocks, _int_images, _int_terms,
+                       _prepend, _walk)
 from .freealg import NCPoly, format_poly, index_word, word_index
-from .linalg import Subspace, _signed_codec, nullspace
+# the packed degrees read linalg's _PRIMES and _rref_mod as they are when
+# called
+from . import linalg
+# nullspace is not called here; the benchmark's tracer test reads this binding
+from .linalg import Subspace, _field_codec, _kernel_basis, _signed_codec, nullspace
 
 
 class IdealPropertyViolation(RuntimeError):
@@ -285,10 +306,10 @@ def _normal_step(rule: CommRule, space: Subspace, known, words, derivatives):
     n, p = rule.n, rule.field.p
     scale = _int_images(rule)[0]
     table, den = known
-    # the table's entries, of D or of A, have degree space.degree - 1
-    shifted = _shifted_images(rule, n ** (space.degree - 1))
-    top = n ** (space.degree if derivatives else space.degree - 1)
     width = n if derivatives else n * n
+    # the table's entries, of D or of A, have degree space.degree - 1
+    shifted = _blocks(_shifted_images(rule, n ** (space.degree - 1)), width)
+    top = n ** (space.degree if derivatives else space.degree - 1)
     lead = 1 if p is not None else scale * den
     reduce = space._reduce_ints
     out = {}
@@ -299,7 +320,7 @@ def _normal_step(rule: CommRule, space: Subspace, known, words, derivatives):
         acc = [{} for _ in range(width)]
         if derivatives:
             acc[a][w] = lead
-        _prepend(shifted[a], 1, table[w], acc)
+        _prepend(shifted[a], table[w], acc)
         out[col] = [reduce(d.items()) for d in acc]
     if p is not None:
         return out, 1
@@ -316,11 +337,11 @@ def _derivative_rows(table, words, top):
 
 def _shifted_images(rule: CommRule, shift):
     """A(x^a)'s entries with each x^b as the column offset (b-1)*shift of
-    x^b times a word of the degree below, as ``_prepend`` reads them:
-    entry a-1 is the table of x^a alone, read as generator 1."""
+    x^b times a word of the degree below, as ``_blocks`` reads them:
+    entry a-1 holds the rows of x^a."""
     images = _int_images(rule)[1]
-    return [([[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
-              for row in image],) for image in images]
+    return [[[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
+             for row in image] for image in images]
 
 
 def _lowest_table(out, den):
@@ -361,58 +382,91 @@ def _equation_rows(known, n):
     return rows, den
 
 
-def _packed_partials(rule, rows, den, last):
-    """The derivative system of a free degree s as the int rows of its
-    equations, from those of degree s-1 (see the module docstring).
-
-    ``rows`` are den times the rows of degree s-1 that ``_equation_rows``
-    describes (residues over F_p, with den 1).  Returns ``(rows, den)``
-    for degree s.  Over Q the rows are put over their least common den
-    for the next degree, unless it is the ``last``.
-    """
-    n, p = rule.n, rule.field.p
-    scale, images = _int_images(rule)
-    top = len(rows[0])
-    m = len(rows) // n
-    size = n * top
-    # terms[k*n + b][a]: (j, x) for each term x*x^b of A(x^a)^j_k
+def _step_terms(rule):
+    """terms[k*n + b][a]: (j, x) for each term x*x^b of A(x^a)^j_k, on
+    the rule's ints (``_int_images``): the coefficients of the product
+    rule for the rows of equation k and letter b (see the module
+    docstring)."""
+    n = rule.n
     terms = [[[] for _ in range(n)] for _ in range(n * n)]
-    for a in range(n):
-        for k, row in enumerate(images[a]):
+    for a, image in enumerate(_int_images(rule)[1]):
+        for k, row in enumerate(image):
             for j, entry in row:
                 for v, x in entry:
                     terms[k * n + v[0] - 1][a].append((j, x))
-    lead = 1 if p is not None else scale * den
-    # every field of degree s is lead times a delta plus at most reach
-    # times a field of degree s-1, and the fields of degree s-1 share the
-    # width
-    reach = max(sum(abs(x) for _, x in t) for ts in terms for t in ts)
-    big = max(max(map(abs, r)) for r in rows)
-    bound = lead + max(reach, 1) * big
-    width, pack, unpack = _signed_codec(bound.bit_length() + 1)
+    return terms
+
+
+def _packed_step(terms, rows, lead, codec):
+    """The rows of degree s, unpacked but unreduced, from the n^(s-1) rows
+    of degree s-1 packed by ``codec``, ``(width, pack, unpack)``, whose
+    fields must hold those of degree s: by Horner's rule over the blocks
+    of columns a*top + w, a = 0 first, with the coefficients ``terms``
+    of ``_step_terms``, then lead at column k*top + c of row k*top + c
+    for delta_ak*w."""
+    width, pack, unpack = codec
+    # terms[k*n + b] holds one list per letter x^a
+    n = len(terms[0])
+    top = len(rows[0])
+    m = len(rows) // n
+    size = n * top
     packed = list(map(pack, rows))
     block = width * top
     out = []
     for ts in terms:
         for u in range(m):
-            # the blocks of columns a*top + w, a = 0 first, by Horner's rule
             acc = 0
             for t in ts:
                 acc <<= block
                 for j, x in t:
                     acc += x * packed[j * m + u]
             out.append(acc)
-    # delta_ak*w puts lead at column k*top + c of row k*top + c
-    out = [row + (lead << width * (size - 1 - r)) for r, row in enumerate(out)]
-    if p is not None:
-        return [[x % p for x in unpack(row, size)] for row in out], 1
-    rows = [unpack(row, size) for row in out]
+    return [unpack(row + (lead << width * (size - 1 - r)), size) for r, row in enumerate(out)]
+
+
+def _packed_partials(rule, rows, den, q):
+    """The derivative system of a free degree s modulo the prime q, from
+    that of degree s-1 (see the module docstring).
+
+    ``rows`` are the residues mod q of den times the rows of degree s-1
+    that ``_equation_rows`` describes.  Returns ``(rows, den)`` for
+    degree s: the residues of lead times its rows, with den = lead, the
+    lead of the exact step reduced mod q (1 over F_p, where q = p).
+    """
+    terms = [[[(j, x % q) for j, x in t if x % q] for t in ts] for ts in _step_terms(rule)]
+    lead = _int_images(rule)[0] * den % q
+    # every field of degree s is lead times a delta plus residues times
+    # residues, all below q.  Fields of at least a 64-bit word pass whole
+    # rows through array('Q'), which beats narrower fields' byte shuffle
+    reach = max(sum(x for _, x in t) for ts in terms for t in ts)
+    codec = _field_codec(max(64, ((reach + 1) * (q - 1)).bit_length()))
+    return [[x % q for x in r] for r in _packed_step(terms, rows, lead, codec)], lead
+
+
+def _exact_partials(rule, rows, den, last):
+    """``_packed_partials`` over Q on exact ints: den times the rows of
+    degree s-1 give ``(rows, den)`` for degree s, put over their least
+    common den for the next degree unless it is the ``last``."""
+    terms = _step_terms(rule)
+    lead = _int_images(rule)[0] * den
+    # every field of degree s is lead times a delta plus at most reach
+    # times a field of degree s-1
+    reach = max(sum(abs(x) for _, x in t) for ts in terms for t in ts)
+    big = max(max(map(abs, r)) for r in rows)
+    codec = _signed_codec((lead + max(reach, 1) * big).bit_length() + 1)
+    rows = _packed_step(terms, rows, lead, codec)
     if not last:
         g = gcd(lead, *chain.from_iterable(rows))
         if g != 1:
             rows = [[x // g for x in r] for r in rows]
             lead //= g
     return rows, lead
+
+
+def _kernel_subspace(red, den, pivots, n, s, field):
+    """The kernel of a system of the degree-s words, as a Subspace, from
+    its RREF as ``linalg._rref_ints`` returns it."""
+    return Subspace.from_vectors(_kernel_basis(red, den, pivots, n ** s, field), n, s, field)
 
 
 def _partials_table(rows, den, n, words):
@@ -565,10 +619,10 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     in no equation, ``peeled=1 core=0x3``.
 
     While the quotient is free and the rule dense, the degrees from 3 on
-    build their derivative system as packed rows, one per equation, and
-    hand it to ``nullspace`` whole (see the module docstring); such a
-    degree logs ``peeled=0`` and the core as its nonzero equations x
-    n^s.
+    build their derivative system as packed rows of residues mod one
+    prime q, one per equation, and hand it to the modular elimination
+    whole (see the module docstring); such a degree logs ``peeled=0`` and
+    the core as its equations that are nonzero mod q x n^s.
     """
     _require_homogeneous(rule)
     if max_degree < 1:
@@ -578,21 +632,52 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     import logging
     log = logging.getLogger("nccalc")
     n, field = rule.n, rule.field
+    # the prime that decides the packed degrees (see the module docstring)
+    q = field.p or linalg._PRIMES[0]
     comps = [Subspace.zero(n, 1, field)]
     known = _unit_partials(n)
-    # whether the last table-built degree left a dense core, and the
-    # equations' rows with their den while the degrees are packed
-    dense, packed = False, None
+    # whether the last table-built degree left a dense core; while the
+    # degrees are packed, (degree, rows, den) of the last exact rows, and
+    # the residues of the degree before as (rows, den), or None where they
+    # are to be read off the exact rows
+    dense, exact, residues = False, None, None
     for s in range(2, max_degree + 1):
         if dense and not comps[-1].dim:
-            if packed is None:
-                packed = _equation_rows(known, n)
+            if exact is None:
+                exact = (s - 1,) + _equation_rows(known, n)
             known = None
-            packed = _packed_partials(rule, *packed, s == max_degree)
+            if residues is None:
+                # over F_p the exact rows are residues already
+                rows, den = exact[1:]
+                residues = ((rows, den) if field.p is not None else
+                            ([[x % q for x in r] for r in rows], den % q))
+            residues = _packed_partials(rule, *residues, q)
+            eqs = [r for r in residues[0] if any(r)]
+            top = n ** s
+            red, pivots = linalg._rref_mod(eqs, q) if eqs else ([], [])
             l_s, shifted = Subspace.zero(n, s, field), 0
-            eqs = [r for r in packed[0] if any(r)]
-            u_c = Subspace.from_vectors(nullspace(eqs, len(l_s.free), field), n, s, field)
-            peeled, core = 0, (len(eqs), len(l_s.free))
+            peeled, core = 0, (len(eqs), top)
+            if len(pivots) == top:
+                # full rank mod q: U_s = 0, and nothing is exact
+                u_c = l_s
+            elif field.p is not None:
+                exact = (s,) + residues
+                u_c = _kernel_subspace(red, 1, pivots, n, s, field)
+            else:
+                # free the residues before the exact rows are replayed from
+                # the last ones, and the next degree reads theirs
+                residues = eqs = None
+                e, rows, den = exact
+                for d in range(e + 1, s + 1):
+                    rows, den = _exact_partials(rule, rows, den, d == max_degree)
+                exact = s, rows, den
+                # the mod-q RREF is _rref_rational's first prime, unless no
+                # equation survived mod q
+                u_c = _kernel_subspace(*linalg._rref_rational(rows, (red, pivots) if pivots
+                                                              else None), n, s, field)
+            # a short rank's RREF is as large as the system: free it before
+            # the next degree
+            del red
         else:
             l_s, shifted = _ideal_slice(comps[-1])
             known = _normal_step(rule, comps[-1], known, l_s.free, True)
@@ -621,10 +706,11 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
                   len(l_s.free), n * len(comps[-1].free), len(l_s.free) - u_c.dim,
                   l_s.dim + u_c.dim, rounds, i_s.dim, peeled, *core)
         comps.append(i_s)
-        if packed is not None and i_s.dim and s < max_degree:
-            # the free prefix ends: the next degree reads the table
-            known = _partials_table(*packed, n, i_s.free)
-            packed = None
+        if exact is not None and i_s.dim and s < max_degree:
+            # the free prefix ends at a degree whose rank fell short, which
+            # made its rows exact: the next degree reads the table
+            known = _partials_table(*exact[1:], n, i_s.free)
+            exact = residues = None
     return IdealFiltration(rule, comps, max_degree)
 
 

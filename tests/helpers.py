@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the code paths they are used to check:
 the matrix homomorphism multiplies the letters' images word by word,
-the rightmost-letter derivative identity only uses that product, the
-per-word derivative sum only uses the memoized word table, the
+the rightmost-letter derivative identity only uses that product (and
+gives the dense filtration every word's derivatives), the per-word
+derivative sum only uses ``word_partials`` of each word, the
 field-element trie pass only uses the coefficients' own arithmetic, the
 commutative-evaluation check only uses scalar arithmetic, the grid
 intersection enumerates small coefficient combinations directly, the
@@ -251,6 +252,23 @@ def partial_rightmost(rule, k, f):
     return total
 
 
+def rightmost_word_partials(rule, max_degree):
+    """For s = 1..max_degree, the n derivatives of every word of degree s,
+    in ``all_words`` order: each degree from the one below by the
+    rightmost-letter identity D_k(v*x^i) = D_k(v)*x^i + A(v)^i_k, with
+    A(v) the running product of the letters' images in ``MatrixPoly``
+    arithmetic, as in ``partial_rightmost``.  Only the table of the degree
+    below is kept, and never the words' images past the last degree."""
+    n, field = rule.n, rule.field
+    gens = [NCPoly.gen(n, i, field) for i in range(1, n + 1)]
+    level = {(): ((NCPoly.zero(n, field),) * n, MatrixPoly.identity(n, field))}
+    for s in range(1, max_degree + 1):
+        level = {v + (i,): (tuple(d * g + head.entry(k, i) for k, d in enumerate(parts, 1)),
+                            head * rule.images[i - 1] if s < max_degree else None)
+                 for v, (parts, head) in level.items() for i, g in enumerate(gens, 1)}
+        yield [level[w][0] for w in all_words(s, n)]
+
+
 def field_partials(rule, f):
     """All n derivatives of f by the prefix-trie pass with every
     multiply-add on field elements: an oracle for the integer kernel of
@@ -439,16 +457,19 @@ def dense_optimal_ideal(rule, max_degree):
     """Reference filtration built on all n^s words of every degree.
 
     U_s is the preimage of the previous component under the derivatives
-    of every word, the invariant rounds reduce every entry of A on every
-    basis vector of the full U_s, and the ideal-slice property is checked
-    polynomial by polynomial.  Returns the components I_1..I_max_degree.
+    of every word, from ``rightmost_word_partials``, the invariant rounds
+    reduce every entry of A on every basis vector of the full U_s, and
+    the ideal-slice property is checked polynomial by polynomial.  Returns
+    the components I_1..I_max_degree.
     """
     n, field = rule.n, rule.field
     comps = [Subspace.zero(n, 1, field)]
     gens = [NCPoly.gen(n, i, field) for i in range(1, n + 1)]
+    partials = rightmost_word_partials(rule, max_degree)
+    next(partials)
     for s in range(2, max_degree + 1):
         prev = comps[-1]
-        images = [word_partials(rule, w) for w in all_words(s, n)]
+        images = next(partials)
         space = preimage(images, (prev,) * n, s, n, field)
         while 0 < space.dim < space.ambient_dim:
             residuals = []

@@ -13,12 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from nccalc import (GF, QQ, FpElement, IdealPropertyViolation, Subspace, builtin, linalg,
+from nccalc import (GF, QQ, CommRule, FpElement, IdealPropertyViolation, Subspace, builtin, linalg,
                     optimal, optimal_ideal, parse_expr, word_partials)
+from nccalc.commrule import _int_images
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
-from nccalc.optimal import (_derivative_rows, _equation_rows, _ideal_slice, _normal_step,
-                            _packed_partials, _partials_table, _unit_partials)
+from nccalc.optimal import (_derivative_rows, _equation_rows, _exact_partials, _ideal_slice,
+                            _normal_step, _packed_partials, _partials_table, _unit_partials)
 from nccalc.rulefile import parse_rule_dict
 from helpers import (dense_ideal_component, dense_ideal_slice, dense_optimal_ideal,
                      random_homogeneous_rule, random_invertible, rule_over)
@@ -355,13 +356,100 @@ def test_packed_rows_match_the_table_recursion(field, monkeypatch):
             prev = Subspace.zero(n, s - 1, field)
             words = list(range(n ** s))
             if s > 2:
-                rows = _packed_partials(rule, *_equation_rows(known, n), False)
+                # over Q the exact step, over F_p the residue step, which
+                # is exact there
+                rows = (_exact_partials(rule, *_equation_rows(known, n), False)
+                        if field == QQ else
+                        _packed_partials(rule, *_equation_rows(known, n), field.p))
                 got = _partials_table(*rows, n, words)
             known = _normal_step(rule, prev, known, words, True)
             if s > 2:
                 assert got == known
     if field == QQ:
         assert max(widths) > 64
+
+
+def spy_on_steps(monkeypatch):
+    """Record, in order, each packed step of ``optimal_ideal`` as
+    ("residues", words) or ("exact", words): the residue step of every
+    packed degree, and the exact rows of a degree over Q."""
+    steps = []
+    for name, tag in (("_packed_partials", "residues"), ("_exact_partials", "exact")):
+        step = getattr(optimal, name)
+
+        def spy(rule, rows, *args, step=step, tag=tag):
+            steps.append((tag, rule.n * len(rows[0])))
+            return step(rule, rows, *args)
+
+        monkeypatch.setattr(optimal, name, spy)
+    return steps
+
+
+def test_free_degrees_build_exact_rows_only_where_the_rank_falls_short(monkeypatch):
+    # a dense rule free to degree 5 is decided on residues alone; rule3
+    # has U_4 != 0, so degree 4 replays the exact rows of degrees 3 and 4
+    # from those of degree 2, once
+    steps = spy_on_steps(monkeypatch)
+    rule = dense_pool(9800, QQ, 1)[0]
+    assert [c.dim for c in optimal_ideal(rule, 5).components] == [0] * 5
+    assert steps == [("residues", 27), ("residues", 81), ("residues", 243)]
+    steps.clear()
+    optimal_ideal(rule3("Q"), 4)
+    assert steps == [("residues", 27), ("residues", 81), ("exact", 27), ("exact", 81)]
+
+
+def test_residue_decision_is_exact_when_q_divides_the_scale(monkeypatch):
+    # with 3 first among the primes, q = 3 divides L, the lcm of the
+    # images' denominators, so lead is zero mod q and every system loses
+    # rank there; each degree then replays its exact rows, hands its mod-3
+    # RREF to the certified lift as the first prime's, and the next prime
+    # settles it.  No system is eliminated twice mod 3
+    monkeypatch.setattr(linalg, "_PRIMES", (3,) + linalg._PRIMES)
+    moduli = []
+    rref_mod = linalg._rref_mod
+
+    def spy(rows, p):
+        red, pivots = rref_mod(rows, p)
+        if len(rows[0]) in (27, 81):
+            moduli.append((p, len(rows[0]), len(pivots)))
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "_rref_mod", spy)
+    steps = spy_on_steps(monkeypatch)
+    for rule in dense_pool(9803, QQ, 1):
+        # the same rule with every coefficient divided by 3
+        rule = CommRule([image.scale(Fraction(1, 3)) for image in rule.images])
+        assert _int_images(rule)[0] % 3 == 0
+        moduli.clear()
+        steps.clear()
+        got = optimal_ideal(rule, 4).components
+        assert [(p, cols) for p, cols, _ in moduli] == [
+            (3, 27), (linalg._PRIMES[1], 27), (3, 81), (linalg._PRIMES[1], 81)]
+        assert all(rank < cols for p, cols, rank in moduli if p == 3)
+        assert steps == [("residues", 27), ("exact", 27), ("residues", 81), ("exact", 81)]
+        assert got == tuple(dense_optimal_ideal(rule, 4))
+
+
+def test_packed_prefix_over_q_hands_over_from_exact_rows(monkeypatch):
+    # a seeded dense rule over Q, found by a search over seeds as the
+    # rules above were: U_3 != 0 while I_3 = 0, and I_4 != 0, so the table
+    # of degree 4 comes from the exact rows its short rank built
+    steps = spy_on_steps(monkeypatch)
+    tables = []
+    monkeypatch.setattr(optimal, "_partials_table",
+                        lambda *args: tables.append(args[:2]) or _partials_table(*args))
+    rule = random_homogeneous_rule(random.Random("handover/2/Q/202"), 2, QQ)
+    got = optimal_ideal(rule, 6).components
+    assert [c.dim for c in got] == [0, 0, 0, 1, 4, 11]
+    assert steps == [("residues", 8), ("exact", 8), ("residues", 16), ("exact", 16)]
+    # the rows handed over are the exact system of degree 4, over the den
+    # of the table recursion
+    [(rows, den)] = tables
+    known = _unit_partials(2)
+    for d in range(2, 5):
+        known = _normal_step(rule, Subspace.zero(2, d - 1, QQ), known, range(2 ** d), True)
+    assert _partials_table(rows, den, 2, range(16)) == known
+    assert got == tuple(dense_optimal_ideal(rule, 6))
 
 
 def test_examples_never_build_packed_rows(monkeypatch):
