@@ -27,8 +27,9 @@ from .freealg import NCPoly, check_letters, dot
 def word_partials(rule: CommRule, w) -> tuple:
     """All n partial derivatives of a single word, as a tuple indexed by k-1:
     the walk of the word alone."""
+    w = tuple(w)
     check_letters(w, rule.n)
-    parts, scale = _walk(rule, {tuple(w): 1}, 1, False, True)
+    parts, scale = _walk(rule, {w: 1}, 1, False, True)
     return tuple(_poly(rule, d, scale) for d in parts)
 
 

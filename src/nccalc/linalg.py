@@ -71,12 +71,10 @@ through ``array('Q')``; wider fields, such as those of ``Fp:`` moduli
 above about 2^26, are packed value by value.  A row that no step clears
 stays a list and is never packed, and the certificate walks only the
 nonzero entries of B, so the sparse cases (diagonal rules, the zero
-rule, near-identity bases) stay near linear time.  ``optimal`` builds
-the derivative systems of free degrees on the same packed rows: of
-residues mod one prime, in unsigned fields, and where a degree's rank
-falls short over Q, of exact signed fields, the codec's two's
-complements under a bias (``_signed_codec``), whose sums and int
-multiples are exact while every field fits its width.
+rule, near-identity bases) stay near linear time.  ``optimal`` decides
+the free degrees of a dense rule on the same packed rows, of residues
+mod one prime through the same codec; the exact system of a degree whose
+rank falls short comes from its derivative table, not from packed rows.
 """
 
 from __future__ import annotations
@@ -265,36 +263,28 @@ def _rref_mod(rows, p):
     return red, pivots
 
 
-def _field_codec(bits, signed=False):
+def _field_codec(bits):
     """``(width, pack, unpack)`` for packed rows whose fields need ``bits``
     bits: fields of as few whole bytes as hold them.  ``pack(values)`` puts
     values[0] in the top field, and ``unpack(row, count)`` reads back the
     ``count`` fields of a packed row, unreduced, as a list.  Fields of at
-    most eight bytes pass through ``array('Q')``, whole rows at a time.
-    ``signed`` fields hold two's complements in at least eight bytes and
-    pass through ``array('q')``; ``_signed_codec`` adds the bias that
-    makes the packed row the plain sum of its fields."""
+    most eight bytes pass through ``array('Q')``, whole rows at a time."""
     size = (bits + 7) // 8
-    code = "Q"
-    if signed:
-        size, code = max(8, size), "q"
     if size <= 8:
-        return 8 * size, partial(_pack_words, code, size), partial(_unpack_words, code, size)
+        return 8 * size, partial(_pack_words, size), partial(_unpack_words, size)
 
     def pack(values):
-        return int.from_bytes(b"".join([v.to_bytes(size, "big", signed=signed)
-                                        for v in values]), "big")
+        return int.from_bytes(b"".join([v.to_bytes(size, "big") for v in values]), "big")
 
     def unpack(row, count):
         packed = row.to_bytes(size * count, "big")
-        return [int.from_bytes(packed[i:i + size], "big", signed=signed)
-                for i in range(0, len(packed), size)]
+        return [int.from_bytes(packed[i:i + size], "big") for i in range(0, len(packed), size)]
 
     return 8 * size, pack, unpack
 
 
-def _pack_words(code, size, values):
-    words = array(code, values)
+def _pack_words(size, values):
+    words = array("Q", values)
     if _SWAP:
         words.byteswap()
     if size == 8:
@@ -307,45 +297,17 @@ def _pack_words(code, size, values):
     return int.from_bytes(packed, "big")
 
 
-def _unpack_words(code, size, row, count):
+def _unpack_words(size, row, count):
     packed = row.to_bytes(size * count, "big")
     if size < 8:
         wide = bytearray(8 * count)
         for k in range(size):
             wide[8 - size + k::8] = packed[k::size]
         packed = wide
-    words = array(code, packed)
+    words = array("Q", packed)
     if _SWAP:
         words.byteswap()
     return words.tolist()
-
-
-def _signed_codec(bits):
-    """``(width, pack, unpack)`` for packed rows of signed ints whose
-    fields need ``bits`` bits, sign included.  A row is the plain int
-    sum_i values[i] * 2^(width*(count - 1 - i)), so sums of rows and their
-    int multiples act on every field at once, exactly while no field
-    outgrows its bits.  Fields are at least eight bytes wide.
-
-    The signed ``_field_codec`` packs two's complements; flipping their
-    top bits gives the biased row, the row plus 2^(width - 1) in every
-    field, so the bias is all this adds."""
-    width, pack, unpack = _field_codec(bits, signed=True)
-    # 2^(width - 1) in one field, as big-endian bytes
-    top = b"\x80" + bytes(width // 8 - 1)
-
-    def bias(count):
-        return int.from_bytes(top * count, "big")
-
-    def pack_signed(values):
-        b = bias(len(values))
-        return (pack(values) ^ b) - b
-
-    def unpack_signed(row, count):
-        b = bias(count)
-        return unpack((row + b) ^ b, count)
-
-    return width, pack_signed, unpack_signed
 
 
 def _rref_rational(rows, first=None):

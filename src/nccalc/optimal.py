@@ -100,11 +100,12 @@ A(x^a)^j_k.  The product rule gives
 
 where block a holds the columns a*top + w of the words x^a * w, and
 lead is the one the table uses (1 over F_p).  The recursion starts
-from E_1[j] = e_j; in practice the first packed degree reads E_{s-1}
-off the table.  Each row is one Python int with a field per column, as
-in ``linalg``'s packed elimination, so an equation costs at most n^2
-big-int multiply-adds, where the table costs n^2 dict updates per entry
-of each word's derivatives.
+from E_1[j] = e_j; in practice a packed degree steps on the residues of
+degree s-1, or reads E_{s-1} off the table of degree s-1.  Each row is
+one Python int with a field per column, as in ``linalg``'s packed
+elimination, so an equation costs at most n^2 big-int multiply-adds,
+where the table costs n^2 dict updates per entry of each word's
+derivatives.
 
 The packed degrees are decided modulo one prime q: the rule's own p
 over F_p, and the first prime of ``linalg._PRIMES`` over Q.  The step
@@ -121,32 +122,33 @@ rank over Q is full too.  Such a degree builds nothing exact, and a
 dense rule's free quotient, whose systems almost always have full rank,
 is decided on residues alone.
 
-A degree whose rank falls short mod q takes its kernel otherwise.
-Over F_p the residues are exact, and the kernel comes from the same
-RREF.  Over Q the residues are dropped, and the exact rows of the
-degree are replayed from the last exact ones: those the prefix started
-from, or those of the last degree whose rank fell short.  They hold
-exact signed ints, read back through a bias, and are put over their
-least common denominator once per degree.  They go to
-``linalg._rref_rational`` with the mod-q RREF as its first prime's, so
-no system is eliminated twice mod one prime, and the kernel is the
-certified lift (or a full rank another prime proves).  Either way U_s
-comes out canonical, and the invariant rounds below follow as for any
-degree.  The residues of the next degree start from the exact rows.
-Rank mod q never exceeds the rank over Q, so a prime that divides L or
-the den only costs a lift: the answer is never taken from residues
-alone unless their rank is full.
+A degree whose rank falls short mod q takes its kernel otherwise, and
+its exact system comes from the table alone: ``_free_table`` steps the
+table of the last exact degree (the one the prefix started from, or the
+last whose rank fell short) on to degree s by ``_normal_step`` modulo
+zero subspaces.  Over F_p the residues are exact, and the kernel comes
+from the same RREF: the table serves only the degrees after it, and the
+last degree builds none.  Over Q the residues are dropped, and the
+table's rows (``_equation_rows``) go to ``linalg._rref_rational`` with
+the mod-q RREF as its first prime's, so no system is eliminated twice
+mod one prime, and the kernel is the certified lift (or a full rank
+another prime proves).  Either way U_s comes out canonical, and the
+invariant rounds below follow as for any degree.  The next degree reads
+the new table: as the table path if I_s != 0, or by restarting the
+residues from its rows if I_s = 0.  Rank mod q never exceeds the rank
+over Q, so a prime that divides L or the den only costs a lift: the
+answer is never taken from residues alone unless their rank is full.
 
 Degree 2 always takes the table.  A degree s >= 3 is packed when
 I_{s-1} = 0 and the peel of degree s-1 fixed at most half its words,
 leaving a core on the rest: then the peel would hand ``nullspace`` a
 dense core of Python ints anyway, while a packed row costs a few bytes
 per cell.  Once packed, the degrees stay packed while the quotient
-stays free; at the first I_s != 0, whose rank fell short, the exact
-rows (residues over F_p) are transposed into the table once, and the
-next degree reads the table.  The zero rule's peel fixes every word and
-leaves an empty core, so its free quotient keeps the peel, which
-touches its n^s entries where packed rows would take n^(2s) cells.
+stays free; the first I_s != 0, whose rank fell short, has built the
+table of degree s, and the next degree reads it.  The zero rule's peel
+fixes every word and leaves an empty core, so its free quotient keeps
+the peel, which touches its n^s entries where packed rows would take
+n^(2s) cells.
 
 By fact 2, L_s is closed under the entries of A, so it lies in
 the largest closed subspace of U_s.  The descending rounds
@@ -273,7 +275,7 @@ from .freealg import NCPoly, format_poly, index_word, word_index
 # called
 from . import linalg
 # nullspace is not called here; the benchmark's tracer test reads this binding
-from .linalg import Subspace, _field_codec, _kernel_basis, _signed_codec, nullspace
+from .linalg import Subspace, _field_codec, _kernel_basis, nullspace
 
 
 class IdealPropertyViolation(RuntimeError):
@@ -382,48 +384,6 @@ def _equation_rows(known, n):
     return rows, den
 
 
-def _step_terms(rule):
-    """terms[k*n + b][a]: (j, x) for each term x*x^b of A(x^a)^j_k, on
-    the rule's ints (``_int_images``): the coefficients of the product
-    rule for the rows of equation k and letter b (see the module
-    docstring)."""
-    n = rule.n
-    terms = [[[] for _ in range(n)] for _ in range(n * n)]
-    for a, image in enumerate(_int_images(rule)[1]):
-        for k, row in enumerate(image):
-            for j, entry in row:
-                for v, x in entry:
-                    terms[k * n + v[0] - 1][a].append((j, x))
-    return terms
-
-
-def _packed_step(terms, rows, lead, codec):
-    """The rows of degree s, unpacked but unreduced, from the n^(s-1) rows
-    of degree s-1 packed by ``codec``, ``(width, pack, unpack)``, whose
-    fields must hold those of degree s: by Horner's rule over the blocks
-    of columns a*top + w, a = 0 first, with the coefficients ``terms``
-    of ``_step_terms``, then lead at column k*top + c of row k*top + c
-    for delta_ak*w."""
-    width, pack, unpack = codec
-    # terms[k*n + b] holds one list per letter x^a
-    n = len(terms[0])
-    top = len(rows[0])
-    m = len(rows) // n
-    size = n * top
-    packed = list(map(pack, rows))
-    block = width * top
-    out = []
-    for ts in terms:
-        for u in range(m):
-            acc = 0
-            for t in ts:
-                acc <<= block
-                for j, x in t:
-                    acc += x * packed[j * m + u]
-            out.append(acc)
-    return [unpack(row + (lead << width * (size - 1 - r)), size) for r, row in enumerate(out)]
-
-
 def _packed_partials(rule, rows, den, q):
     """The derivative system of a free degree s modulo the prime q, from
     that of degree s-1 (see the module docstring).
@@ -433,34 +393,41 @@ def _packed_partials(rule, rows, den, q):
     degree s: the residues of lead times its rows, with den = lead, the
     lead of the exact step reduced mod q (1 over F_p, where q = p).
     """
-    terms = [[[(j, x % q) for j, x in t if x % q] for t in ts] for ts in _step_terms(rule)]
-    lead = _int_images(rule)[0] * den % q
+    n = rule.n
+    scale, images = _int_images(rule)[:2]
+    # terms[k*n + b][a]: (j, x mod q) for each term x*x^b of A(x^a)^j_k,
+    # the coefficients of the rows of equation k and letter b
+    terms = [[[] for _ in range(n)] for _ in range(n * n)]
+    for a, image in enumerate(images):
+        for k, row in enumerate(image):
+            for j, entry in row:
+                for v, x in entry:
+                    if x % q:
+                        terms[k * n + v[0] - 1][a].append((j, x % q))
+    lead = scale * den % q
     # every field of degree s is lead times a delta plus residues times
     # residues, all below q.  Fields of at least a 64-bit word pass whole
     # rows through array('Q'), which beats narrower fields' byte shuffle
     reach = max(sum(x for _, x in t) for ts in terms for t in ts)
-    codec = _field_codec(max(64, ((reach + 1) * (q - 1)).bit_length()))
-    return [[x % q for x in r] for r in _packed_step(terms, rows, lead, codec)], lead
-
-
-def _exact_partials(rule, rows, den, last):
-    """``_packed_partials`` over Q on exact ints: den times the rows of
-    degree s-1 give ``(rows, den)`` for degree s, put over their least
-    common den for the next degree unless it is the ``last``."""
-    terms = _step_terms(rule)
-    lead = _int_images(rule)[0] * den
-    # every field of degree s is lead times a delta plus at most reach
-    # times a field of degree s-1
-    reach = max(sum(abs(x) for _, x in t) for ts in terms for t in ts)
-    big = max(max(map(abs, r)) for r in rows)
-    codec = _signed_codec((lead + max(reach, 1) * big).bit_length() + 1)
-    rows = _packed_step(terms, rows, lead, codec)
-    if not last:
-        g = gcd(lead, *chain.from_iterable(rows))
-        if g != 1:
-            rows = [[x // g for x in r] for r in rows]
-            lead //= g
-    return rows, lead
+    width, pack, unpack = _field_codec(max(64, ((reach + 1) * (q - 1)).bit_length()))
+    top = len(rows[0])
+    m = len(rows) // n
+    size = n * top
+    packed = list(map(pack, rows))
+    block = width * top
+    out = []
+    # Horner's rule over the blocks of columns a*top + w, a = 0 first,
+    # then lead at column k*top + c of row k*top + c for delta_ak*w
+    for ts in terms:
+        for u in range(m):
+            acc = 0
+            for t in ts:
+                acc <<= block
+                for j, x in t:
+                    acc += x * packed[j * m + u]
+            out.append(acc)
+    return [[x % q for x in unpack(row + (lead << width * (size - 1 - r)), size)]
+            for r, row in enumerate(out)], lead
 
 
 def _kernel_subspace(red, den, pivots, n, s, field):
@@ -469,21 +436,23 @@ def _kernel_subspace(red, den, pivots, n, s, field):
     return Subspace.from_vectors(_kernel_basis(red, den, pivots, n ** s, field), n, s, field)
 
 
-def _partials_table(rows, den, n, words):
-    """The Dbar table of ``_normal_step`` for the given words of a free degree,
-    from the rows of its equations: the inverse of ``_equation_rows``."""
-    top = len(rows) // n
-    cols = list(zip(*rows))
-    return {w: [{c: x for c, x in enumerate(cols[w][k * top:(k + 1) * top]) if x}
-                for k in range(n)] for w in words}, den
+def _free_table(rule: CommRule, e, known, s):
+    """The Dbar table of all n^s words of a free degree s, from ``known``,
+    that of all words of the free degree e <= s: ``_normal_step`` modulo
+    zero subspaces, where every word is normal and the table holds the
+    derivatives themselves."""
+    n, field = rule.n, rule.field
+    for d in range(e + 1, s + 1):
+        known = _normal_step(rule, Subspace.zero(n, d - 1, field), known, range(n ** d), True)
+    return known
 
 
 def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     """Degree-s polynomials whose every partial derivative lies in prev.
 
-    ``_normal_step`` builds the exact derivative tables of degrees 2..s-1
-    modulo zero subspaces, then the residuals of all n^s words modulo
-    prev, whose system has the kernel U_s on the full component.
+    ``_free_table`` builds the exact derivative table of degree s-1, then
+    ``_normal_step`` the residuals of all n^s words modulo prev, whose
+    system has the kernel U_s on the full component.
     """
     _require_homogeneous(rule)
     if s < 2:
@@ -491,10 +460,8 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     if prev.degree != s - 1 or prev.n != rule.n or prev.field != rule.field:
         raise ValueError(f"previous component must live at degree {s - 1}")
     n, field = rule.n, rule.field
-    known = _unit_partials(n)
-    for d in range(2, s + 1):
-        known = _normal_step(rule, prev if d == s else Subspace.zero(n, d - 1, field),
-                             known, range(n ** d), True)
+    known = _normal_step(rule, prev, _free_table(rule, 1, _unit_partials(n), s - 1),
+                         range(n ** s), True)
     system = _derivative_rows(known[0], range(n ** s), n ** (s - 1))
     return Subspace.full(n, s, field).kernel_of(system)
 
@@ -636,21 +603,18 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     q = field.p or linalg._PRIMES[0]
     comps = [Subspace.zero(n, 1, field)]
     known = _unit_partials(n)
-    # whether the last table-built degree left a dense core; while the
-    # degrees are packed, (degree, rows, den) of the last exact rows, and
-    # the residues of the degree before as (rows, den), or None where they
-    # are to be read off the exact rows
-    dense, exact, residues = False, None, None
+    # whether the last table-built degree left a dense core, and while the
+    # degrees are packed, the residues of the degree before as (rows, den),
+    # or None where they are to be read off the table of that degree
+    dense, residues = False, None
     for s in range(2, max_degree + 1):
         if dense and not comps[-1].dim:
-            if exact is None:
-                exact = (s - 1,) + _equation_rows(known, n)
-            known = None
             if residues is None:
-                # over F_p the exact rows are residues already
-                rows, den = exact[1:]
-                residues = ((rows, den) if field.p is not None else
-                            ([[x % q for x in r] for r in rows], den % q))
+                # the table of degree e = s-1, which a rank that falls short
+                # steps on to its degree
+                e = s - 1
+                rows, den = _equation_rows(known, n)
+                residues = [[x % q for x in r] for r in rows], den % q
             residues = _packed_partials(rule, *residues, q)
             eqs = [r for r in residues[0] if any(r)]
             top = n ** s
@@ -660,21 +624,21 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
             if len(pivots) == top:
                 # full rank mod q: U_s = 0, and nothing is exact
                 u_c = l_s
-            elif field.p is not None:
-                exact = (s,) + residues
-                u_c = _kernel_subspace(red, 1, pivots, n, s, field)
             else:
-                # free the residues before the exact rows are replayed from
-                # the last ones, and the next degree reads theirs
+                # free the residues before the exact table of degree s is
+                # built: the lift over Q reads it, and so does the next
+                # degree
                 residues = eqs = None
-                e, rows, den = exact
-                for d in range(e + 1, s + 1):
-                    rows, den = _exact_partials(rule, rows, den, d == max_degree)
-                exact = s, rows, den
-                # the mod-q RREF is _rref_rational's first prime, unless no
-                # equation survived mod q
-                u_c = _kernel_subspace(*linalg._rref_rational(rows, (red, pivots) if pivots
-                                                              else None), n, s, field)
+                if field.p is None or s < max_degree:
+                    known = _free_table(rule, e, known, s)
+                if field.p is not None:
+                    u_c = _kernel_subspace(red, 1, pivots, n, s, field)
+                else:
+                    # the mod-q RREF is _rref_rational's first prime, unless
+                    # no equation survived mod q
+                    u_c = _kernel_subspace(*linalg._rref_rational(
+                        _equation_rows(known, n)[0], (red, pivots) if pivots else None),
+                        n, s, field)
             # a short rank's RREF is as large as the system: free it before
             # the next degree
             del red
@@ -706,11 +670,6 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
                   len(l_s.free), n * len(comps[-1].free), len(l_s.free) - u_c.dim,
                   l_s.dim + u_c.dim, rounds, i_s.dim, peeled, *core)
         comps.append(i_s)
-        if exact is not None and i_s.dim and s < max_degree:
-            # the free prefix ends at a degree whose rank fell short, which
-            # made its rows exact: the next degree reads the table
-            known = _partials_table(*exact[1:], n, i_s.free)
-            exact = residues = None
     return IdealFiltration(rule, comps, max_degree)
 
 

@@ -25,7 +25,7 @@ from nccalc import (
 )
 from nccalc.commrule import _int_images, _int_terms, _poly, _walk
 from nccalc.examples import build_example
-from nccalc.freealg import index_word, word_index
+from nccalc.freealg import format_poly, index_word, word_index
 from nccalc.optimal import _normal_step, _unit_partials
 from nccalc.rulefile import parse_rule_dict
 from helpers import (
@@ -179,6 +179,15 @@ def test_word_partials_tuple():
     assert len(parts) == 2
     for k in (1, 2):
         assert parts[k - 1] == partial(r, k, NCPoly.from_word(2, (1, 2)))
+
+
+def test_word_partials_reads_an_iterator_once():
+    # the letter check must not use up a word given as an iterator
+    r = build_example("thm4.1-I")
+    want = word_partials(r, (1, 2))
+    assert [format_poly(d) for d in want] == ["x1 + x2", "x1 + 2*x2"]
+    assert word_partials(r, iter([1, 2])) == want
+    assert word_partials(r, (a for a in (1, 2))) == want
 
 
 def test_partial_validates_arguments():

@@ -18,8 +18,8 @@ from nccalc import (GF, QQ, CommRule, FpElement, IdealPropertyViolation, Subspac
 from nccalc.commrule import _int_images
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
-from nccalc.optimal import (_derivative_rows, _equation_rows, _exact_partials, _ideal_slice,
-                            _normal_step, _packed_partials, _partials_table, _unit_partials)
+from nccalc.optimal import (_derivative_rows, _equation_rows, _ideal_slice, _normal_step,
+                            _packed_partials, _unit_partials)
 from nccalc.rulefile import parse_rule_dict
 from helpers import (dense_ideal_component, dense_ideal_slice, dense_optimal_ideal,
                      random_homogeneous_rule, random_invertible, rule_over)
@@ -321,89 +321,117 @@ def test_packed_prefix_is_exact_after_an_unlucky_first_prime(monkeypatch):
 def test_packed_prefix_hands_over_to_the_table(n, p, seed, dims, monkeypatch):
     # seeded dense rules over small primes, found by a search over seeds:
     # the quotient is free to degree s-1 and I_s != 0, so the table of
-    # degree s comes from the packed rows, and the next degree reads it
+    # degree s comes from the short rank of the packed degree s, and the
+    # next degree reads it
     sizes = spy_on_packing(monkeypatch)
-    tables = []
-    monkeypatch.setattr(optimal, "_partials_table",
-                        lambda *args: tables.append(args[3]) or _partials_table(*args))
+    tables = spy_on_handover(monkeypatch)
     rule = random_homogeneous_rule(random.Random(f"handover/{n}/{p}/{seed}"), n, GF(p))
     got = optimal_ideal(rule, len(dims)).components
     assert [c.dim for c in got] == dims
     s = dims.index(1) + 1
     assert sizes == [n ** d for d in range(3, s + 1)]
-    assert tables == [got[s - 1].free]
+    assert tables[0] == (s, free_table(rule, s))
     assert got == tuple(dense_optimal_ideal(rule, len(dims)))
 
 
+def free_table(rule, s):
+    """The Dbar table of all words of degree s, from degree 1 by
+    ``_normal_step`` modulo zero subspaces: the derivatives themselves."""
+    n = rule.n
+    known = _unit_partials(n)
+    for d in range(2, s + 1):
+        known = _normal_step(rule, Subspace.zero(n, d - 1, rule.field), known,
+                             range(n ** d), True)
+    return known
+
+
+def spy_on_handover(monkeypatch):
+    """Record, in order, ``(degree, table)`` for each table that the table
+    path of ``optimal_ideal`` reads modulo a nonzero I_{s-1}: the first is
+    the one a packed prefix hands over."""
+    tables = []
+    step = optimal._normal_step
+
+    def spy(rule, space, known, words, derivatives):
+        if space.dim:
+            tables.append((space.degree, known))
+        return step(rule, space, known, words, derivatives)
+
+    monkeypatch.setattr(optimal, "_normal_step", spy)
+    return tables
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
-def test_packed_rows_match_the_table_recursion(field, monkeypatch):
-    # the packed recursion, read back into a table, is the table that
-    # _normal_step builds from the same table, den included.  The
-    # basis change has large denominators, so over Q the fields of
-    # degree 5 need more than 64 bits
-    widths = []
-    codec = optimal._signed_codec
-    monkeypatch.setattr(optimal, "_signed_codec",
-                        lambda bits: widths.append(codec(bits)[0]) or codec(bits))
+def test_packed_rows_match_the_table_recursion(field):
+    # the packed residue recursion, run from the table of degree 2 as a
+    # free prefix runs it, gives at every degree the rows of the table
+    # that _normal_step builds, mod q and up to one nonzero constant: lead
+    # times the true rows against den times them.  The basis change has
+    # large denominators, so over Q the images' lcm L is large too
+    q = field.p or linalg._PRIMES[0]
     rng = random.Random(9802)
     alpha = [[Fraction(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(2)]
              for _ in range(2)]
     for rule in (rule3("Q"), build_example("thm4.1-I").change_basis(alpha)):
         rule = rule if field == QQ else rule_over(rule, field)
         n = rule.n
-        known = ({w: [{0: 1} if j == w else {} for j in range(n)] for w in range(n)}, 1)
-        for s in range(2, 6):
-            prev = Subspace.zero(n, s - 1, field)
-            words = list(range(n ** s))
-            if s > 2:
-                # over Q the exact step, over F_p the residue step, which
-                # is exact there
-                rows = (_exact_partials(rule, *_equation_rows(known, n), False)
-                        if field == QQ else
-                        _packed_partials(rule, *_equation_rows(known, n), field.p))
-                got = _partials_table(*rows, n, words)
-            known = _normal_step(rule, prev, known, words, True)
-            if s > 2:
-                assert got == known
+        known = free_table(rule, 2)
+        rows, den = _equation_rows(known, n)
+        residues = [[x % q for x in r] for r in rows], den % q
+        for s in range(3, 6):
+            residues = _packed_partials(rule, *residues, q)
+            known = _normal_step(rule, Subspace.zero(n, s - 1, field), known,
+                                 range(n ** s), True)
+            rows, den = _equation_rows(known, n)
+            lead = residues[1]
+            assert lead and den % q
+            assert [[x * den % q for x in r] for r in residues[0]] == \
+                [[x * lead % q for x in r] for r in rows]
     if field == QQ:
-        assert max(widths) > 64
+        assert _int_images(rule)[0] > 2 ** 64
 
 
 def spy_on_steps(monkeypatch):
-    """Record, in order, each packed step of ``optimal_ideal`` as
-    ("residues", words) or ("exact", words): the residue step of every
-    packed degree, and the exact rows of a degree over Q."""
+    """Record, in order, each packed step of ``optimal_ideal``: ("residues",
+    words) for the residue step of every packed degree, and ("table", e, s)
+    where a degree s whose rank falls short steps the exact table of
+    degree e on to s."""
     steps = []
-    for name, tag in (("_packed_partials", "residues"), ("_exact_partials", "exact")):
-        step = getattr(optimal, name)
+    residue_step, table_step = optimal._packed_partials, optimal._free_table
 
-        def spy(rule, rows, *args, step=step, tag=tag):
-            steps.append((tag, rule.n * len(rows[0])))
-            return step(rule, rows, *args)
+    def residues(rule, rows, *args):
+        steps.append(("residues", rule.n * len(rows[0])))
+        return residue_step(rule, rows, *args)
 
-        monkeypatch.setattr(optimal, name, spy)
+    def table(rule, e, known, s):
+        steps.append(("table", e, s))
+        return table_step(rule, e, known, s)
+
+    monkeypatch.setattr(optimal, "_packed_partials", residues)
+    monkeypatch.setattr(optimal, "_free_table", table)
     return steps
 
 
 def test_free_degrees_build_exact_rows_only_where_the_rank_falls_short(monkeypatch):
     # a dense rule free to degree 5 is decided on residues alone; rule3
-    # has U_4 != 0, so degree 4 replays the exact rows of degrees 3 and 4
-    # from those of degree 2, once
+    # has U_4 != 0, so degree 4 steps the exact table of degree 2 on to
+    # degree 4, once
     steps = spy_on_steps(monkeypatch)
     rule = dense_pool(9800, QQ, 1)[0]
     assert [c.dim for c in optimal_ideal(rule, 5).components] == [0] * 5
     assert steps == [("residues", 27), ("residues", 81), ("residues", 243)]
     steps.clear()
     optimal_ideal(rule3("Q"), 4)
-    assert steps == [("residues", 27), ("residues", 81), ("exact", 27), ("exact", 81)]
+    assert steps == [("residues", 27), ("residues", 81), ("table", 2, 4)]
 
 
 def test_residue_decision_is_exact_when_q_divides_the_scale(monkeypatch):
     # with 3 first among the primes, q = 3 divides L, the lcm of the
     # images' denominators, so lead is zero mod q and every system loses
-    # rank there; each degree then replays its exact rows, hands its mod-3
-    # RREF to the certified lift as the first prime's, and the next prime
-    # settles it.  No system is eliminated twice mod 3
+    # rank there; each degree then steps the exact table on to its own
+    # degree, hands the table's rows and their mod-3 RREF to the certified
+    # lift as the first prime's, and the next prime settles it.  No system
+    # is eliminated twice mod 3
     monkeypatch.setattr(linalg, "_PRIMES", (3,) + linalg._PRIMES)
     moduli = []
     rref_mod = linalg._rref_mod
@@ -426,30 +454,40 @@ def test_residue_decision_is_exact_when_q_divides_the_scale(monkeypatch):
         assert [(p, cols) for p, cols, _ in moduli] == [
             (3, 27), (linalg._PRIMES[1], 27), (3, 81), (linalg._PRIMES[1], 81)]
         assert all(rank < cols for p, cols, rank in moduli if p == 3)
-        assert steps == [("residues", 27), ("exact", 27), ("residues", 81), ("exact", 81)]
+        assert steps == [("residues", 27), ("table", 2, 3), ("residues", 81), ("table", 3, 4)]
         assert got == tuple(dense_optimal_ideal(rule, 4))
 
 
 def test_packed_prefix_over_q_hands_over_from_exact_rows(monkeypatch):
     # a seeded dense rule over Q, found by a search over seeds as the
     # rules above were: U_3 != 0 while I_3 = 0, and I_4 != 0, so the table
-    # of degree 4 comes from the exact rows its short rank built
+    # of degree 4 comes from the exact table its short rank built
     steps = spy_on_steps(monkeypatch)
-    tables = []
-    monkeypatch.setattr(optimal, "_partials_table",
-                        lambda *args: tables.append(args[:2]) or _partials_table(*args))
+    tables = spy_on_handover(monkeypatch)
     rule = random_homogeneous_rule(random.Random("handover/2/Q/202"), 2, QQ)
     got = optimal_ideal(rule, 6).components
     assert [c.dim for c in got] == [0, 0, 0, 1, 4, 11]
-    assert steps == [("residues", 8), ("exact", 8), ("residues", 16), ("exact", 16)]
-    # the rows handed over are the exact system of degree 4, over the den
-    # of the table recursion
-    [(rows, den)] = tables
-    known = _unit_partials(2)
-    for d in range(2, 5):
-        known = _normal_step(rule, Subspace.zero(2, d - 1, QQ), known, range(2 ** d), True)
-    assert _partials_table(rows, den, 2, range(16)) == known
+    assert steps == [("residues", 8), ("table", 2, 3), ("residues", 16), ("table", 3, 4)]
+    # the table handed over is the exact derivative table of degree 4, over
+    # the den of the table recursion from degree 1
+    assert tables[0] == (4, free_table(rule, 4))
     assert got == tuple(dense_optimal_ideal(rule, 6))
+
+
+def test_small_field_sample_matches_dense_construction(monkeypatch):
+    # a seeded sample of dense rules over F_2 and F_3, where the packed
+    # systems often lose rank: every short degree but the last steps the
+    # exact table on, and its next degree reads that table or restarts the
+    # residues from it
+    steps = spy_on_steps(monkeypatch)
+    for n, max_degree in ((2, 6), (3, 4)):
+        for p in (2, 3):
+            rng = random.Random(f"small-fields/{n}/{p}")
+            for _ in range(25):
+                rule = random_homogeneous_rule(rng, n, GF(p))
+                assert optimal_ideal(rule, max_degree).components == \
+                    tuple(dense_optimal_ideal(rule, max_degree))
+    assert sum(step[0] == "table" for step in steps) >= 50
 
 
 def test_examples_never_build_packed_rows(monkeypatch):
