@@ -112,11 +112,14 @@ def rref(rows):
     normalized to one and cleared above and below.  The result is the
     canonical basis of the row space.  Input rows are not modified.
 
-    Rows of ``int`` and ``Fraction`` entries, or of ``FpElement`` over
-    one modulus, are eliminated on ints as the module docstring
-    describes, and give ``Fraction`` or ``FpElement`` entries; any other
-    entries are eliminated in their own arithmetic.  Rows of unequal
-    length raise ValueError.
+    The entries are eliminated on ints as the module docstring
+    describes.  Rows of ``int`` and ``Fraction`` entries are read over Q
+    and give ``Fraction`` entries.  Rows that hold ``FpElement`` entries
+    of one modulus p are read over F_p, their ``int`` and ``Fraction``
+    entries as elements of F_p too, as ``nullspace`` reads them, and give
+    ``FpElement`` entries.  Any other entry, such as a float or an
+    element of a second modulus, raises ValueError, and so do rows of
+    unequal length.
     """
     # no path writes to an input row, so lists are read in place
     rows = [r if isinstance(r, list) else list(r) for r in rows]
@@ -125,12 +128,10 @@ def rref(rows):
     kinds = set(map(type, chain.from_iterable(rows)))
     if not kinds:
         return [], []
-    if kinds <= {int, Fraction}:
-        field = QQ
-    elif kinds == {FpElement} and len(moduli := {c.p for r in rows for c in r}) == 1:
-        field = GF(moduli.pop())
-    else:
-        return _rref_fraction(rows)
+    moduli = {c.p for r in rows for c in r if type(c) is FpElement}
+    if not kinds <= {int, Fraction, FpElement} or len(moduli) > 1:
+        raise ValueError("rref reads ints, Fractions and FpElements of one modulus")
+    field = GF(moduli.pop()) if moduli else QQ
     red, den, pivots = _rref_ints([field.ints(r)[0] for r in rows], field.p)
     if red is None:
         # full column rank: the RREF is the identity
@@ -152,8 +153,8 @@ def _rref_ints(rows, p):
 
 
 def _rref_fraction(rows):
-    """Elimination in the entries' own arithmetic: the fallback of ``rref``
-    and its test oracle."""
+    """Elimination in the entries' own arithmetic: the last resort of
+    ``_rref_rational``, on Fractions, and the test oracle of ``rref``."""
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return [], []

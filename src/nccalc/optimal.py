@@ -243,13 +243,16 @@ then short and one step per word serves many basis rows.  Where J_d
 holds few, the residuals are about as long as the unreduced images, and
 a table would hold n^2 + n of them per word where a walk holds one
 element's.  Since J_{d+1} holds the n independent copies x^i*J_d, J_d's
-share of the n^d words never falls as d grows.  So the degrees below
-the first where J_d holds at least half the words are listed by a walk
-per basis element, and the tables serve the degrees from there on.
-They hold the words that those degrees' basis rows use and the suffixes
-of those words, which the steps read, so a table's size follows the
-supports of J_d..J_S, not n^d.  The generators' own checks above, a
-handful of elements, keep the walk too.
+share of the n^d words never falls as d grows, and J_S's is the
+largest.  So one test decides for the whole listing.  Where J_S holds
+at least half its n^S words, every degree is listed from tables: each
+degree d < S tabulates all n^d words, whose rows the steps of degree
+d+1 read, and degree S only the words of J_S's basis rows, so the top
+table follows the support of J_S, not n^S.  Otherwise every basis
+element is walked (``_row_residuals``) and no table is built.  Either
+way one loop (``_closure_violations``) reads each slice's int rows.
+The generators' own checks above, a handful of elements, take the walk
+too.
 
 The slices themselves take the step that builds L_s.  A product u*r*v
 of degree d with u or v nonempty is x^a or x^b times a product of degree
@@ -265,7 +268,7 @@ right shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 
 from .commrule import (CommRule, NonHomogeneousRuleError, _blocks, _int_images, _int_terms,
@@ -457,8 +460,13 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     _require_homogeneous(rule)
     if s < 2:
         raise ValueError(f"the derivative-preimage step starts at degree 2, got {s}")
-    if prev.degree != s - 1 or prev.n != rule.n or prev.field != rule.field:
-        raise ValueError(f"previous component must live at degree {s - 1}")
+    if prev.degree != s - 1:
+        raise ValueError(f"previous component must live at degree {s - 1}, "
+                         f"got degree {prev.degree}")
+    if prev.n != rule.n:
+        raise ValueError(f"previous component has {prev.n} generators, rule has {rule.n}")
+    if prev.field != rule.field:
+        raise ValueError("previous component and rule coefficient fields differ")
     n, field = rule.n, rule.field
     known = _normal_step(rule, prev, _free_table(rule, 1, _unit_partials(n), s - 1),
                          range(n ** s), True)
@@ -466,12 +474,27 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     return Subspace.full(n, s, field).kernel_of(system)
 
 
+def _row_residuals(rule: CommRule, row, d, within: Subspace, below=None):
+    """The residuals, in ``commrule._walk``'s order, of the columns of Phi
+    of the degree-d vector with the (column, int) entries ``row``: the
+    n^2 entries of A modulo ``within`` and, given ``below``, the n
+    derivatives modulo ``below``.  One walk gives them, on a common
+    multiple of their values (residues over F_p), as dicts from free
+    columns to ints; the words and columns are converted here."""
+    n = rule.n
+    cols = _walk(rule, {index_word(c, d, n): x for c, x in row}, 1, True,
+                 below is not None)[0]
+    spaces = [within] * (n * n) + [below] * (len(cols) - n * n)
+    return [space._reduce_ints([(word_index(w, space.degree, n), x) for w, x in col.items()])
+            for space, col in zip(spaces, cols)]
+
+
 def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
     """Largest C <= ``space`` such that every entry of A(C) lies in
     lower + C, for a subspace ``lower`` closed under those entries and
     a ``space`` spanned inside its free columns.  Returns (C, rounds).
     """
-    n, s, top = rule.n, space.degree, space.ambient_dim
+    s, top = space.degree, space.ambient_dim
     size = len(lower.free)
     rounds = 0
     # the zero space is closed, and so is one that fills lower's free
@@ -481,14 +504,10 @@ def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
         # lower, supported on lower's free columns, lies in C.  Every basis
         # row's ints carry space.den, so the entries of A on all of them
         # share one scale; entry e's residual sits at keys e*n^s + c
-        residuals = []
-        for row in space._int_rows():
-            cols = _walk(rule, {index_word(c, s, n): x for c, x in row}, space.den,
-                         True, False)[0]
-            lows = [lower._reduce_ints([(word_index(w, s, n), x) for w, x in col.items()])
-                    for col in cols]
-            residuals.append({e * top + c: x for e, low in enumerate(lows)
-                              for c, x in space._reduce_ints(low.items()).items()})
+        residuals = [{e * top + c: x
+                      for e, low in enumerate(_row_residuals(rule, row, s, lower))
+                      for c, x in space._reduce_ints(low.items()).items()}
+                     for row in space._int_rows()]
         rounds += 1
         if not any(residuals):
             break
@@ -754,26 +773,45 @@ class ConsistencyReport:
         return not self.violations
 
 
-def _closure_violations(rule: CommRule, d: int, elements, below: Subspace,
-                        within: Subspace, names=None) -> list:
-    """Closure failures of degree-d elements: every derivative must reduce
-    to zero modulo ``below`` (the slice one degree down) and every image
-    entry modulo ``within`` (the degree-d slice).  Elements are labelled
-    with the generator ``names`` (x1..xn by default)."""
-    n = rule.n
+def _int_row(rule: CommRule, g: NCPoly):
+    """The homogeneous g's (column, int) entries, checked against the rule,
+    and their den: den times g's coefficients over Q, its residues over
+    F_p with den 1."""
+    terms, den = _int_terms(rule, g)
+    d, n = g.degree(), rule.n
+    return [(word_index(w, d, n), x) for w, x in terms.items()], den
+
+
+def _closure_violations(rule: CommRule, d: int, rows, below: Subspace,
+                        within: Subspace, names=None, tables=None) -> list:
+    """Closure failures of degree-d elements, each given as ``(row, den)``,
+    its (column, int) entries and den as in ``_int_row``: every
+    derivative must reduce to zero modulo ``below`` (the slice one degree
+    down) and every image entry modulo ``within`` (the degree-d slice).
+
+    The residuals come from one walk per element (``_row_residuals``),
+    or, given the ``(Dbar, Abar)`` tables of degree d from
+    ``_residual_tables``, from the int combinations of their entries.
+    Only an element that fails is made a polynomial, labelled with the
+    generator ``names`` (x1..xn by default)."""
+    n, field, value, p = rule.n, rule.field, rule.field.value, rule.field.p
+    # the checks in the order listed, each at its place among the
+    # residuals: entry (k, i) of A at (i-1)*n + k-1, then the derivatives
+    checks = ([(n * n + k - 1, ("partial", k)) for k in range(1, n + 1)]
+              + [((i - 1) * n + k - 1, ("entry", k, i))
+                 for k in range(1, n + 1) for i in range(1, n + 1)])
+    if tables is not None:
+        (partials, _), (images, _) = tables
     violations = []
-    for b in elements:
-        # A(b) and D(b) from one walk, on ints: one common multiple of their
-        # values (residues over F_p), reduced on the int tails as they are
-        cols = _walk(rule, *_int_terms(rule, b), True, True)[0]
-        failed = [("partial", k) for k, part in enumerate(cols[n * n:], 1)
-                  if below._reduce_ints([(word_index(w, d - 1, n), c)
-                                         for w, c in part.items()])]
-        failed += [("entry", k, i) for k in range(1, n + 1) for i in range(1, n + 1)
-                   if within._reduce_ints([(word_index(w, d, n), c) for w, c in
-                                           cols[(i - 1) * n + k - 1].items()])]
+    for row, den in rows:
+        if tables is None:
+            res = _row_residuals(rule, row, d, within, below)
+        else:
+            res = ([_combination(row, images, e, p) for e in range(n * n)]
+                   + [_combination(row, partials, k, p) for k in range(n)])
+        failed = [check for e, check in checks if res[e]]
         if failed:
-            # only an element that fails is labelled
+            b = NCPoly(n, field, {index_word(c, d, n): value(v, den) for c, v in row})
             label = format_poly(b, names)
             violations += [Violation(d, label, *f) for f in failed]
     return violations
@@ -801,8 +839,9 @@ def check_same_degree_consistency(rule: CommRule, relations, *,
     if d == 0:
         raise ValueError("constant ideal generators are not supported")
     below = Subspace.zero(rule.n, d - 1, rule.field)
-    violations = _closure_violations(rule, d, rels, below,
-                                     ideal_component(rels, d), names)
+    within = ideal_component(rels, d)
+    violations = _closure_violations(rule, d, [_int_row(rule, r) for r in rels], below,
+                                     within, names)
     return ConsistencyReport("same-degree", d, tuple(violations))
 
 
@@ -817,9 +856,8 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
     J_{deg r}, every slice up to the bound passes (see the module
     docstring), so the report is consistent without enumerating the
     slices.  Otherwise every basis element of J_1..J_S is checked, degree
-    by degree, on the residual tables of that degree's words, and all
-    violations are listed in that order.  Violations name the elements
-    with the generator ``names`` (x1..xn by default).
+    by degree, and all violations are listed in that order.  Violations
+    name the elements with the generator ``names`` (x1..xn by default).
     """
     _require_homogeneous(rule)
     if max_degree < 1:
@@ -831,7 +869,7 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
     slices = [Subspace.zero(n, 0, field)]
     own = [r for r in gens if r.degree() <= max_degree]
     _extend_slices(slices, gens, max((r.degree() for r in own), default=0))
-    if not any(_closure_violations(rule, d, [r], slices[d - 1], slices[d], names)
+    if not any(_closure_violations(rule, d, [_int_row(rule, r)], *slices[d - 1:d + 1], names)
                for r in own for d in (r.degree(),)):
         return ConsistencyReport("degree-bounded", max_degree, ())
     _extend_slices(slices, gens, max_degree)
@@ -841,85 +879,53 @@ def check_consistent_ideal(rule: CommRule, generators, max_degree: int, *,
 
 def _listed_violations(rule: CommRule, slices, names=None) -> list:
     """The closure failures of every basis element of J_1..J_S, for the
-    slices J_0..J_S, in ``_closure_violations``' order: from the residual
-    tables Dbar and Abar of the words of degree d (see the module
-    docstring) where J_d holds at least half the n^d words, and from a
-    walk per basis element below that degree.
+    slices J_0..J_S, in ``_closure_violations``' order.  One test decides
+    for every degree (see the module docstring): where J_S holds at least
+    half the n^S words, each degree's elements are checked on the
+    residual tables Dbar and Abar of ``_residual_tables``, and otherwise
+    each element is walked and no table is built.
 
     Logs one DEBUG record per degree d on the ``nccalc`` logger: dim J_d,
-    the width |free J_d| of Abar's residuals, the words in the table and
-    the failing basis elements.
+    the width |free J_d| of Abar's residuals, the words in the table (0
+    where the elements are walked) and the failing basis elements.
     """
     import logging
     log = logging.getLogger("nccalc")
-    n, field = rule.n, rule.field
-    p = slices[0]._p
+    n, top = rule.n, len(slices) - 1
     # J_d's share of the words never falls as d grows (see the module
-    # docstring)
-    first = next((d for d in range(1, len(slices)) if 2 * slices[d].dim >= n ** d),
-                 len(slices))
-    # a row's A-entries in the order listed, (k, i) at (i-1)*n + k-1
-    entries = [(k, i, (i - 1) * n + k - 1) for k in range(1, n + 1) for i in range(1, n + 1)]
+    # docstring), so J_S decides for every degree
+    tables = (_residual_tables(rule, slices) if 2 * slices[top].dim >= n ** top
+              else zip(range(1, top + 1), repeat(None)))
     violations = []
-    for d, partials, images in _residual_tables(rule, slices, first):
-        below, within = slices[d - 1], slices[d]
-        if d < first:
-            found = _closure_violations(rule, d, within.basis_polys(), below, within, names)
-            violations += found
-            failing = len({v.source for v in found})
-        else:
-            value, den = field.value, within.den
-            failing = 0
-            for row in within._int_rows():
-                failed = [("partial", k) for k in range(1, n + 1)
-                          if _combination(row, partials[0], k - 1, p)]
-                failed += [("entry", k, i) for k, i, e in entries
-                           if _combination(row, images[0], e, p)]
-                if failed:
-                    # only an element that fails is labelled
-                    b = NCPoly(n, field, {index_word(c, d, n): value(v, den) for c, v in row})
-                    label = format_poly(b, names)
-                    violations += [Violation(d, label, *f) for f in failed]
-                    failing += 1
+    for d, table in tables:
+        within = slices[d]
+        found = _closure_violations(rule, d, zip(within._int_rows(), repeat(within.den)),
+                                    slices[d - 1], within, names, table)
+        violations += found
         log.debug("listing degree %d: dim J=%d free=%d table words=%d failing=%d",
-                  d, within.dim, len(within.free), len(images[0]), failing)
+                  d, within.dim, len(within.free), len(table[1][0]) if table else 0,
+                  len({v.source for v in found}))
         # let the next degree's tables replace these
-        del partials, images
+        del table
     return violations
 
 
-def _residual_tables(rule: CommRule, slices, first):
-    """Yield ``(d, Dbar, Abar)`` for d = 1..S, the ``(table, den)`` pairs
-    of ``_normal_step`` on the words of degree d that ``_listing_words``
-    names for ``first``, modulo the slices J_{d-1} and J_d of J_0..J_S.
-    Each degree's tables replace those of the degree before."""
-    n = rule.n
-    words = _listing_words(slices, first)
+def _residual_tables(rule: CommRule, slices):
+    """Yield ``(d, (Dbar, Abar))`` for d = 1..S, the ``(table, den)``
+    pairs of ``_normal_step`` modulo the slices J_{d-1} and J_d of
+    J_0..J_S: on all n^d words of each degree d < S, whose rows the next
+    degree's steps read, and at S on the support of J_S's basis rows, the
+    words the listing reads.  Each degree's tables replace those of the
+    degree before."""
+    n, top = rule.n, len(slices) - 1
     partials, images = _unit_partials(n), _unit_images(n)
-    for d in range(1, len(slices)):
+    for d in range(1, top + 1):
+        words = (range(n ** d) if d < top
+                 else sorted({c for row in slices[d]._int_rows() for c, _ in row}))
         if d > 1:
-            partials = _normal_step(rule, slices[d - 1], partials, words[d], True)
-        images = _normal_step(rule, slices[d], images, words.pop(d), False)
-        yield d, partials, images
-
-
-def _listing_words(slices, first):
-    """For d = 1..S, the sorted words of degree d whose table rows are
-    read: from degree ``first`` on, those in the support of a basis row
-    of J_d, and at every degree the last d letters of those of degree
-    d+1, whose rows are built from theirs.  So the tables follow the
-    supports of J_first..J_S, not n^d."""
-    n = slices[0].n
-    words, need = {}, set()
-    for d in range(len(slices) - 1, 0, -1):
-        top = n ** d
-        need = {w % top for w in need}
-        if d >= first:
-            for piv, tail in slices[d].tails.items():
-                need.add(piv)
-                need.update(c for c, _ in tail)
-        words[d] = sorted(need)
-    return words
+            partials = _normal_step(rule, slices[d - 1], partials, words, True)
+        images = _normal_step(rule, slices[d], images, words, False)
+        yield d, (partials, images)
 
 
 def _combination(row, table, e, p):

@@ -32,7 +32,9 @@ from nccalc import (
     substitute_generators,
     word_partials,
 )
-from nccalc.optimal import Violation, _closure_violations, _extend_slices, _ideal_generators
+from nccalc.commrule import _int_terms, _poly, _walk
+from nccalc.freealg import format_poly
+from nccalc.optimal import Violation, _extend_slices, _ideal_generators
 
 
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
@@ -533,15 +535,23 @@ def dense_consistent_ideal_violations(rule, generators, max_degree):
 
 def walk_listing_violations(rule, generators, max_degree, names=None):
     """The violation listing of ``check_consistent_ideal`` by one
-    ``commrule._walk`` per basis element of J_1..J_S, each reduced modulo
-    the slices as it comes."""
+    ``commrule._walk`` per basis polynomial of J_1..J_S, each column made
+    a polynomial and tested by ``Subspace.contains`` on the slices."""
     gens, n, field = _ideal_generators(generators, rule.n, rule.field)
     slices = [Subspace.zero(n, 0, field)]
     _extend_slices(slices, gens, max_degree)
     violations = []
     for d in range(1, max_degree + 1):
-        violations += _closure_violations(rule, d, slices[d].basis_polys(),
-                                          slices[d - 1], slices[d], names)
+        below, within = slices[d - 1], slices[d]
+        for b in within.basis_polys():
+            cols, scale = _walk(rule, *_int_terms(rule, b), True, True)
+            label = format_poly(b, names)
+            violations += [Violation(d, label, "partial", k) for k in range(1, n + 1)
+                           if not below.contains(_poly(rule, cols[n * n + k - 1], scale))]
+            violations += [Violation(d, label, "entry", k, i)
+                           for k in range(1, n + 1) for i in range(1, n + 1)
+                           if not within.contains(_poly(rule, cols[(i - 1) * n + k - 1],
+                                                        scale))]
     return tuple(violations)
 
 

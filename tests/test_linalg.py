@@ -291,6 +291,34 @@ def test_from_vectors_eliminates_in_the_field():
     assert Subspace.from_vectors([[1, 2], [3, 1]], 2, 1, QQ).dim == 2
 
 
+def test_rref_reads_ints_and_fractions_beside_fp_elements_in_f_p():
+    F = GF(5)
+    # 1/2 = 3 in F_5; these rows once went to the Fraction elimination and
+    # came back as floats
+    got = rref([[2, FpElement(1, 5)], [1, 1]])
+    assert got == rref([[F.of(2), F.one], [F.one, F.one]]) == ([[1, 0], [0, 1]], [0, 1])
+    assert all(type(c) is FpElement and c.p == 5 for r in got[0] for c in r)
+    got = rref([[FpElement(2, 5), Fraction(1, 2)], [4, 1]])
+    assert got == ([[F.one, F.of(4)]], [0])
+    assert all(type(c) is FpElement for r in got[0] for c in r)
+
+
+@pytest.mark.parametrize("rows", [
+    [[FpElement(1, 5), FpElement(2, 7)]],
+    [[FpElement(1, 5)], [FpElement(1, 7)]],
+    [[Fraction(1, 2), 1.5]],
+    [[2, FpElement(1, 5)], [1, 1.0]],
+    [[1, True]],
+    [["1", 2]],
+], ids=["two-moduli-in-a-row", "two-moduli-in-a-column", "float", "float-beside-fp",
+        "bool", "str"])
+def test_rref_refuses_entries_it_cannot_read_in_one_field(rows):
+    # the first mixed F_5 and F_7 in one row, and the floats came back as
+    # floats, where the exact answer was asked for
+    with pytest.raises(ValueError, match="rref reads ints, Fractions and FpElements of one"):
+        rref(rows)
+
+
 def test_inputs_of_the_wrong_shape_are_refused():
     # each of these answered silently wrong, or with an IndexError
     with pytest.raises(ValueError, match="expected rows of length 2, got 3"):

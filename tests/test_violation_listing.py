@@ -11,8 +11,9 @@ from nccalc.commrule import _poly, _walk
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
 from nccalc.optimal import _extend_slices, _residual_tables
+from nccalc.parsing import parse_expr
 from nccalc.rulefile import parse_rule_dict
-from helpers import random_poly, walk_listing_violations
+from helpers import dense_consistent_ideal_violations, random_poly, walk_listing_violations
 
 # the three-generator rule of the CI workflow; 1/2*z makes L = 2 over Q
 _CI_IMAGES = [[["y", "-x", "0"], ["0", "z", "x"], ["1/2*z", "0", "y"]],
@@ -84,8 +85,8 @@ _EXAMPLES_OVER = [(name, field) for field in (QQ, GF(2), GF(3), GF(10007))
 def test_table_rows_are_the_walked_columns_reduced(name, field):
     # every table word's Dbar and Abar are its walked D and A, reduced
     # modulo the slices of an ideal J with a commutator and a seeded cubic;
-    # the tables hold J_d's support from degree 4 on and, at every degree,
-    # the suffixes of the words one degree up, and no other word
+    # the tables hold every word below the top degree and, at the top,
+    # exactly the support of J_6's basis rows
     rule = build_example(name, field)
     n = rule.n
     rng = random.Random(4700)
@@ -94,7 +95,7 @@ def test_table_rows_are_the_walked_columns_reduced(name, field):
     _extend_slices(slices, gens, 6)
     assert 0 < slices[6].dim < n ** 6
     held = {}
-    for d, (partials, pden), (images, aden) in _residual_tables(rule, slices, 4):
+    for d, ((partials, pden), (images, aden)) in _residual_tables(rule, slices):
         assert set(partials) == set(images)
         held[d] = set(images)
         below, within = slices[d - 1], slices[d]
@@ -107,10 +108,41 @@ def test_table_rows_are_the_walked_columns_reduced(name, field):
                 got = field.values([row.get(c, 0) for c in space.free], den)
                 poly = _poly(rule, walked, scale)
                 assert got == space.residual(poly), (d, col, e)
-    for d in range(1, 7):
-        support = {c for row in slices[d]._int_rows() for c, _ in row} if d >= 4 else set()
-        above = {w % n ** d for w in held.get(d + 1, ())}
-        assert held[d] == support | above, d
+    support = {c for row in slices[6]._int_rows() for c, _ in row}
+    assert held == {**{d: set(range(n ** d)) for d in range(1, 6)}, 6: support}
+
+
+def _logged_table_words(caplog):
+    """The ``table words`` count of each listing record, in order."""
+    return [int(r.getMessage().split("table words=")[1].split()[0]) for r in caplog.records
+            if r.name == "nccalc" and r.getMessage().startswith("listing")]
+
+
+@pytest.mark.parametrize("name, rel, top, tabled", [
+    # J = (x1^2): J_d has 2^d minus a Fibonacci number of words, 3 of 8 at
+    # degree 3 and 8 of 16 at degree 4
+    ("thm4.1-I", "x1^2", 3, False),
+    ("thm4.1-I", "x1^2", 4, True),
+    # the commutator ideal: dim J_d = 2^d - d - 1, 1 of 4 at degree 2 and
+    # 4 of 8 at degree 3
+    ("ex3.5", "x1*x2 - x2*x1", 2, False),
+    ("ex3.5", "x1*x2 - x2*x1", 3, True),
+])
+def test_half_the_top_words_decides_tables_for_the_whole_listing(caplog, name, rel, top,
+                                                                   tabled):
+    # J_S at exactly half the n^S words tables every degree, and one
+    # basis row fewer walks every degree
+    caplog.set_level(logging.DEBUG, logger="nccalc")
+    rule = build_example(name)
+    gen = parse_expr(rel, ["x1", "x2"], {}, QQ)
+    slices = [Subspace.zero(2, 0, QQ)]
+    _extend_slices(slices, [gen], top)
+    assert 2 * slices[top].dim == 2 ** top - (0 if tabled else 2)
+    got = check_consistent_ideal(rule, [gen], top).violations
+    assert got and got == dense_consistent_ideal_violations(rule, [gen], top)
+    words = _logged_table_words(caplog)
+    assert len(words) == top
+    assert all(words) if tabled else not any(words)
 
 
 def test_debug_log_has_one_record_per_listed_degree(caplog):
@@ -119,9 +151,10 @@ def test_debug_log_has_one_record_per_listed_degree(caplog):
     rep = check_consistent_ideal(rule, [_commutator(QQ)], 4)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "nccalc" and r.getMessage().startswith("listing")]
-    # J is the commutator ideal: dim J_d = 2^d - (d+1).  J_1 and J_2 hold
-    # fewer than half the words and are walked; the tables hold their words
-    # as suffixes.  J_4's rows hold every word but x1^4 and x2^4.
+    # J is the commutator ideal: dim J_d = 2^d - (d+1).  J_4 holds at least
+    # half the words, so every degree is listed from tables, even J_1 and
+    # J_2, which hold fewer: they hold every word below degree 4, and at
+    # degree 4 J_4's support, every word but x1^4 and x2^4.
     assert messages[:2] == [
         "listing degree 1: dim J=0 free=2 table words=2 failing=0",
         "listing degree 2: dim J=1 free=3 table words=4 failing=1"]
