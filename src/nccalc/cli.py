@@ -156,13 +156,12 @@ def cmd_diff(args) -> int:
 def _ideal_report(echo, filtration, names, include_basis) -> dict:
     degrees = []
     n = filtration.rule.n
-    for s in range(1, filtration.max_degree + 1):
-        comp = filtration.component(s)
-        entry = {"s": s, "dim_ideal": comp.dim,
-                 "dim_quotient": n ** s - comp.dim}
+    # the dims come from the normal words; only the bases build components
+    for s, quotient in filtration.quotient_dims():
+        entry = {"s": s, "dim_ideal": n ** s - quotient, "dim_quotient": quotient}
         if include_basis:
             entry["basis"] = [format_poly(b, names)
-                              for b in comp.basis_polys()]
+                              for b in filtration.component(s).basis_polys()]
         degrees.append(entry)
     return {"rule": echo, "degrees": degrees}
 

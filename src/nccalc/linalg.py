@@ -507,6 +507,13 @@ def _lowest(tails, den):
     return tails, den
 
 
+def _degree(degree):
+    """The degree of a component built from nothing but its shape, checked."""
+    if degree < 0:
+        raise ValueError(f"subspace degree must be nonnegative, got {degree}")
+    return degree
+
+
 class Subspace:
     """A subspace of the degree-s homogeneous component of F<x1,...,xn>.
 
@@ -550,16 +557,16 @@ class Subspace:
 
     @classmethod
     def zero(cls, n, degree, field):
-        return cls(n, degree, field, {})
+        return cls(n, _degree(degree), field, {})
 
     @classmethod
     def full(cls, n, degree, field):
-        return cls.coordinate(n, degree, field, range(n ** degree))
+        return cls.coordinate(n, degree, field, range(n ** _degree(degree)))
 
     @classmethod
     def coordinate(cls, n, degree, field, columns):
         """Span of the canonical basis words at the given increasing columns."""
-        return cls(n, degree, field, {c: [] for c in columns})
+        return cls(n, _degree(degree), field, {c: [] for c in columns})
 
     @classmethod
     def from_vectors(cls, vectors, n, degree, field):

@@ -33,9 +33,16 @@ degree.
    entries of A(x^a * g) = A(x^a) A(g) are sums of a linear form times
    an entry of A(g), which lies in I_{s-1}; likewise for A(g) A(x^a).
 
-Take L_s in reduced echelon form.  Its non-pivot columns are the normal
-words N_s, and every f of degree s splits uniquely as f = l + c with l
-in L_s and c in the span of N_s (c is the residual of f).  By fact 1,
+The ideal up to degree s-1 is held as a reduced Gröbner basis truncated
+at s-1, with the normal words of every degree (see ``groebner``): a word
+is normal when it contains no leading word, NF(f) is the normal form of
+f, and I_d is spanned by the rows w - NF(w) for the words w outside N_d,
+which are its canonical reduced echelon basis.  The normal words N_s of
+L_s are the words x^a * w with w normal of degree s-1 whose prefixes
+hold no leading word, less the leading words that the overlaps of
+degree s add (``TruncatedBasis.open`` and ``overlaps``; below).  Every f
+of degree s splits uniquely as f = l + c with l in L_s and c in the span
+of N_s (c is the residual of f, its normal form modulo L_s).  By fact 1,
 f lies in U_s exactly when c does, so
 
     U_s = L_s (+) C,   C = {c in span(N_s) : D_k c in I_{s-1} for all k},
@@ -45,12 +52,11 @@ step.
 
 The derivatives of the normal words come from those of the degree
 before, reduced, so no word's derivative is ever expanded in the free
-algebra.  Every normal word of degree s is x^a * w with w no pivot of
-I_{s-1} (were it one, x^a * w would be a pivot of the left shift
-x^a * I_{s-1} <= L_s), so w is a normal word of degree s-1, since
-L_{s-1} <= I_{s-1}.  Let Dbar_j(w) be the residual of D_j(w) modulo
-I_{s-2}, which the degree before computed for every normal word of
-degree s-1.  The product rule gives
+algebra.  Every normal word of degree s is x^a * w with w a normal word
+of degree s-1 (were w outside N_{s-1}, x^a * w would hold its leading
+word).  Let Dbar_j(w) be the residual of D_j(w) modulo I_{s-2}, which
+the degree before computed for every normal word of degree s-1.  The
+product rule gives
 
     D_k(x^a * w) = delta_ak * w + sum_j A(x^a)^j_k * D_j(w),
 
@@ -59,21 +65,25 @@ changes the sum by an element of sum_b x^b * I_{s-2} <= L_{s-1} <=
 I_{s-1}.  So D_k(x^a * w) has the residual modulo I_{s-1} of
 delta_ak * w + sum_j A(x^a)^j_k * Dbar_j(w), whose terms are x^b times
 normal words of degree s-2: n^2 short vectors per word, where the
-derivative in the free algebra has up to 2^(s-1) terms.  Degree 1 starts
-the recursion with D_j(x^w) = delta_jw.
+derivative in the free algebra has up to 2^(s-1) terms.  Their normal
+forms NF(x^b * v), v in N_{s-2}, are the one lookup the step needs: the
+table ``groebner.PrefixForms`` of degree s-1, which ``_normal_step``
+reads as it reads a subspace.  Degree 1 starts the recursion with
+D_j(x^w) = delta_jw.
 
 All of it runs on ints.  Over F_p they are residues.  Over Q the
 images' coefficients carry L, the lcm of their denominators, the
 residuals of the degree before carry their least common denominator E,
-and the tails of I_{s-1} their common denominator D, so every residual
-of degree s is L*E*D times its true value.  They are put over their
-least common denominator again, which divides every one by the same
-constant: the system built from them has one nonzero factor in place
-of the true values, so its kernel C does not change.  Only C's basis,
-usually empty or tiny, is made of field elements.  (``compute_U`` runs
-the same recursion on every word: modulo zero subspaces below degree s,
-where every word is normal and the table holds the derivatives
-themselves, then once modulo its ``prev`` at degree s.)
+and the normal forms of the table of degree s-1 their common
+denominator D, so every residual of degree s is L*E*D times its true
+value.  They are put over their least common denominator again, which
+divides every one by the same constant: the system built from them has
+one nonzero factor in place of the true values, so its kernel C does
+not change.  Only C's basis, usually empty or tiny, is made of field
+elements.  (``compute_U`` runs the same recursion on every word:
+modulo zero subspaces below degree s, where every word is normal and
+the table holds the derivatives themselves, then once modulo its
+``prev`` at degree s.)
 
 The system stays sparse from the recursion to the kernel step.  Each
 residual is a dict of its nonzero ints keyed by normal word, the same
@@ -156,29 +166,35 @@ W -> {w in W : every entry of A(w) lies in W}, started at W = U_s, keep
 the form W = L_s (+) C_t: the part in L_s always survives, and c in C_t
 survives exactly when the entries of A(c) reduce to zero modulo W.  So
 the rounds run on C alone: an entry lies in W exactly when its residual
-modulo L_s, which lives on the normal words, lies in C_t.  Each round
-either certifies closure or drops dim C_t, and I_s = L_s (+) C_t at the
-fixpoint.  The entries of A(c) come from ``commrule._walk`` on the
-ints of C_t's basis rows, which all carry C_t's den, so every entry
-has one scale.
+modulo L_s, its normal form by the basis with L_s's overlap elements
+joined, lies in C_t.  Each round either certifies closure or drops
+dim C_t, and I_s = L_s (+) C_t at the fixpoint.  The entries of A(c)
+come from ``commrule._walk`` on the ints of C_t's basis rows, which all
+carry C_t's den, so every entry has one scale.  C and its rounds live on
+the coordinates of N_s, one unknown per normal word: no degree builds a
+row or a subspace on more than its |N_s| normal words.
 
-L_s itself takes no elimination of dense rows.  Write m = n^(s-1); the
-word x^a * w sits at column a*m + w, so the left shifts x^a * I_{s-1}
-of I_{s-1}'s echelon rows fill the disjoint column blocks
-[a*m, (a+1)*m), in increasing order of a.  Inside its block each
-shifted row keeps its pivot and its tail on the shifted free columns,
-and it is zero in every other block.  So the left shifts already form
-the canonical reduced echelon basis of their span, with pivots a*m + p
-and free columns a*m + c for the normal words c of degree s-1.  Only
-the right shifts I_{s-1} * x^b are reduced modulo them, onto those
-n*|N_{s-1}| free columns, and eliminated there; their new pivots are
-then cleared from the left shifts' tails.  Since C lies in L_s's free
-columns, I_s = L_s (+) C_t is the same block step with C_t's rows as
-the residuals.
+L_s comes from the basis of degree s-1 with no elimination of its own.
+The words x^a * w, w in N_{s-1}, whose prefix is a lower leading word
+are rewritten to their normal forms, and the rest are normal modulo the
+lower basis.  Where the leading words of two lower elements g and h
+overlap, u = A*B of g and v = B*C of h, the element g*C - A*h of L_s
+reduces to a residual on those words; the reduced echelon rows of the
+residuals of degree s join the basis, and by the diamond lemma the words
+left are L_s's normal words.  On every example the basis has a few
+elements and the quotient s+1 dims or fewer, so a degree costs a few
+lookups per normal word.  Then C_s's reduced echelon rows, on N_s, join
+the basis in turn: their pivots become leading words and leave the
+normal words of I_s, and the table's forms are reduced modulo them.  A
+component is built only where a caller reads it (``IdealFiltration``).
 
 The construction re-verifies itself as it runs: a round that does not
-shrink, or an I_s that misses part of L_s, raises instead of returning
-a non-ideal.
+shrink raises, and so does a degree that is not an ideal slice
+(``groebner.TruncatedBasis.resolves``): after C_s joins, the words
+x^a * w, w in N_{s-1}, must split into normal words and words the table
+rewrites, no leading word of degree s may hold a lower one, and every
+overlap of degree s must reduce to zero, so that I_s holds L_s.  These
+are raises, not asserts, so they hold under ``python -O`` too.
 
 The degree-bounded consistency check of an ideal J = (R) generated by
 homogeneous relations asks, for every d up to a bound S, that each
@@ -254,26 +270,33 @@ way one loop (``_closure_violations``) reads each slice's int rows.
 The generators' own checks above, a handful of elements, take the walk
 too.
 
-The slices themselves take the step that builds L_s.  A product u*r*v
-of degree d with u or v nonempty is x^a or x^b times a product of degree
-d - 1, so
+The slices themselves are built by block elimination on their pivot
+rows.  A product u*r*v of degree d with u or v nonempty is x^a or x^b
+times a product of degree d - 1, so
 
     J_d = sum_i (x^i * J_{d-1} + J_{d-1} * x^i) + R_d,    J_0 = 0,
 
-with R_d the span of the generators of degree d.  ``_next_slice`` hands
-the generators' entries to the block elimination together with the
-right shifts.
+with R_d the span of the generators of degree d.  Write m = n^(d-1); the
+word x^a * w sits at column a*m + w, so the left shifts x^a * J_{d-1}
+of J_{d-1}'s echelon rows fill the disjoint column blocks
+[a*m, (a+1)*m) and already form the canonical reduced echelon basis of
+their span (``_ideal_slice``).  Only the right shifts and the
+generators' entries are reduced modulo them, onto their n*|free J_{d-1}|
+free columns, and eliminated there; their new pivots are then cleared
+from the left shifts' tails (``Subspace._extended``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from math import gcd
 
 from .commrule import (CommRule, NonHomogeneousRuleError, _blocks, _int_images, _int_terms,
                        _prepend, _walk)
 from .freealg import NCPoly, format_poly, index_word, word_index
+from .groebner import PrefixForms, TruncatedBasis
 # the packed degrees read linalg's _PRIMES and _rref_mod as they are when
 # called
 from . import linalg
@@ -294,12 +317,16 @@ def _require_homogeneous(rule: CommRule):
             "(every image entry a linear form)")
 
 
-def _normal_step(rule: CommRule, space: Subspace, known, words, derivatives):
+def _normal_step(rule: CommRule, space, known, words, derivatives):
     """The residual table of the degree-s words at the given columns, from
     that of the degree s-1, by one product-rule step per word x^a * w
     (see the module docstring): of the n derivatives modulo ``space`` =
     I_{s-1} or J_{s-1} with ``derivatives``, else of the n^2 entries of A
-    modulo ``space`` = J_s.
+    modulo ``space`` = J_s.  ``space`` is a Subspace, or anything that
+    reduces as one does (``_reduce_ints``, ``den`` and ``degree``): I_{s-1}
+    is the basis's table ``groebner.PrefixForms`` of degree s-1, which
+    rewrites every word x^b * v, v normal of degree s-2, that the step
+    reduces.
 
     ``known`` is ``(table, den)``: for each word w of degree s-1 with
     some x^a*w among the words, table[w] lists the residuals of w's
@@ -433,20 +460,20 @@ def _packed_partials(rule, rows, den, q):
             for r, row in enumerate(out)], lead
 
 
-def _kernel_subspace(red, den, pivots, n, s, field):
-    """The kernel of a system of the degree-s words, as a Subspace, from
-    its RREF as ``linalg._rref_ints`` returns it."""
-    return Subspace.from_vectors(_kernel_basis(red, den, pivots, n ** s, field), n, s, field)
+def _kernel_subspace(red, den, pivots, size, field):
+    """The kernel of a system of ``size`` unknowns, as a Subspace of their
+    coordinates, from its RREF as ``linalg._rref_ints`` returns it."""
+    return Subspace.from_vectors(_kernel_basis(red, den, pivots, size, field), size, 1, field)
 
 
 def _free_table(rule: CommRule, e, known, s):
     """The Dbar table of all n^s words of a free degree s, from ``known``,
     that of all words of the free degree e <= s: ``_normal_step`` modulo
-    zero subspaces, where every word is normal and the table holds the
-    derivatives themselves."""
-    n, field = rule.n, rule.field
+    zero subspaces (empty prefix tables), where every word is normal and
+    the table holds the derivatives themselves."""
+    n, p = rule.n, rule.field.p
     for d in range(e + 1, s + 1):
-        known = _normal_step(rule, Subspace.zero(n, d - 1, field), known, range(n ** d), True)
+        known = _normal_step(rule, PrefixForms(d - 1, {}, 1, p), known, range(n ** d), True)
     return known
 
 
@@ -474,49 +501,56 @@ def compute_U(rule: CommRule, s: int, prev: Subspace) -> Subspace:
     return Subspace.full(n, s, field).kernel_of(system)
 
 
-def _row_residuals(rule: CommRule, row, d, within: Subspace, below=None):
+def _row_residuals(rule: CommRule, row, d, within, below=None):
     """The residuals, in ``commrule._walk``'s order, of the columns of Phi
     of the degree-d vector with the (column, int) entries ``row``: the
-    n^2 entries of A modulo ``within`` and, given ``below``, the n
-    derivatives modulo ``below``.  One walk gives them, on a common
+    n^2 entries of A reduced by ``within`` and, given ``below``, the n
+    derivatives reduced by ``below``.  Each reduction maps the (column,
+    int) entries of a vector, of degree d and d-1, to its residual, as
+    ``Subspace._reduce_ints`` does.  One walk gives them, on a common
     multiple of their values (residues over F_p), as dicts from free
     columns to ints; the words and columns are converted here."""
     n = rule.n
     cols = _walk(rule, {index_word(c, d, n): x for c, x in row}, 1, True,
                  below is not None)[0]
-    spaces = [within] * (n * n) + [below] * (len(cols) - n * n)
-    return [space._reduce_ints([(word_index(w, space.degree, n), x) for w, x in col.items()])
-            for space, col in zip(spaces, cols)]
+    steps = [(within, d)] * (n * n) + [(below, d - 1)] * (len(cols) - n * n)
+    return [reduce([(word_index(w, e, n), x) for w, x in col.items()])
+            for (reduce, e), col in zip(steps, cols)]
 
 
-def _closed_complement(rule: CommRule, lower: Subspace, space: Subspace):
+def _closed_complement(rule: CommRule, s, lower, words, space: Subspace):
     """Largest C <= ``space`` such that every entry of A(C) lies in
-    lower + C, for a subspace ``lower`` closed under those entries and
-    a ``space`` spanned inside its free columns.  Returns (C, rounds).
+    L + C, for a degree-s subspace L closed under those entries whose
+    normal words are ``words``, in increasing order: coordinate t of
+    ``space`` stands for words[t].  ``lower`` reduces modulo L as
+    ``Subspace._reduce_ints`` does, onto ``words``.  Returns (C, rounds).
     """
-    s, top = space.degree, space.ambient_dim
-    size = len(lower.free)
+    size = len(words)
     rounds = 0
-    # the zero space is closed, and so is one that fills lower's free
-    # columns: then lower + C is the whole degree-s component
+    # the zero space is closed, and so is one that fills lower's normal
+    # words: then lower + C is the whole degree-s component
+    if space.dim and space.dim < size:
+        where = {c: t for t, c in enumerate(words)}
     while space.dim and space.dim < size:
         # an entry lies in lower + C exactly when its residual modulo
-        # lower, supported on lower's free columns, lies in C.  Every basis
+        # lower, supported on lower's normal words, lies in C.  Every basis
         # row's ints carry space.den, so the entries of A on all of them
-        # share one scale; entry e's residual sits at keys e*n^s + c
-        residuals = [{e * top + c: x
-                      for e, low in enumerate(_row_residuals(rule, row, s, lower))
-                      for c, x in space._reduce_ints(low.items()).items()}
+        # share one scale; entry e's residual sits at keys e*size + t
+        residuals = [{e * size + t: x
+                      for e, low in enumerate(_row_residuals(
+                          rule, [(words[u], x) for u, x in row], s, lower))
+                      for t, x in space._reduce_ints([(where[c], x)
+                                                      for c, x in low.items()]).items()}
                      for row in space._int_rows()]
         rounds += 1
         if not any(residuals):
             break
         smaller = space.kernel_of(residuals)
         if smaller.dim >= space.dim:
-            base = space.ambient_dim - size
+            base = rule.n ** s - size
             raise IdealPropertyViolation(
                 f"invariant-subspace round did not shrink the degree-"
-                f"{space.degree} space (dim {base + space.dim} -> "
+                f"{s} space (dim {base + space.dim} -> "
                 f"{base + smaller.dim})")
         space = smaller
     return space, rounds
@@ -535,7 +569,8 @@ def largest_invariant(rule: CommRule, space: Subspace) -> Subspace:
         raise ValueError(f"space has {space.n} generators, rule has {rule.n}")
     if space.field != rule.field:
         raise ValueError("space and rule coefficient fields differ")
-    return _closed_complement(rule, Subspace.zero(space.n, space.degree, space.field),
+    zero = Subspace.zero(space.n, space.degree, space.field)
+    return _closed_complement(rule, space.degree, zero._reduce_ints, range(space.ambient_dim),
                               space)[0]
 
 
@@ -563,27 +598,38 @@ def _ideal_slice(prev: Subspace, rows=()):
 
 
 class IdealFiltration:
-    """Components I_1..I_N of the optimal ideal for a homogeneous rule."""
+    """Components I_1..I_N of the optimal ideal for a homogeneous rule,
+    held as its Gröbner basis truncated at N (``groebner.TruncatedBasis``):
+    the normal words N_s of every degree, which index a basis of the
+    quotient, and the normal forms that rewrite every other word.  Nothing
+    of size n^s is kept.  ``quotient_dims`` reads |N_s|;
+    ``component(s)`` builds I_s's canonical echelon basis on demand, the
+    rows w - NF(w) for the words w outside N_s, and ``components`` all of
+    them."""
 
-    __slots__ = ("rule", "components", "max_degree")
+    __slots__ = ("rule", "basis", "max_degree")
 
-    def __init__(self, rule, components, max_degree):
+    def __init__(self, rule, basis, max_degree):
         self.rule = rule
-        self.components = tuple(components)
+        self.basis = basis
         self.max_degree = max_degree
 
     def component(self, s: int) -> Subspace:
         if not 1 <= s <= self.max_degree:
             raise ValueError(f"degree {s} outside computed range 1..{self.max_degree}")
-        return self.components[s - 1]
+        return self.basis.component(s)
+
+    @property
+    def components(self):
+        return tuple(map(self.basis.component, range(1, self.max_degree + 1)))
 
     def quotient_dims(self):
-        """Graded dimensions of the quotient algebra: (s, n^s - dim I_s)."""
-        return [(s, self.rule.n ** s - self.components[s - 1].dim)
-                for s in range(1, self.max_degree + 1)]
+        """Graded dimensions of the quotient algebra: (s, |N_s|) =
+        (s, n^s - dim I_s)."""
+        return [(s, len(self.basis.normal[s])) for s in range(1, self.max_degree + 1)]
 
     def __repr__(self):
-        dims = ", ".join(str(c.dim) for c in self.components)
+        dims = ", ".join(str(self.rule.n ** s - q) for s, q in self.quotient_dims())
         return f"<IdealFiltration dims [{dims}]>"
 
 
@@ -591,18 +637,18 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     """Build the filtration degree by degree up to max_degree.
 
     Logs one DEBUG record per degree s >= 2 on the ``nccalc`` logger:
-    how many right-shift residuals went to ``_rref_rational`` (over Q) or
-    ``_rref_mod`` (over F_p) and their rank, dim L_s, the number of
-    normal words |N_s|, the size |N_s| x n*|N_{s-1}| of the derivative
-    system of the normal words and its rank |N_s| - dim C, dim U_s, the
-    invariant rounds, dim I_s, and how the kernel step solved the system:
-    ``peeled``, the number of unknowns (normal words) the peel fixed at
-    zero, and ``core``, the shape, equations x unknowns, of the system it
-    handed to ``nullspace``, whose unknowns are all the words not fixed,
-    those in no equation included.  For thm4.1-I at degree 3 that is
-    ``normal words=4 derivative system=4x6 rank=4 dim U=4`` and
-    ``peeled=1 core=5x3``; for ex3.4 at degree 2, where three words lie
-    in no equation, ``peeled=1 core=0x3``.
+    the number of overlaps of degree s of the lower basis elements and
+    the rank of their residuals, the basis elements they add, dim L_s,
+    the number of normal words |N_s| of L_s, the size |N_s| x
+    n*|N_{s-1}| of the derivative system of the normal words and its rank
+    |N_s| - dim C, dim U_s, the invariant rounds, dim I_s, and how the
+    kernel step solved the system: ``peeled``, the number of unknowns
+    (normal words) the peel fixed at zero, and ``core``, the shape,
+    equations x unknowns, of the system it handed to ``nullspace``, whose
+    unknowns are all the words not fixed, those in no equation included.
+    For thm4.1-I at degree 3 that is ``normal words=4 derivative
+    system=4x6 rank=4 dim U=4`` and ``peeled=1 core=5x3``; for ex3.4 at
+    degree 2, where three words lie in no equation, ``peeled=1 core=0x3``.
 
     While the quotient is free and the rule dense, the degrees from 3 on
     build their derivative system as packed rows of residues mod one
@@ -620,14 +666,21 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
     n, field = rule.n, rule.field
     # the prime that decides the packed degrees (see the module docstring)
     q = field.p or linalg._PRIMES[0]
-    comps = [Subspace.zero(n, 1, field)]
+    basis = TruncatedBasis(n, field)
     known = _unit_partials(n)
     # whether the last table-built degree left a dense core, and while the
     # degrees are packed, the residues of the degree before as (rows, den),
     # or None where they are to be read off the table of that degree
     dense, residues = False, None
     for s in range(2, max_degree + 1):
-        if dense and not comps[-1].dim:
+        free = len(basis.normal[s - 1]) == n ** (s - 1)
+        # L_s: the words x^a*y rewritten by the lower basis, and the rows
+        # its overlaps of degree s add
+        basis.open(s)
+        overlaps = basis.overlaps(s)
+        rank = basis.join(s, *basis.echelon(s, [basis.reduce(s, e) for e in overlaps]))
+        words = basis.normal[s]
+        if dense and free:
             if residues is None:
                 # the table of degree e = s-1, which a rank that falls short
                 # steps on to its degree
@@ -638,11 +691,10 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
             eqs = [r for r in residues[0] if any(r)]
             top = n ** s
             red, pivots = linalg._rref_mod(eqs, q) if eqs else ([], [])
-            l_s, shifted = Subspace.zero(n, s, field), 0
             peeled, core = 0, (len(eqs), top)
             if len(pivots) == top:
                 # full rank mod q: U_s = 0, and nothing is exact
-                u_c = l_s
+                u_c = Subspace.zero(top, 1, field)
             else:
                 # free the residues before the exact table of degree s is
                 # built: the lift over Q reads it, and so does the next
@@ -651,45 +703,47 @@ def optimal_ideal(rule: CommRule, max_degree: int) -> IdealFiltration:
                 if field.p is None or s < max_degree:
                     known = _free_table(rule, e, known, s)
                 if field.p is not None:
-                    u_c = _kernel_subspace(red, 1, pivots, n, s, field)
+                    u_c = _kernel_subspace(red, 1, pivots, top, field)
                 else:
                     # the mod-q RREF is _rref_rational's first prime, unless
                     # no equation survived mod q
                     u_c = _kernel_subspace(*linalg._rref_rational(
                         _equation_rows(known, n)[0], (red, pivots) if pivots else None),
-                        n, s, field)
+                        top, field)
             # a short rank's RREF is as large as the system: free it before
             # the next degree
             del red
         else:
-            l_s, shifted = _ideal_slice(comps[-1])
-            known = _normal_step(rule, comps[-1], known, l_s.free, True)
-            system = _derivative_rows(known[0], l_s.free, n ** (s - 1))
+            known = _normal_step(rule, basis.prefixes[s - 1], known, words, True)
+            system = _derivative_rows(known[0], words, n ** (s - 1))
             if s == max_degree:
                 # no degree reads this table: free it before the kernel step
                 known = None
-            u_c, peeled, core = Subspace.coordinate(n, s, field, l_s.free)._kernel(system)
-            dense = 2 * core[1] >= len(l_s.free)
-        c_s, rounds = _closed_complement(rule, l_s, u_c)
-        i_s = l_s + c_s
-        # ideal-slice check: every echelon row of L_s reduces to zero mod I_s
-        if not i_s.contains_subspace(l_s):
+            u_c, peeled, core = Subspace.full(len(words), 1, field)._kernel(system)
+            dense = 2 * core[1] >= len(words)
+        c_s, rounds = _closed_complement(rule, s, partial(basis.reduce, s), words, u_c)
+        basis.join(s, {words[t]: [(words[j], x) for j, x in tail]
+                       for t, tail in c_s.tails.items()}, c_s.den)
+        # ideal-slice check: the words split into normal and rewritten
+        # ones, C_s's leading words hold no lower one, and every overlap of
+        # degree s reduces to zero, so I_s holds L_s
+        if not basis.resolves(s, overlaps):
             raise IdealPropertyViolation(
                 f"degree-{s} component is not an ideal slice: it misses "
                 f"part of x^i*I_{s - 1} + I_{s - 1}*x^i")
-        # the left shifts alone have dim n*dim I_{s-1}; the right shifts'
-        # residuals add their rank.  The derivative system has a row per
-        # normal word and n coordinates per normal word of degree s-1, and
-        # its kernel is C; the peel fixes some of its unknowns at zero and
-        # leaves a core of equations x the other unknowns
-        log.debug("degree %d: right-shift residuals=%d rank=%d dim L=%d "
+        # the overlaps' residuals add their rank to the words the lower
+        # basis rewrites.  The derivative system has a row per normal word
+        # and n coordinates per normal word of degree s-1, and its kernel
+        # is C; the peel fixes some of its unknowns at zero and leaves a
+        # core of equations x the other unknowns
+        dim_l = n ** s - len(words)
+        log.debug("degree %d: overlaps=%d rank=%d dim L=%d "
                   "normal words=%d derivative system=%dx%d rank=%d dim U=%d "
                   "invariant rounds=%d dim I=%d peeled=%d core=%dx%d",
-                  s, shifted, l_s.dim - n * comps[-1].dim, l_s.dim, len(l_s.free),
-                  len(l_s.free), n * len(comps[-1].free), len(l_s.free) - u_c.dim,
-                  l_s.dim + u_c.dim, rounds, i_s.dim, peeled, *core)
-        comps.append(i_s)
-    return IdealFiltration(rule, comps, max_degree)
+                  s, len(overlaps), rank, dim_l, len(words),
+                  len(words), n * len(basis.normal[s - 1]), len(words) - u_c.dim,
+                  dim_l + u_c.dim, rounds, n ** s - len(basis.normal[s]), peeled, *core)
+    return IdealFiltration(rule, basis, max_degree)
 
 
 def quotient_dims(filtration: IdealFiltration):
@@ -805,7 +859,7 @@ def _closure_violations(rule: CommRule, d: int, rows, below: Subspace,
     violations = []
     for row, den in rows:
         if tables is None:
-            res = _row_residuals(rule, row, d, within, below)
+            res = _row_residuals(rule, row, d, within._reduce_ints, below._reduce_ints)
         else:
             res = ([_combination(row, images, e, p) for e in range(n * n)]
                    + [_combination(row, partials, k, p) for k in range(n)])

@@ -12,9 +12,11 @@ change of basis sums every alpha*beta*alpha*A term entry by entry, the
 Gauss-Jordan elimination mod p clears whole rows of reduced residues,
 the dense reduction walks whole echelon rows, the dense sum and ideal slice
 eliminate whole echelon rows in one ``rref``, the dense ideal
-component eliminates every product u*g*v in one ``rref``, and the walked
+component eliminates every product u*g*v in one ``rref``, the walked
 listing takes A and D of each basis element from its own first-letter
-walk, never from the residual tables.
+walk, never from the residual tables, and the block filtration holds
+every pivot row of each component and builds L_s by block elimination,
+never from a Gröbner basis or its normal forms.
 """
 
 from fractions import Fraction
@@ -34,7 +36,8 @@ from nccalc import (
 )
 from nccalc.commrule import _int_terms, _poly, _walk
 from nccalc.freealg import format_poly
-from nccalc.optimal import Violation, _extend_slices, _ideal_generators
+from nccalc.optimal import (Violation, _derivative_rows, _extend_slices, _ideal_generators,
+                            _ideal_slice, _normal_step, _row_residuals, _unit_partials)
 
 
 def rand_fraction(rng, lo=-4, hi=4, nonzero=False):
@@ -492,6 +495,42 @@ def dense_optimal_ideal(rule, max_degree):
                 if not space.contains(g * b) or not space.contains(b * g):
                     raise AssertionError(f"degree-{s} component is not an ideal slice")
         comps.append(space)
+    return comps
+
+
+def block_optimal_ideal(rule, max_degree):
+    """Reference filtration by block elimination on the free columns of
+    L_s, held as every pivot row of each I_s: L_s = sum_i x^i*I_{s-1} +
+    I_{s-1}*x^i from ``optimal._ideal_slice``, the derivative system of
+    L_s's free columns from ``_normal_step`` modulo I_{s-1}, the invariant
+    rounds on Subspaces with every entry of A reduced modulo L_s, and I_s =
+    L_s + C by ``Subspace.__add__``.  Every degree takes the table step,
+    the free degrees of dense rules too.  Returns the components
+    I_1..I_max_degree."""
+    n, field = rule.n, rule.field
+    comps = [Subspace.zero(n, 1, field)]
+    known = _unit_partials(n)
+    for s in range(2, max_degree + 1):
+        prev, top = comps[-1], n ** s
+        l_s = _ideal_slice(prev)[0]
+        known = _normal_step(rule, prev, known, l_s.free, True)
+        system = _derivative_rows(known[0], l_s.free, n ** (s - 1))
+        space = Subspace.coordinate(n, s, field, l_s.free).kernel_of(system)
+        while space.dim and space.dim < len(l_s.free):
+            residuals = [{e * top + c: x
+                          for e, low in enumerate(_row_residuals(rule, row, s, l_s._reduce_ints))
+                          for c, x in space._reduce_ints(low.items()).items()}
+                         for row in space._int_rows()]
+            if not any(residuals):
+                break
+            smaller = space.kernel_of(residuals)
+            if smaller.dim >= space.dim:
+                raise AssertionError(f"degree-{s} invariant round did not shrink")
+            space = smaller
+        i_s = l_s + space
+        if not i_s.contains_subspace(l_s):
+            raise AssertionError(f"degree-{s} component is not an ideal slice")
+        comps.append(i_s)
     return comps
 
 

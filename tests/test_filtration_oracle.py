@@ -1,28 +1,38 @@
-"""The L_s-first filtration against the dense construction on all words.
+"""The filtration on a truncated Gröbner basis against two oracles.
 
 ``helpers.dense_optimal_ideal`` builds every component from the full
-derivative preimage U_s and runs the invariant rounds on all of it; the
-library works on the normal words of L_s only.  The two must agree on
-the echelon rows and pivots of every component.  Likewise L_s itself,
-built by block elimination, must match one dense ``rref`` of the shifts.
+derivative preimage U_s and runs the invariant rounds on all of it, and
+``helpers.block_optimal_ideal`` holds every pivot row of each component
+and builds L_s by block elimination; the library works on the normal
+words of L_s only, and builds a component from its normal forms only
+when asked.  All three must agree on the echelon rows and pivots of
+every component.  Likewise L_s itself, built by block elimination for
+the ideal of given generators, must match one dense ``rref`` of the
+shifts.
 """
 
+import contextlib
+import io
+import json
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from nccalc import (GF, QQ, CommRule, FpElement, IdealPropertyViolation, Subspace, builtin, linalg,
-                    optimal, optimal_ideal, parse_expr, word_partials)
+from nccalc import (GF, QQ, CommRule, FpElement, IdealPropertyViolation, Subspace, builtin,
+                    format_poly, groebner, linalg, optimal, optimal_ideal, parse_expr,
+                    word_partials)
+from nccalc.cli import main
 from nccalc.commrule import _int_images
 from nccalc.examples import build_example, example_names
 from nccalc.freealg import index_word
 from nccalc.optimal import (_derivative_rows, _equation_rows, _ideal_slice, _normal_step,
                             _packed_partials, _unit_partials)
 from nccalc.rulefile import parse_rule_dict
-from helpers import (dense_ideal_component, dense_ideal_slice, dense_optimal_ideal,
-                     random_homogeneous_rule, random_invertible, rule_over)
+from helpers import (block_optimal_ideal, dense_ideal_component, dense_ideal_slice,
+                     dense_optimal_ideal, random_homogeneous_rule, random_invertible, rule_over)
 from test_acceptance import _dim_pool
 from test_calculus import _RULE3
 
@@ -33,14 +43,17 @@ def echelon(components):
     return [(c.rows, c.pivots) for c in components]
 
 
-def assert_matches_dense(rule, max_degree):
+def assert_matches_oracles(rule, max_degree):
     got = optimal_ideal(rule, max_degree).components
+    assert got == tuple(block_optimal_ideal(rule, max_degree))
     assert echelon(got) == echelon(dense_optimal_ideal(rule, max_degree))
 
 
 @pytest.mark.parametrize("name", example_names())
 def test_builtin_examples_match_dense_construction(name):
-    assert_matches_dense(build_example(name), 7)
+    # both oracles, to degree 8: the dense one takes some seconds on
+    # thm4.1-I and thm4.1-II there
+    assert_matches_oracles(build_example(name), 8)
 
 
 @pytest.mark.parametrize("field", [QQ, FP, GF(3), GF(2**61 - 1)],
@@ -62,7 +75,7 @@ def test_pool_rules_match_dense_construction(field, n, max_degree, cases):
             except ZeroDivisionError:
                 assert field == GF(3)
                 continue
-            assert_matches_dense(r, max_degree)
+            assert_matches_oracles(r, max_degree)
             checked += 1
     # more than half of the rules reduce mod 3
     assert checked > cases
@@ -79,20 +92,21 @@ def test_debug_log_has_one_record_per_degree(caplog):
     caplog.set_level(logging.DEBUG, logger="nccalc")
     optimal_ideal(build_example("thm4.1-I"), 4)
     messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
-    # from degree 3 on U_s = L_s, so no invariant round runs; the left
-    # shifts give dim L minus the right shifts' rank; the derivative
-    # system of the normal words has full rank |N_s| exactly when C = 0.
-    # From degree 3 on one equation holds a single normal word: the peel
-    # fixes that word at zero, and the core keeps the other words and the
-    # equations that still hold any
+    # from degree 3 on U_s = L_s, so no invariant round runs; the basis is
+    # the commutator alone, whose leading word x1*x2 overlaps no leading
+    # word, so L_s gains no element from overlaps; the derivative system of
+    # the normal words has full rank |N_s| exactly when C = 0.  From degree
+    # 3 on one equation holds a single normal word: the peel fixes that
+    # word at zero, and the core keeps the other words and the equations
+    # that still hold any
     assert messages == [
-        "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=4 "
+        "degree 2: overlaps=0 rank=0 dim L=0 normal words=4 "
         "derivative system=4x4 rank=3 dim U=1 invariant rounds=1 dim I=1 "
         "peeled=0 core=4x4",
-        "degree 3: right-shift residuals=2 rank=2 dim L=4 normal words=4 "
+        "degree 3: overlaps=0 rank=0 dim L=4 normal words=4 "
         "derivative system=4x6 rank=4 dim U=4 invariant rounds=0 dim I=4 "
         "peeled=1 core=5x3",
-        "degree 4: right-shift residuals=6 rank=3 dim L=11 normal words=5 "
+        "degree 4: overlaps=0 rank=0 dim L=11 normal words=5 "
         "derivative system=5x8 rank=5 dim U=11 invariant rounds=0 dim I=11 "
         "peeled=1 core=7x4",
     ]
@@ -104,24 +118,73 @@ def test_debug_log_counts_words_in_no_equation_in_the_core(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "nccalc"]
     # at degree 2 one word is alone in an equation and is fixed at zero;
     # the other three lie in no equation, so the core handed to nullspace
-    # has no equation and three zero columns, one unit kernel vector each
+    # has no equation and three zero columns, one unit kernel vector each.
+    # The three leading words of degree 2 overlap in five words of degree
+    # 3, and each overlap reduces to zero by the basis below
     assert messages == [
-        "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=4 "
+        "degree 2: overlaps=0 rank=0 dim L=0 normal words=4 "
         "derivative system=4x4 rank=1 dim U=3 invariant rounds=1 dim I=3 "
         "peeled=1 core=0x3",
-        "degree 3: right-shift residuals=1 rank=1 dim L=7 normal words=1 "
+        "degree 3: overlaps=5 rank=0 dim L=7 normal words=1 "
         "derivative system=1x2 rank=1 dim U=7 invariant rounds=0 dim I=7 "
         "peeled=1 core=0x0",
     ]
 
 
 def test_ideal_slice_check_catches_a_component_missing_l_s(monkeypatch):
-    rule = build_example("ex3.1-diag")
+    # thm4.1-III over F_3 gains x1^3 and x2^3 at degree 3; a join that
+    # keeps only the rows it adds loses the normal forms that the
+    # commutator gave the words of degree 3: L_3
+    rule = build_example("thm4.1-III", GF(3))
     optimal_ideal(rule, 3)
-    # a sum that drops its left summand loses L_3
-    monkeypatch.setattr(Subspace, "__add__", lambda self, other: other)
+    monkeypatch.setattr(groebner, "_joined", lambda forms, rows: rows)
     with pytest.raises(IdealPropertyViolation, match="not an ideal slice"):
         optimal_ideal(rule, 3)
+
+
+@pytest.mark.parametrize("fault", ["unjoined", "monomial"])
+def test_ideal_slice_check_catches_wrong_overlap_rows(fault, monkeypatch):
+    # a seeded rule over F_3 whose quotient grows as s+1: at degree 3 the
+    # two leading words of degree 2 overlap once, and that overlap's
+    # residual joins the basis.  Its rows taken off the normal words but
+    # never joined, or joined as their leading words alone, leave I_3
+    # without part of L_3
+    rule = random_homogeneous_rule(random.Random("overlap/3/68"), 2, GF(3))
+    assert [d for _, d in optimal_ideal(rule, 3).quotient_dims()] == [2, 3, 4]
+    join = groebner.TruncatedBasis.join
+
+    def faulty(self, s, rows, den):
+        if s == 3 and rows and not self.leads[s]:
+            # the first rows of degree 3 are its overlaps'
+            if fault == "monomial":
+                return join(self, s, {c: [] for c in rows}, 1)
+            self.normal[s] = [c for c in self.normal[s] if c not in rows]
+            return len(rows)
+        return join(self, s, rows, den)
+
+    monkeypatch.setattr(groebner.TruncatedBasis, "join", faulty)
+    with pytest.raises(IdealPropertyViolation, match="degree-3 component is not an ideal slice"):
+        optimal_ideal(rule, 3)
+
+
+def test_ideal_slice_check_catches_a_missed_leading_prefix(monkeypatch):
+    # thm4.1-III over F_3 gains x1^3 and x2^3 at degree 3.  A prefix test
+    # that misses the leading words of degree 3 leaves x1^3*x2 normal at
+    # degree 4, and C_4 takes it back with a leading word that holds x1^3
+    rule = build_example("thm4.1-III", GF(3))
+    optimal_ideal(rule, 4)
+    step = groebner.TruncatedBasis.open
+
+    def forgetting(self, s):
+        leads, self.leads = self.leads, self.leads[:3] + [set()] * (len(self.leads) - 3)
+        try:
+            return step(self, s)
+        finally:
+            self.leads = leads + self.leads[len(leads):]
+
+    monkeypatch.setattr(groebner.TruncatedBasis, "open", forgetting)
+    with pytest.raises(IdealPropertyViolation, match="degree-4 component is not an ideal slice"):
+        optimal_ideal(rule, 4)
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["Q", "Fp10007"])
@@ -227,10 +290,76 @@ def test_small_primes_gain_relations(name, p, dims, gens):
     rule = build_example(name, field)
     got = optimal_ideal(rule, len(dims))
     assert [d for _, d in got.quotient_dims()] == dims
+    assert got.components == tuple(block_optimal_ideal(rule, len(dims)))
     assert echelon(got.components) == echelon(dense_optimal_ideal(rule, len(dims)))
     gens = [parse_expr(g, ("x1", "x2"), field=field) for g in gens]
     for s, comp in enumerate(got.components, 1):
         assert comp.equal(dense_ideal_component(gens, s, 2, field))
+
+
+def overlap_ranks(caplog):
+    """The overlap ranks of the DEBUG records caught so far, one per degree."""
+    return [int(m.group(1)) for r in caplog.records if r.name == "nccalc"
+            for m in [re.search(r"overlaps=\d+ rank=(\d+)", r.getMessage())] if m]
+
+
+def test_small_field_rules_match_the_block_construction(caplog):
+    # 200 seeded rules over F_2 and F_3 to degree 7, whose quotients range
+    # from free to s+1; in some of them the lower basis elements overlap
+    # in residuals that join the basis, from degree 3 on
+    caplog.set_level(logging.DEBUG, logger="nccalc")
+    gained = 0
+    for p in (2, 3):
+        rng = random.Random(f"overlaps/{p}")
+        for _ in range(100):
+            caplog.clear()
+            rule = random_homogeneous_rule(rng, 2, GF(p))
+            filt = optimal_ideal(rule, 7)
+            comps = block_optimal_ideal(rule, 7)
+            assert filt.components == tuple(comps)
+            assert filt.quotient_dims() == [(s, 2 ** s - c.dim) for s, c in enumerate(comps, 1)]
+            gained += any(overlap_ranks(caplog))
+    assert gained >= 20
+
+
+@pytest.mark.parametrize("name", ["ex3.1-diag", "thm4.1-I", "thm4.1-II",
+                                  "thm4.1-III", "thm4.1-IV"])
+def test_quantum_plane_like_quotients_at_degree_40(name):
+    # the basis is a few elements and |N_s| = s+1, so degree 40 takes a
+    # fraction of a second where the n^s words could not be listed
+    filt = optimal_ideal(build_example(name), 40)
+    assert filt.quotient_dims() == [(s, s + 1) for s in range(1, 41)]
+    assert repr(filt).endswith(f", {2 ** 40 - 41}]>")
+
+
+def test_dims_build_no_component_above_degree_2(monkeypatch):
+    # without --basis the report reads the dims off the normal words: no
+    # degree builds a Subspace, whose construction lists all n^s columns,
+    # except the coordinate spaces of the kernel steps and degree 1
+    built = []
+    init = Subspace.__init__
+
+    def spy(self, n, degree, field, tails, den=1):
+        built.append((n, degree))
+        init(self, n, degree, field, tails, den)
+
+    monkeypatch.setattr(Subspace, "__init__", spy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["examples", "run", "thm4.1-I", "--max-degree", "12"]) == 0
+    assert out.getvalue().splitlines()[-1] == "degree 12: dim_ideal=4083 dim_quotient=13"
+    assert built and all(degree < 3 for _, degree in built)
+    built.clear()
+    # with --basis every component is built, and equals the oracle's
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["examples", "run", "thm4.1-I", "--max-degree", "12", "--basis",
+                     "--json"]) == 0
+    degrees = json.loads(out.getvalue())["degrees"]
+    assert sorted({d for _, d in built if d >= 3}) == list(range(3, 13))
+    want = block_optimal_ideal(build_example("thm4.1-I"), 12)
+    assert [entry["basis"] for entry in degrees] == \
+        [[format_poly(b, ("x1", "x2")) for b in comp.basis_polys()] for comp in want]
 
 
 # ---- the packed prefix: free degrees on the rows of their equations ----
@@ -347,13 +476,14 @@ def free_table(rule, s):
 
 def spy_on_handover(monkeypatch):
     """Record, in order, ``(degree, table)`` for each table that the table
-    path of ``optimal_ideal`` reads modulo a nonzero I_{s-1}: the first is
-    the one a packed prefix hands over."""
+    path of ``optimal_ideal`` reads modulo a nonzero I_{s-1}, whose prefix
+    table rewrites some word: the first is the one a packed prefix hands
+    over."""
     tables = []
     step = optimal._normal_step
 
     def spy(rule, space, known, words, derivatives):
-        if space.dim:
+        if space.tails:
             tables.append((space.degree, known))
         return step(rule, space, known, words, derivatives)
 
@@ -513,13 +643,13 @@ def test_debug_log_of_packed_degrees(caplog):
     # a packed degree peels nothing and hands every equation and every
     # word to the elimination
     assert messages == [
-        "degree 2: right-shift residuals=0 rank=0 dim L=0 normal words=9 "
+        "degree 2: overlaps=0 rank=0 dim L=0 normal words=9 "
         "derivative system=9x9 rank=8 dim U=1 invariant rounds=1 dim I=0 "
         "peeled=0 core=9x9",
-        "degree 3: right-shift residuals=0 rank=0 dim L=0 normal words=27 "
+        "degree 3: overlaps=0 rank=0 dim L=0 normal words=27 "
         "derivative system=27x27 rank=27 dim U=0 invariant rounds=0 dim I=0 "
         "peeled=0 core=27x27",
-        "degree 4: right-shift residuals=0 rank=0 dim L=0 normal words=81 "
+        "degree 4: overlaps=0 rank=0 dim L=0 normal words=81 "
         "derivative system=81x81 rank=80 dim U=1 invariant rounds=1 dim I=0 "
         "peeled=0 core=81x81",
     ]

@@ -96,6 +96,17 @@ def test_ideal_component_refusals():
     assert ideal_component([x1 * x1], 2).dim == 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda d: Subspace.zero(2, d, QQ),
+    lambda d: Subspace.full(2, d, QQ),
+    lambda d: Subspace.coordinate(2, d, QQ, []),
+], ids=["zero", "full", "coordinate"])
+def test_subspace_of_a_negative_degree(build):
+    with pytest.raises(ValueError, match="^subspace degree must be nonnegative, got -1$"):
+        build(-1)
+    assert build(0).ambient_dim == 1
+
+
 def test_linear_algebra_shape_refusals():
     with pytest.raises(ValueError, match="^empty spanning set needs explicit n and field$"):
         Subspace.span([], 1)
