@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .commrule import CommRule, MatrixPoly, NonHomogeneousRuleError
 from .freealg import NCPoly
-from .optimal import _holds_commutator, optimal_ideal
+from .optimal import _degree_two_verdicts
 
 SWAP = ((0, 1), (1, 0))
 
@@ -261,4 +261,4 @@ def commutator_in_I2(rule: CommRule) -> bool:
     """Whether x1x2 - x2x1 lies in the degree-2 component of the optimal
     ideal (equivalently, the optimal algebra is commutative)."""
     _require_two_homogeneous(rule)
-    return _holds_commutator(optimal_ideal(rule, 2).component(2))
+    return _degree_two_verdicts(rule)[1]

@@ -23,9 +23,8 @@ from .classify2 import (FAMILY_SLOTS, FamilyParams, commutes_mod_commutative,
                         match_family, necessary_conditions)
 from .examples import EXAMPLES, build_example, example_document, example_names
 from .freealg import NCPoly, format_poly
-from .optimal import IdealPropertyViolation, _holds_commutator, \
-    _spanned_by_commutator, check_consistent_ideal, \
-    check_same_degree_consistency, optimal_ideal
+from .optimal import IdealPropertyViolation, _degree_two_verdicts, \
+    check_consistent_ideal, check_same_degree_consistency, optimal_ideal
 from .parsing import ExprSyntaxError, parse_expr
 from .rulefile import RuleFileError, load_rule, save_rule
 
@@ -265,11 +264,10 @@ def cmd_classify2(args) -> int:
         print(f"necessary conditions: violated at {spots}")
     print("abelianized images commute: "
           + ("yes" if commutes_mod_commutative(rule) else "no"))
-    # one I_2 serves both degree-2 verdicts
-    i2 = optimal_ideal(rule, 2).component(2)
-    print("regular: " + ("yes" if _spanned_by_commutator(i2) else "no"))
-    print("commutator in degree-2 ideal: "
-          + ("yes" if _holds_commutator(i2) else "no"))
+    # one basis serves both degree-2 verdicts
+    dim, holds = _degree_two_verdicts(rule)
+    print("regular: " + ("yes" if dim == 1 and holds else "no"))
+    print("commutator in degree-2 ideal: " + ("yes" if holds else "no"))
     matches = match_family(rule)
     if matches:
         print("families:")

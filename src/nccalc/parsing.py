@@ -14,14 +14,28 @@ reads; a superscript digit is a syntax error, and so is a run of more
 digits than ``int()`` reads (``sys.get_int_max_str_digits()``).
 Parentheses nest at most ``MAX_NESTING`` levels deep; deeper input is a
 syntax error, not a recursion overflow.  Identifiers resolve to named
-scalar parameters first, then to generator names.  Printing back through freealg.format_poly uses the canonical
-term order; parse(print(parse(text))) equals parse(text).
+scalar parameters first, then to generator names.  Printing back through
+freealg.format_poly uses the canonical term order; parse(print(parse(text)))
+equals parse(text).
+
+The descent evaluates on plain ints, as ``commrule._walk`` does, and
+builds one ``NCPoly`` per parse, at the end.  Every atom, sum, product
+and power is a pair ``(terms, den)``: a dict from words to den times
+their coefficients over Q, or to their residues over F_p with den 1,
+never holding a zero.  A literal a/b is reduced by gcd(a, b) first, so
+over F_p only a reduced denominator divisible by p is refused; a
+parameter is converted when an atom names it.  Sums bring both sides to
+the lcm of their dens, products multiply the dens and take
+``commrule._prepend``'s step on one place, and x^e multiplies by x e
+times, as ``NCPoly.__pow__`` does.  The field's ``values`` turns the
+ints back into field elements once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
+from .commrule import _prepend
 from .fields import QQ
 from .freealg import NCPoly
 
@@ -80,12 +94,49 @@ def _tokenize(text):
     return tokens
 
 
+def _sum(a, da, b, db, sign, p):
+    """a + sign*b on (terms, den) pairs, sign 1 or -1.  a's dict is
+    updated in place unless its den grows: each pair the descent makes
+    holds a dict of its own."""
+    den = da
+    if da != db:
+        den = lcm(da, db)
+        if den != da:
+            k = den // da
+            a = {w: x * k for w, x in a.items()}
+        if den != db:
+            k = den // db
+            b = {w: y * k for w, y in b.items()}
+    get = a.get
+    for w, y in b.items():
+        x = get(w, 0) + sign * y
+        if p:
+            x %= p
+        if x:
+            a[w] = x
+        else:
+            del a[w]
+    return a, den
+
+
+def _product(a, da, b, db, p):
+    """a*b on (terms, den) pairs: ``_prepend`` on one place, whose one
+    row pairs a's terms with b."""
+    out = {}
+    _prepend((((0, a.items()),),), (b,), (out,))
+    if p:
+        out = {w: r for w, x in out.items() if (r := x % p)}
+    elif 0 in out.values():
+        out = {w: x for w, x in out.items() if x}
+    return out, da * db
+
+
 class _Parser:
-    def __init__(self, tokens, n, field, var_map, params):
+    def __init__(self, tokens, field, var_map, params):
         self.tokens = tokens
         self.pos = 0
-        self.n = n
         self.field = field
+        self.p = field.p
         self.var_map = var_map
         self.params = params
         self.depth = 0
@@ -114,47 +165,55 @@ class _Parser:
         except ValueError:
             self.fail(f"integer of {len(tok[1])} digits is too long", tok)
 
-    def parse(self) -> NCPoly:
+    def parse(self):
         value = self.expr()
         kind, val, _, _ = self.peek()
         if kind != "eof":
             self.fail(f"unexpected {val!r} after expression")
         return value
 
-    def expr(self) -> NCPoly:
-        value = self.term()
+    def expr(self):
+        terms, den = self.term()
         while self.at_op("+", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            sign = 1 if self.advance()[1] == "+" else -1
+            terms, den = _sum(terms, den, *self.term(), sign, self.p)
+        return terms, den
 
-    def term(self) -> NCPoly:
+    def term(self):
         negate = False
         if self.at_op("-"):
             self.advance()
             negate = True
-        value = self.factor()
+        terms, den = self.factor()
         while self.at_op("*"):
             self.advance()
-            value = value * self.factor()
-        return -value if negate else value
+            terms, den = _product(terms, den, *self.factor(), self.p)
+        if negate:
+            p = self.p
+            terms = {w: p - x for w, x in terms.items()} if p else \
+                {w: -x for w, x in terms.items()}
+        return terms, den
 
-    def factor(self) -> NCPoly:
+    def factor(self):
         value = self.atom()
         if self.at_op("^"):
             self.advance()
             tok = self.advance()
             if tok[0] != "num":
                 self.fail("expected an unsigned integer exponent", tok)
-            value = value ** self.number(tok)
+            e = self.number(tok)
+            terms, den = {(): 1}, 1
+            for _ in range(e):
+                terms, den = _product(terms, den, *value, self.p)
+            return terms, den
         return value
 
-    def atom(self) -> NCPoly:
+    def atom(self):
         tok = self.advance()
         kind, val, line, col = tok
         if kind == "num":
             numerator = self.number(tok)
+            denominator = 1
             if self.at_op("/"):
                 self.advance()
                 den_tok = self.advance()
@@ -163,21 +222,25 @@ class _Parser:
                 denominator = self.number(den_tok)
                 if denominator == 0:
                     self.fail("division by zero in rational literal", den_tok)
-                value = Fraction(numerator, denominator)
-            else:
-                value = Fraction(numerator)
-            try:
-                scalar = self.field.of(value)
-            except ZeroDivisionError:
-                self.fail("denominator is not invertible in this field", tok)
-            return NCPoly.constant(self.n, scalar, self.field)
+                # the literal's value: 3/6 is 1/2, invertible mod 3
+                g = gcd(numerator, denominator)
+                numerator, denominator = numerator // g, denominator // g
+            p = self.p
+            if p:
+                if denominator % p == 0:
+                    self.fail("denominator is not invertible in this field", tok)
+                numerator = numerator * pow(denominator, -1, p) % p
+                denominator = 1
+            return ({(): numerator} if numerator else {}), denominator
         if kind == "ident":
             if val in self.params:
-                return NCPoly.constant(self.n, self.params[val], self.field)
+                field = self.field
+                (x,), den = field.ints([field.of(self.params[val])])
+                return ({(): x} if x else {}), den
             idx = self.var_map.get(val)
             if idx is None:
                 self.fail(f"unknown identifier {val!r}", tok)
-            return NCPoly.gen(self.n, idx, self.field)
+            return {(idx,): 1}, 1
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 self.fail(f"parentheses nested deeper than {MAX_NESTING} levels", tok)
@@ -203,6 +266,8 @@ def parse_expr(text: str, var_names, params=None, field=QQ) -> NCPoly:
     if len(var_map) != len(var_names):
         raise ValueError("generator names must be unique")
     tokens = _tokenize(text)
-    parser = _Parser(tokens, len(var_names), field, var_map,
-                     dict(params) if params else {})
-    return parser.parse()
+    terms, den = _Parser(tokens, field, var_map, dict(params) if params else {}).parse()
+    poly = NCPoly.__new__(NCPoly)
+    poly.n, poly.field = len(var_names), field
+    poly.terms = dict(zip(terms, field.values(terms.values(), den)))
+    return poly

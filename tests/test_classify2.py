@@ -25,7 +25,9 @@ from helpers import (
     params_match,
     random_family_params,
     random_homogeneous_rule,
+    rule_over,
 )
+from nccalc.optimal import _degree_two_verdicts
 
 SWAP = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
 
@@ -269,6 +271,28 @@ def test_commutator_membership():
             assert commutator_in_I2(build_family(random_family_params(rng, fam)))
     assert commutator_in_I2(builtin("ex3.5", mu=1, lam=1))
     assert not commutator_in_I2(builtin("ex3.2-zero", n=2))
+
+
+def test_degree_two_verdicts_match_the_component():
+    # dim I_2 and the commutator's membership, read off the truncated
+    # basis, against the canonical I_2 and its own membership test
+    rng = random.Random(131)
+    rules = [builtin(name, n=2) for name in ("ex3.2-zero", "ex3.3-minus")]
+    rules += [builtin("ex3.5", mu=1, lam=1)]
+    rules += [build_family(random_family_params(rng, fam)) for fam in ("I", "II", "III", "IV")
+              for _ in range(3)]
+    for field in (QQ, GF(2), GF(3), GF(10007)):
+        rules += [random_homogeneous_rule(rng, 2, field) for _ in range(15)]
+    rules += [rule_over(rule, GF(3)) for rule in rules[:16]]
+    seen = set()
+    for rule in rules:
+        i2 = optimal_ideal(rule, 2).component(2)
+        x1, x2 = NCPoly.gen(2, 1, rule.field), NCPoly.gen(2, 2, rule.field)
+        want = (i2.dim, i2.contains(x1 * x2 - x2 * x1))
+        assert _degree_two_verdicts(rule) == want, rule
+        seen.add(want)
+    # free, commutative, regular and larger ideals all occur
+    assert {(0, False), (1, True), (2, True)} <= seen and any(not h and d for d, h in seen)
 
 
 def test_split_rule_is_irregular_with_two_dim_kernel():

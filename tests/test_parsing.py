@@ -20,7 +20,7 @@ from nccalc import (
     rule_to_dict,
     save_rule,
 )
-from helpers import random_poly
+from helpers import ncpoly_parse_expr, random_poly
 
 NAMES = ("x1", "x2")
 
@@ -126,6 +126,125 @@ def test_parse_over_prime_field():
     assert p("1/2*x1", field=F) == F.of(4) * x1
     with pytest.raises(ExprSyntaxError, match="invertible"):
         p("1/7*x1", field=F)
+
+
+def test_reducible_literals_over_prime_fields():
+    # a literal is its value: 3/6 is 1/2, invertible mod 3, and 9/3 and
+    # 0/3 are 3 and 0
+    assert p("3/6", field=GF(3)) == NCPoly.constant(2, 2, GF(3))
+    assert p("9/3*x1", field=GF(3)) == NCPoly.zero(2, GF(3))
+    assert p("0/3 + x2", field=GF(3)) == NCPoly.gen(2, 2, GF(3))
+    with pytest.raises(ExprSyntaxError, match=r"not invertible .*\(line 1, column 6\)"):
+        p("x1 + 2/6", field=GF(3))
+
+
+def _rand_literal(rng, char):
+    """An int or a/b, often reducible; rarely a den that the field's
+    characteristic divides."""
+    if rng.random() < 0.4:
+        return str(rng.randint(0, 12))
+    den = rng.choice([d for d in (2, 3, 4, 6, 7) if not char or d % char])
+    if char and rng.random() < 0.03:
+        den *= char
+    return f"{rng.randint(0, 12) * rng.choice((1, den))}/{den}"
+
+
+def _rand_expr(rng, names, char, depth):
+    """A random expression of the grammar; a few parts cancel to zero."""
+    def atom(depth):
+        r = rng.random()
+        if depth and r < 0.3:
+            return f"({_rand_expr(rng, names, char, depth - 1)})"
+        if r < 0.55:
+            return _rand_literal(rng, char)
+        return rng.choice(names)
+
+    def factor(depth):
+        text = atom(depth)
+        if rng.random() < 0.25:
+            top = 3 if text[0] != "(" else 2
+            text += f"^{rng.randint(0, top)}"
+        return text
+
+    def term(depth):
+        text = "*".join(factor(depth) for _ in range(rng.randint(1, 3)))
+        return "-" + text if rng.random() < 0.25 else text
+
+    text = term(depth)
+    for _ in range(rng.randint(0, 2)):
+        text += rng.choice((" + ", " - ", "\n- ", "+")) + term(depth)
+    if rng.random() < 0.1:
+        text = f"{text} - ({text})"
+    return text
+
+
+def _mutated(rng, text):
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randint(0, len(text))
+        r = rng.random()
+        if r < 0.4:
+            text = text[:i] + rng.choice("+-*/^()  @x\n\u00b20") + text[i:]
+        elif r < 0.7:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _outcome(parse, text, names, params, field):
+    try:
+        return parse(text, names, params, field)
+    except (ExprSyntaxError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)],
+                         ids=["Q", "Fp2", "Fp3", "Fp10007"])
+def test_random_expressions_match_the_ncpoly_parser(field):
+    rng = random.Random(3007 + (field.p or 0))
+    names = ("x1", "x2", "x3")
+    scalars = [field.of(Fraction(a, b)) for a, b in ((1, 5), (-7, 1), (0, 1), (3, 7), (10007, 1))]
+    results = errors = zeros = 0
+    for _ in range(250):
+        # params resolve before the generator names, which one may shadow
+        params = {"q": rng.choice(scalars), "zero": field.zero}
+        if rng.random() < 0.2:
+            params["x3"] = rng.choice(scalars)
+        text = _rand_expr(rng, names + tuple(params), field.p, 2)
+        for candidate in (text, _mutated(rng, text)):
+            got = _outcome(parse_expr, candidate, names, params, field)
+            expected = _outcome(ncpoly_parse_expr, candidate, names, params, field)
+            assert got == expected, candidate
+            if isinstance(got, NCPoly):
+                assert {type(c) for c in got.terms.values()} <= {type(field.one)}, candidate
+                results += 1
+                zeros += not got
+            else:
+                errors += 1
+    assert results > 250 and errors > 50 and zeros > 10, (results, errors, zeros)
+
+
+def test_parser_builds_no_intermediate_ncpoly(monkeypatch, tmp_path):
+    # every atom, sum, product and power is evaluated on ints: the
+    # polynomial arithmetic is never called while an expression is parsed
+    def refuse(*args):
+        raise AssertionError("the parser called NCPoly arithmetic")
+
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({
+        "n": 3, "field": "Q", "vars": ["x", "y", "z"], "params": {"q": "-2/3"},
+        "A": [[["y", "-x", "0"], ["0", "z", "x"], ["1/2*z", "0", "q*y"]],
+              [["x", "0", "-z"], ["y", "(y - z)^1", "0"], ["0", "x", "z"]],
+              [["0", "z", "x"], ["-y", "0", "x"], ["z", "y + x - x", "0"]]]}))
+    want = [load_rule(path).rule, p("(1/3*x1 - 2/5*x2)^12"),
+            p("-(x1 - x2)^3*x1 + 3/6", field=GF(3))]
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "__pow__"):
+        monkeypatch.setattr(NCPoly, name, refuse)
+    got = [load_rule(path).rule, p("(1/3*x1 - 2/5*x2)^12"),
+           p("-(x1 - x2)^3*x1 + 3/6", field=GF(3))]
+    monkeypatch.undo()
+    assert got == want
+    assert len(got[1].terms) == 2 ** 12
 
 
 def test_duplicate_names_rejected():
