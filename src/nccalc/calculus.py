@@ -16,12 +16,17 @@ derivatives of a whole polynomial in one pass over the prefix trie of
 its words, O(d*n^(d+2)) work for a dense degree-d polynomial instead of
 Theta(n^(2d)) word by word, and no Python recursion per letter, so long
 words are fine.  ``word_partials`` is the same walk on a single word.
+The walk keys words by their columns (``freealg.word_index``), and
+``NCPoly`` is built only here, at the API's boundary: ``_text_partials``
+serves ``derive`` and ``diff``, which print the walk's ints through
+``freealg.format_columns`` with no polynomial built at all.
 """
 
 from __future__ import annotations
 
 from .commrule import CommRule, _int_terms, _poly, _walk
-from .freealg import NCPoly, check_letters, dot
+from .freealg import NCPoly, check_letters, dot, graded_columns, word_index
+from .parsing import _parse_ints
 
 
 def word_partials(rule: CommRule, w) -> tuple:
@@ -29,15 +34,23 @@ def word_partials(rule: CommRule, w) -> tuple:
     the walk of the word alone."""
     w = tuple(w)
     check_letters(w, rule.n)
-    parts, scale = _walk(rule, {w: 1}, 1, False, True)
+    parts, scale = _walk(rule, {len(w): {word_index(w, len(w), rule.n): 1}}, 1, False, True)
     return tuple(_poly(rule, d, scale) for d in parts)
 
 
 def _partials(rule: CommRule, f: NCPoly):
     """All n partial derivatives of f on ints, as (parts, D): the column
-    D(f) of ``commrule._walk``, parts[k-1] mapping words to D times their
-    coefficient over Q, or to their residue over F_p (D = 1)."""
+    D(f) of ``commrule._walk``, parts[k-1] holding as graded columns D
+    times its coefficients over Q, or their residues over F_p (D = 1)."""
     return _walk(rule, *_int_terms(rule, f), False, True)
+
+
+def _text_partials(rule: CommRule, text, var_names, params):
+    """All n partial derivatives of the expression ``text``, as
+    ``_partials`` gives them: the parser's int terms go to the walk as
+    they are, words turned into columns once, with no polynomial built."""
+    terms, den = _parse_ints(text, var_names, params, rule.field)
+    return _walk(rule, graded_columns(terms, rule.n), den, False, True)
 
 
 def partial(rule: CommRule, k: int, f: NCPoly) -> NCPoly:

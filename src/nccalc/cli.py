@@ -18,15 +18,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .calculus import differential, partial
+from .calculus import _text_partials
 from .classify2 import (FAMILY_SLOTS, FamilyParams, commutes_mod_commutative,
                         match_family, necessary_conditions)
 from .examples import EXAMPLES, build_example, example_document, example_names
-from .freealg import NCPoly, format_poly
+from .freealg import format_columns, format_poly
 from .optimal import IdealPropertyViolation, _degree_two_verdicts, \
     check_consistent_ideal, check_same_degree_consistency, optimal_ideal
 from .parsing import ExprSyntaxError, parse_expr
-from .rulefile import RuleFileError, load_rule, save_rule
+from .rulefile import RuleFileError, load_rule, rule_to_dict, save_rule
 
 
 class UsageError(ValueError):
@@ -138,17 +138,16 @@ def _resolve_var(selector: str, var_names) -> int:
 def cmd_derive(args) -> int:
     doc = load_rule(args.rule)
     k = _resolve_var(args.var, list(doc.var_names))
-    f = parse_expr(args.expr, doc.var_names, doc.params, doc.rule.field)
-    print(format_poly(partial(doc.rule, k, f), doc.var_names))
+    parts, scale = _text_partials(doc.rule, args.expr, doc.var_names, doc.params)
+    print(format_columns(parts[k - 1], scale, doc.rule.field, doc.var_names))
     return 0
 
 
 def cmd_diff(args) -> int:
     doc = load_rule(args.rule)
-    f = parse_expr(args.expr, doc.var_names, doc.params, doc.rule.field)
-    form = differential(doc.rule, f)
-    for name, comp in zip(doc.var_names, form.components):
-        print(f"d{name}: {format_poly(comp, doc.var_names)}")
+    parts, scale = _text_partials(doc.rule, args.expr, doc.var_names, doc.params)
+    for name, part in zip(doc.var_names, parts):
+        print(f"d{name}: {format_columns(part, scale, doc.rule.field, doc.var_names)}")
     return 0
 
 
@@ -229,21 +228,22 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _scalar_text(value, field) -> str:
-    return format_poly(NCPoly.constant(2, value, field))
+def _form_text(coefficients, field, names) -> str:
+    """The text of sum_i c_i*x^i over the generators ``names``, printed
+    from the field's ints; one coefficient and no names give a scalar."""
+    ints, scale = field.ints([field.of(c) for c in coefficients])
+    degree = 1 if names else 0
+    return format_columns({degree: dict(enumerate(ints))}, scale, field, names)
 
 
 def _params_text(p: FamilyParams, names, field) -> str:
-    x1 = NCPoly.gen(2, 1, field)
-    x2 = NCPoly.gen(2, 2, field)
     parts = []
     for slot in FAMILY_SLOTS[p.family]:
         val = getattr(p, slot)
         if slot in ("lam", "mu"):
-            parts.append(f"{slot}={_scalar_text(val, field)}")
+            parts.append(f"{slot}={_form_text([val], field, ())}")
         else:
-            form = field.of(val[0]) * x1 + field.of(val[1]) * x2
-            parts.append(f"{slot}={format_poly(form, names)}")
+            parts.append(f"{slot}={_form_text(val, field, names)}")
     label = p.family + (" swapped" if p.swapped else "")
     text = f"{label}: {', '.join(parts)}"
     if p.unconstrained:
@@ -317,7 +317,8 @@ def cmd_examples_show(args) -> int:
 def cmd_examples_run(args) -> int:
     rule = build_example(args.name)
     filt = optimal_ideal(rule, args.max_degree)
-    doc = example_document(args.name)
+    # the report echoes the rule just built: example_document would build it again
+    doc = rule_to_dict(rule)
     report = _ideal_report(doc, filt, tuple(doc["vars"]), args.basis)
     _emit_ideal_report(report, args.as_json)
     return 0

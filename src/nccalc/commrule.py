@@ -24,6 +24,18 @@ of a single word, and the closure checks of ``optimal`` on single
 elements for both.  ``optimal``'s residual tables take the same step,
 word by word.
 
+Inside the walk a word is its column: a word w of degree e is
+``freealg.word_index(w)`` < n^e, its prefix of length t is the column
+w // n^(e-t), and an image term v of length l prepended to a column u of
+degree e is the column word_index(v)*n^e + u, a constant offset added.
+So each letter's rows are shifted once per (l, e) (``_shifted``,
+cached on the rule), and every place holds graded columns, {degree:
+{column: int}}: a homogeneous rule on a homogeneous f keeps one degree
+per place, while constant or nonlinear image terms, or an f of mixed
+degrees, just put several there.  Words are turned into columns where f
+enters and back where an ``NCPoly`` leaves (``_poly``); ``derive`` and
+``diff`` print the columns themselves (``freealg.format_columns``).
+
 The arithmetic runs on plain ``int`` coefficients, never on field
 objects, so no multiply-add builds a ``Fraction`` or normalises by a
 gcd.  The field's ``ints`` and ``values`` convert at the two ends.
@@ -32,15 +44,17 @@ Over Q the images are scaled once per rule by L, the lcm of their
 coefficients' denominators (``_int_images``, cached on the rule), and
 every value carries a known power of L: since (L*A)*(L^m*B) =
 L^(m+1)*(A*B), one factor of L per letter.  Each output coefficient is
-divided by its scale once, when it is turned back into a field element.
+divided by its scale once, when it is turned back into a field element
+or printed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain
 
 from .fields import QQ
-from .freealg import NCPoly, check_letters, dot
+from .freealg import NCPoly, check_letters, dot, graded_columns, index_word, word_index
 from .linalg import invert_matrix
 
 
@@ -242,13 +256,14 @@ class CommRule:
 
 
 def _int_images(rule: CommRule):
-    """The rule's images on ints, cached on the rule: (L, table, blocks).
+    """The rule's images on ints, cached on the rule: (L, table, shifted).
 
     Over Q, L is the lcm of the image coefficients' denominators; over
     F_p, L is 1.  table[a-1][k] lists (j, terms) for the nonzero entries
     A(x^a)^j_k, with terms the (word, int) pairs of the entry scaled by L
-    (over Q) or its residues (over F_p).  ``blocks`` maps a number of
-    places to ``_blocks(table, places)``, filled by ``_walk`` as it asks.
+    (over Q) or its residues (over F_p).  ``shifted`` maps a number of
+    places and a degree to ``_shifted``'s rows, filled as they are asked
+    for.
     """
     got = rule._int_images
     if got is None:
@@ -263,8 +278,40 @@ def _int_images(rule: CommRule):
     return got
 
 
+def _shifted(rule: CommRule, width, e):
+    """Each letter's rows that prepend x^a to columns of degree e over
+    ``width`` places, as ``_prepend`` reads them, cached on the rule: for
+    x^a, one (l, rows) per length l of its image terms, whose terms v
+    become the column offset word_index(v)*n^e of v times a word of
+    degree e.  A homogeneous rule has l = 1 alone, where x^b sits at
+    (b-1)*n^e.  The rows of degree e > 0 scale those of degree 0, and
+    ``_blocks`` lays the n rows over the places, sharing their terms."""
+    _, table, cache = _int_images(rule)
+    got = cache.get((width, e))
+    if got is None:
+        n = rule.n
+        if width != n:
+            got = [[(l, _blocks(rows, width)) for l, rows in letter]
+                   for letter in _shifted(rule, n, e)]
+        elif e:
+            shift = n ** e
+            got = [[(l, [[(j, [(c * shift, x) for c, x in terms]) for j, terms in row]
+                         for row in rows])
+                    for l, rows in letter] for letter in _shifted(rule, n, 0)]
+        else:
+            got = [[(l, [[(j, at) for j, terms in row
+                          if (at := [(word_index(v, l, n), x) for v, x in terms if len(v) == l])]
+                         for row in rows])
+                    for l in sorted({len(v) for row in rows for _, terms in row
+                                     for v, _ in terms})]
+                   for rows in table]
+        cache[(width, e)] = got
+    return got
+
+
 def _int_terms(rule: CommRule, f: NCPoly):
-    """f's terms on ints, checked against the rule: (terms, den).
+    """f's terms on ints as graded columns, checked against the rule:
+    (terms, den).
 
     Over Q the ints carry den, the lcm of f's denominators, times their
     value; over F_p they are residues and den is 1.
@@ -275,63 +322,86 @@ def _int_terms(rule: CommRule, f: NCPoly):
         raise ValueError("polynomial and rule coefficient fields differ")
     check_letters(sorted(set(chain.from_iterable(f.terms))), rule.n)
     ints, den = rule.field.ints(f.terms.values())
-    return dict(zip(f.terms, ints)), den
+    return graded_columns(dict(zip(f.terms, ints)), rule.n), den
 
 
 def _walk(rule: CommRule, terms, den, images, derivatives):
     """The requested columns of Phi(f) on ints, as ``(cols, scale)``.
 
-    ``terms`` maps f's words to den times their coefficients over Q, or
-    to their residues over F_p (den 1).  ``cols`` is one flat list of
-    dicts from words to ints, ``scale`` times their values (residues over
-    F_p): with ``images``, entry (k, i) of A(f) at (i-1)*n + k-1, then
-    with ``derivatives`` D_k(f) at the next n places.  The node of a
-    prefix q of depth t holds den*L^(start-t) times the columns of
-    Phi(f_q), f_q the sum of c_w*u over the words w = q*u of f; start is
-    f's top degree with ``images``, one less without.
+    ``terms`` holds f as graded columns, {degree: {column: int}}, each
+    word at its ``word_index`` among the words of its degree, den times
+    its coefficient over Q, its residue over F_p (den 1).  ``cols`` is
+    one flat list of graded columns, scale times their values (residues
+    over F_p), zeros possibly kept over Q: with ``images``, entry (k, i)
+    of A(f) at (i-1)*n + k-1, then with ``derivatives`` D_k(f) at the
+    next n places.  The node of a prefix q of depth t, keyed by q's
+    column, holds den*L^(start-t) times the columns of Phi(f_q), f_q the
+    sum of c_w*u over the words w = q*u of f; start is f's top degree
+    with ``images``, one less without.  Each node keeps its places by
+    degree, so a rule with constant or nonlinear image terms, or an f of
+    mixed degrees, just puts several degrees in a place.
     """
     n, p = rule.n, rule.field.p
-    scale, table, blocks = _int_images(rule)
+    scale = _int_images(rule)[0]
     width = (n * n if images else 0) + (n if derivatives else 0)
-    rows = blocks.get(width) or blocks.setdefault(width, _blocks(table, width))
-    top = max(map(len, terms), default=0)
+    top = max(terms, default=0)
+    power = [n ** i for i in range(top + 1)]
+    shifted = {}
     mult = 1
     level = {}
+
+    def node():
+        return defaultdict(lambda: [{} for _ in range(width)])
+
     for depth in range(top if images else top - 1, -1, -1):
-        nodes = {}
-        for w, c in terms.items():
-            if len(w) > depth:
-                q = w[:depth]
-                node = nodes.get(q) or nodes.setdefault(q, [{} for _ in range(width)])
-                if derivatives:
-                    # e_a * f_(q*x^a) in D, the last n places: the suffixes
-                    # after q*x^a are distinct keys
-                    node[w[depth] - n - 1][w[depth + 1:]] = c * mult
-            elif images and len(w) == depth:
+        nodes = defaultdict(node)
+        for e, cols in terms.items():
+            if e > depth:
+                # w = q*x^a*u, u of degree s
+                s = e - depth - 1
+                rest, cut = power[s], power[s + 1]
+                for c, x in cols.items():
+                    q, u = divmod(c, cut)
+                    places = nodes[q]
+                    if derivatives:
+                        # e_a * f_(q*x^a) in D, the last n places: the
+                        # suffixes after q*x^a are distinct keys
+                        a, u = divmod(u, rest)
+                        places[s][a - n][u] = x * mult
+            elif images and e == depth:
                 # c * I at the word's own node
-                node = nodes.get(w) or nodes.setdefault(w, [{} for _ in range(width)])
-                for i in range(0, n * n, n + 1):
-                    node[i][()] = c * mult
+                for c, x in cols.items():
+                    places = nodes[c][0]
+                    for i in range(0, n * n, n + 1):
+                        places[i][0] = x * mult
         for q, sub in level.items():
-            _prepend(rows[q[depth] - 1], sub, nodes[q[:depth]])
+            q, a = divmod(q, n)
+            places = nodes[q]
+            for e, below in sub.items():
+                rows = shifted.get(e)
+                if rows is None:
+                    rows = shifted[e] = _shifted(rule, width, e)
+                for length, block in rows[a]:
+                    _prepend(block, below, places[e + length])
         if p is not None:
-            nodes = {q: _reduced(node, p) for q, node in nodes.items()}
+            nodes = {q: {e: _reduced(acc, p) for e, acc in places.items()}
+                     for q, places in nodes.items()}
         level = nodes
         if depth:
             mult *= scale
-    return level.get((), [{}] * width), den * mult
+    root = level.get(0, {})
+    return [{e: acc[i] for e, acc in root.items() if acc[i]} for i in range(width)], den * mult
 
 
-def _blocks(table, width):
-    """Each letter's rows of ``table`` laid over ``width`` places, n per
-    block, as ``_prepend`` reads them: row c+k lists (c+j, terms) for
-    each entry (j, terms) of row k, for every block from c on.  One block
-    is the table itself."""
-    n = len(table)
+def _blocks(rows, width):
+    """One letter's ``rows`` laid over ``width`` places, n per block, as
+    ``_prepend`` reads them: row c+k lists (c+j, terms) for each entry
+    (j, terms) of row k, for every block from c on.  One block is the
+    rows themselves."""
+    n = len(rows)
     if width == n:
-        return table
-    return [[[(c + j, terms) for j, terms in row] for c in range(0, width, n) for row in rows]
-            for rows in table]
+        return rows
+    return [[(c + j, terms) for j, terms in row] for c in range(0, width, n) for row in rows]
 
 
 def _prepend(rows, sub, acc):
@@ -339,10 +409,11 @@ def _prepend(rows, sub, acc):
     block of n places from c on, for x^a's ``rows`` from ``_blocks``:
     each column of n entries takes the step.
 
-    ``sub`` and ``acc`` are equal-length lists of dicts from words to
-    ints; ``acc`` is updated in place and may gain zero values.  Keys
-    only need ``+``: ``optimal._normal_step`` passes dicts keyed by
-    column and rows whose words are column offsets.
+    ``sub`` and ``acc`` are equal-length lists of dicts to ints, and
+    ``acc`` is updated in place and may gain zero values.  A row's terms
+    are (key, int) pairs, and a term's key v and a sub key u make the key
+    v + u: column offsets and columns (``_shifted``), or words (the
+    parser's products).
     """
     for out, row in zip(acc, rows):
         get = out.get
@@ -361,15 +432,17 @@ def _reduced(acc, p):
     return [{u: r for u, c in d.items() if (r := c % p)} for d in acc]
 
 
-def _poly(rule: CommRule, ints, scale) -> NCPoly:
-    """The polynomial of the rule's algebra whose terms ``ints`` maps
-    words to: scale times the coefficients over Q, residues over F_p
-    (``_walk``'s output), zeros dropped."""
-    if 0 in ints.values():
-        ints = {u: c for u, c in ints.items() if c}
+def _poly(rule: CommRule, graded, scale) -> NCPoly:
+    """The polynomial of the rule's algebra whose terms ``graded`` holds
+    as graded columns, scale times the coefficients over Q, residues over
+    F_p (``_walk``'s output), zeros dropped."""
+    n, value = rule.n, rule.field.values
+    terms = {}
+    for e, cols in graded.items():
+        cols = {c: x for c, x in cols.items() if x}
+        terms.update(zip([index_word(c, e, n) for c in cols], value(cols.values(), scale)))
     p = NCPoly.__new__(NCPoly)
-    p.n, p.field = rule.n, rule.field
-    p.terms = dict(zip(ints, rule.field.values(ints.values(), scale)))
+    p.n, p.field, p.terms = n, rule.field, terms
     return p
 
 

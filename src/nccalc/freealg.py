@@ -13,10 +13,10 @@ use that ordering.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product
+from math import gcd
 
-from .fields import QQ, FpElement
+from .fields import QQ
 
 Word = tuple
 
@@ -302,29 +302,110 @@ def default_names(n):
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-def _scalar_str(c) -> str:
-    if isinstance(c, FpElement):
-        return str(c.val)
-    return str(c)
+def graded_columns(terms, n):
+    """A map from words to values as graded columns, {degree: {column:
+    value}}, each word at its ``word_index`` among the n^e words of its
+    degree e.  The letters are read as base-n digits 1..n, and each
+    degree's offset from digits 0..n-1, 1 + n + ... + n^(e-1), is
+    computed once and taken off.  The letters are not checked."""
+    out = {}
+    offsets = {}
+    for w, x in terms.items():
+        c = 0
+        for a in w:
+            c = c * n + a
+        e = len(w)
+        cols = out.get(e)
+        if cols is None:
+            cols = out[e] = {}
+            offsets[e] = (n ** e - 1) // (n - 1) if n > 1 else e
+        cols[c - offsets[e]] = x
+    return out
 
 
-def _word_str(w: Word, names) -> str:
-    # collapse runs of a repeated letter into powers: (1,1,2) -> x1^2*x2
-    parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        run = j - i
-        parts.append(names[w[i] - 1] if run == 1 else f"{names[w[i] - 1]}^{run}")
-        i = j
-    return "*".join(parts)
+def format_columns(graded, scale, field, names) -> str:
+    """The canonical text of ``format_poly`` for the polynomial whose
+    terms of degree e ``graded[e]`` maps from their columns to ints:
+    scale times the coefficients over Q (scale positive), residues of
+    scale times them over F_p, zeros skipped.  ``names`` holds the n
+    generator names.
+
+    Terms come in (degree, column) order, which is ``word_key``'s; a
+    coefficient is the int over scale reduced by their gcd over Q, x
+    times scale's inverse mod p over F_p.  A word's text comes from that
+    of the word printed before it: the words of a degree come in column
+    order, so a word shares its longest prefix with any earlier word with
+    the last one, whose runs of letters per prefix length are kept.  Only
+    the letters after that prefix are read, last first, by a loop that
+    stops where the two columns agree.
+    """
+    n, p = len(names), field.p
+    inv = None if p is None else pow(scale, -1, p)
+    pieces = []
+    # per prefix length t of the last word: (its finished runs, its last
+    # letter - 1 and that letter's run); ``runs`` holds the last word's
+    # finished runs as text
+    path = [(0, -1, 0)]
+    runs = []
+    for e in sorted(graded):
+        cols = graded[e]
+        del path[1:], runs[:]
+        last = -1
+        for c in sorted(cols):
+            x = cols[c]
+            if p is None:
+                if not x:
+                    continue
+                neg = x < 0
+                num, den = -x if neg else x, scale
+                if den != 1:
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+            else:
+                num, den, neg = x * inv % p, 1, False
+                if not num:
+                    continue
+            mag = str(num) if den == 1 else f"{num}/{den}"
+            if e:
+                # the letters after the prefix shared with the last word
+                letters = []
+                t, now, before = e, c, last
+                while t and now != before:
+                    now, a = divmod(now, n)
+                    before //= n
+                    letters.append(a)
+                    t -= 1
+                last = c
+                k, letter, run = path[t]
+                del path[t + 1:], runs[k:]
+                for a in reversed(letters):
+                    if a == letter:
+                        run += 1
+                    else:
+                        if run:
+                            runs.append(names[letter] if run == 1
+                                        else f"{names[letter]}^{run}")
+                            k += 1
+                        letter, run = a, 1
+                    path.append((k, letter, run))
+                word = names[letter] if run == 1 else f"{names[letter]}^{run}"
+                if runs:
+                    word = "*".join(runs) + "*" + word
+                body = word if num == den else f"{mag}*{word}"
+            else:
+                body = mag
+            if pieces:
+                pieces.append(f"- {body}" if neg else f"+ {body}")
+            else:
+                pieces.append(f"-{body}" if neg else body)
+    return " ".join(pieces) if pieces else "0"
 
 
 def format_poly(p: NCPoly, names=None) -> str:
     """Canonical text form: terms by (degree, base-n position), '-' pulled out
     of negative rational coefficients, unit coefficients dropped.
+    Printed by ``format_columns`` from the field's ints of p's
+    coefficients.
 
     Parsing the output with the same generator names reproduces p exactly.
     """
@@ -332,19 +413,6 @@ def format_poly(p: NCPoly, names=None) -> str:
         return "0"
     if names is None:
         names = default_names(p.n)
-    pieces = []
-    for w in sorted(p.terms, key=word_key):
-        c = p.terms[w]
-        neg = isinstance(c, Fraction) and c < 0
-        mag = -c if neg else c
-        if not w:
-            body = _scalar_str(mag)
-        elif mag == 1:
-            body = _word_str(w, names)
-        else:
-            body = f"{_scalar_str(mag)}*{_word_str(w, names)}"
-        if not pieces:
-            pieces.append(f"-{body}" if neg else body)
-        else:
-            pieces.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(pieces)
+    ints, scale = p.field.ints(list(p.terms.values()))
+    return format_columns(graded_columns(dict(zip(p.terms, ints)), p.n), scale, p.field,
+                          names)

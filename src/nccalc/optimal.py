@@ -169,9 +169,10 @@ the rounds run on C alone: an entry lies in W exactly when its residual
 modulo L_s, its normal form by the basis with L_s's overlap elements
 joined, lies in C_t.  Each round either certifies closure or drops
 dim C_t, and I_s = L_s (+) C_t at the fixpoint.  The entries of A(c)
-come from ``commrule._walk`` on the ints of C_t's basis rows, which all
-carry C_t's den, so every entry has one scale.  C and its rounds live on
-the coordinates of N_s, one unknown per normal word: no degree builds a
+come from ``commrule._walk`` on the (column, int) entries of C_t's
+basis rows as they are, which all carry C_t's den, so every entry has
+one scale and is reduced on its columns.  C and its rounds live on the
+coordinates of N_s, one unknown per normal word: no degree builds a
 row or a subspace on more than its |N_s| normal words.
 
 L_s comes from the basis of degree s-1 with no elimination of its own.
@@ -265,8 +266,9 @@ at least half its n^S words, every degree is listed from tables: each
 degree d < S tabulates all n^d words, whose rows the steps of degree
 d+1 read, and degree S only the words of J_S's basis rows, so the top
 table follows the support of J_S, not n^S.  Otherwise every basis
-element is walked (``_row_residuals``) and no table is built.  Either
-way one loop (``_closure_violations``) reads each slice's int rows.
+element is walked on its columns (``_row_residuals``), and no word
+and no table is built.  Either way one loop (``_closure_violations``)
+reads each slice's int rows.
 The generators' own checks above, a handful of elements, take the walk
 too.
 
@@ -293,9 +295,9 @@ from functools import partial
 from itertools import chain, repeat
 from math import gcd
 
-from .commrule import (CommRule, NonHomogeneousRuleError, _blocks, _int_images, _int_terms,
-                       _prepend, _walk)
-from .freealg import NCPoly, format_poly, index_word, word_index
+from .commrule import (CommRule, NonHomogeneousRuleError, _int_images, _int_terms, _prepend,
+                       _shifted, _walk)
+from .freealg import NCPoly, default_names, format_columns, word_index
 from .groebner import PrefixForms, TruncatedBasis
 # the packed degrees read linalg's _PRIMES and _rref_mod as they are when
 # called
@@ -340,7 +342,7 @@ def _normal_step(rule: CommRule, space, known, words, derivatives):
     table, den = known
     width = n if derivatives else n * n
     # the table's entries, of D or of A, have degree space.degree - 1
-    shifted = _blocks(_shifted_images(rule, n ** (space.degree - 1)), width)
+    shifted = _shifted(rule, width, space.degree - 1)
     top = n ** (space.degree if derivatives else space.degree - 1)
     lead = 1 if p is not None else scale * den
     reduce = space._reduce_ints
@@ -352,7 +354,8 @@ def _normal_step(rule: CommRule, space, known, words, derivatives):
         acc = [{} for _ in range(width)]
         if derivatives:
             acc[a][w] = lead
-        _prepend(shifted[a], table[w], acc)
+        for _, rows in shifted[a]:
+            _prepend(rows, table[w], acc)
         out[col] = [reduce(d.items()) for d in acc]
     if p is not None:
         return out, 1
@@ -365,15 +368,6 @@ def _derivative_rows(table, words, top):
     at free column c sits at key k*top + c."""
     return [{k * top + c: x for k, d in enumerate(table[w]) for c, x in d.items()}
             for w in words]
-
-
-def _shifted_images(rule: CommRule, shift):
-    """A(x^a)'s entries with each x^b as the column offset (b-1)*shift of
-    x^b times a word of the degree below, as ``_blocks`` reads them:
-    entry a-1 holds the rows of x^a."""
-    images = _int_images(rule)[1]
-    return [[[(j, [((v[0] - 1) * shift, x) for v, x in entry]) for j, entry in row]
-             for row in image] for image in images]
 
 
 def _lowest_table(out, den):
@@ -509,13 +503,12 @@ def _row_residuals(rule: CommRule, row, d, within, below=None):
     int) entries of a vector, of degree d and d-1, to its residual, as
     ``Subspace._reduce_ints`` does.  One walk gives them, on a common
     multiple of their values (residues over F_p), as dicts from free
-    columns to ints; the words and columns are converted here."""
+    columns to ints; the walk keeps the columns, so each place holds one
+    degree."""
     n = rule.n
-    cols = _walk(rule, {index_word(c, d, n): x for c, x in row}, 1, True,
-                 below is not None)[0]
+    cols = _walk(rule, {d: dict(row)}, 1, True, below is not None)[0]
     steps = [(within, d)] * (n * n) + [(below, d - 1)] * (len(cols) - n * n)
-    return [reduce([(word_index(w, e, n), x) for w, x in col.items()])
-            for (reduce, e), col in zip(steps, cols)]
+    return [reduce(col[e].items() if e in col else ()) for (reduce, e), col in zip(steps, cols)]
 
 
 def _closed_complement(rule: CommRule, s, lower, words, space: Subspace):
@@ -832,8 +825,7 @@ def _int_row(rule: CommRule, g: NCPoly):
     and their den: den times g's coefficients over Q, its residues over
     F_p with den 1."""
     terms, den = _int_terms(rule, g)
-    d, n = g.degree(), rule.n
-    return [(word_index(w, d, n), x) for w, x in terms.items()], den
+    return list(terms[g.degree()].items()), den
 
 
 def _closure_violations(rule: CommRule, d: int, rows, below: Subspace,
@@ -846,9 +838,10 @@ def _closure_violations(rule: CommRule, d: int, rows, below: Subspace,
     The residuals come from one walk per element (``_row_residuals``),
     or, given the ``(Dbar, Abar)`` tables of degree d from
     ``_residual_tables``, from the int combinations of their entries.
-    Only an element that fails is made a polynomial, labelled with the
-    generator ``names`` (x1..xn by default)."""
-    n, field, value, p = rule.n, rule.field, rule.field.value, rule.field.p
+    Only an element that fails is printed, straight from its ints
+    (``freealg.format_columns``), with the generator ``names`` (x1..xn by
+    default)."""
+    n, field, p = rule.n, rule.field, rule.field.p
     # the checks in the order listed, each at its place among the
     # residuals: entry (k, i) of A at (i-1)*n + k-1, then the derivatives
     checks = ([(n * n + k - 1, ("partial", k)) for k in range(1, n + 1)]
@@ -865,8 +858,7 @@ def _closure_violations(rule: CommRule, d: int, rows, below: Subspace,
                    + [_combination(row, partials, k, p) for k in range(n)])
         failed = [check for e, check in checks if res[e]]
         if failed:
-            b = NCPoly(n, field, {index_word(c, d, n): value(v, den) for c, v in row})
-            label = format_poly(b, names)
+            label = format_columns({d: dict(row)}, den, field, names or default_names(n))
             violations += [Violation(d, label, *f) for f in failed]
     return violations
 

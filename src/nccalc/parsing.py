@@ -18,17 +18,22 @@ scalar parameters first, then to generator names.  Printing back through
 freealg.format_poly uses the canonical term order; parse(print(parse(text)))
 equals parse(text).
 
-The descent evaluates on plain ints, as ``commrule._walk`` does, and
-builds one ``NCPoly`` per parse, at the end.  Every atom, sum, product
-and power is a pair ``(terms, den)``: a dict from words to den times
-their coefficients over Q, or to their residues over F_p with den 1,
-never holding a zero.  A literal a/b is reduced by gcd(a, b) first, so
-over F_p only a reduced denominator divisible by p is refused; a
-parameter is converted when an atom names it.  Sums bring both sides to
-the lcm of their dens, products multiply the dens and take
-``commrule._prepend``'s step on one place, and x^e multiplies by x e
-times, as ``NCPoly.__pow__`` does.  The field's ``values`` turns the
-ints back into field elements once.
+The descent evaluates on plain ints, as the derivative walk
+(``commrule._walk``) does, and builds one ``NCPoly`` per parse, at the
+end.  Every atom, sum, product and power is a pair ``(terms, den)``: a
+dict from words to den times their coefficients over Q, or to their
+residues over F_p with den 1, never holding a zero.  A literal a/b is
+reduced by gcd(a, b) first, so over F_p only a reduced denominator
+divisible by p is refused; a parameter is converted when an atom names
+it.  Sums bring both sides to the lcm of their dens, products multiply
+the dens and take ``commrule._prepend``'s step on one place, and x^e
+multiplies by x e times, as ``NCPoly.__pow__`` does.  The field's
+``values`` turns the ints back into field elements once; ``derive`` and
+``diff`` take the ints themselves (``_parse_ints``).
+
+A product of a terms by b terms forms at most a*b, and more than
+``MAX_TERMS`` is refused before it is formed, with a ValueError that
+names the budget: (x1 + x2)^40 would hold 2^40 words.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ class ExprSyntaxError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+# the most terms one product may form, bounded by |a|*|b| before it is:
+# (x1 + x2)^16 is served, and (x1 + x2)^17 refused
+MAX_TERMS = 1 << 16
 
 # each level costs the recursive descent four stack frames
 MAX_NESTING = 100
@@ -121,7 +130,10 @@ def _sum(a, da, b, db, sign, p):
 
 def _product(a, da, b, db, p):
     """a*b on (terms, den) pairs: ``_prepend`` on one place, whose one
-    row pairs a's terms with b."""
+    row pairs a's terms with b.  Refused past ``MAX_TERMS``."""
+    if len(a) * len(b) > MAX_TERMS:
+        raise ValueError(f"expression too large: a product of {len(a)} by {len(b)} terms "
+                         f"exceeds the budget of {MAX_TERMS} terms")
     out = {}
     _prepend((((0, a.items()),),), (b,), (out,))
     if p:
@@ -254,19 +266,29 @@ class _Parser:
         self.fail("expected a number, a name, or a parenthesized expression", tok)
 
 
-def parse_expr(text: str, var_names, params=None, field=QQ) -> NCPoly:
-    """Parse an expression over the given generator names.
-
-    ``params`` maps names to scalars and shadows generator names during
-    lookup.  Raises ExprSyntaxError with line/column on any malformed
-    input, including zero denominators and unknown identifiers.
-    """
+def _parse_ints(text: str, var_names, params=None, field=QQ):
+    """The terms of the parsed expression on ints, as ``(terms, den)``:
+    a dict from words to den times their coefficients over Q, or to
+    their residues over F_p with den 1, never holding a zero.  Takes
+    and raises what ``parse_expr`` does."""
     var_names = list(var_names)
     var_map = {name: i + 1 for i, name in enumerate(var_names)}
     if len(var_map) != len(var_names):
         raise ValueError("generator names must be unique")
     tokens = _tokenize(text)
-    terms, den = _Parser(tokens, field, var_map, dict(params) if params else {}).parse()
+    return _Parser(tokens, field, var_map, dict(params) if params else {}).parse()
+
+
+def parse_expr(text: str, var_names, params=None, field=QQ) -> NCPoly:
+    """Parse an expression over the given generator names.
+
+    ``params`` maps names to scalars and shadows generator names during
+    lookup.  Raises ExprSyntaxError with line/column on any malformed
+    input, including zero denominators and unknown identifiers, and a
+    ValueError for a product past ``MAX_TERMS``.
+    """
+    var_names = list(var_names)
+    terms, den = _parse_ints(text, var_names, params, field)
     poly = NCPoly.__new__(NCPoly)
     poly.n, poly.field = len(var_names), field
     poly.terms = dict(zip(terms, field.values(terms.values(), den)))

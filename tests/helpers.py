@@ -13,8 +13,10 @@ Gauss-Jordan elimination mod p clears whole rows of reduced residues,
 the dense reduction walks whole echelon rows, the dense sum and ideal slice
 eliminate whole echelon rows in one ``rref``, the dense ideal
 component eliminates every product u*g*v in one ``rref``, the walked
-listing takes A and D of each basis element from its own first-letter
-walk, never from the residual tables, and the block filtration holds
+listing takes A and D of each basis element from the matrix homomorphism
+and the field-element trie pass, never from the walk on ints or the
+residual tables, the oracle printer sorts and spells every word from its
+own letters and field elements, and the block filtration holds
 every pivot row of each component and builds L_s by block elimination,
 never from a Gröbner basis or its normal forms, and the expression parser
 evaluates every atom, sum, product and power through ``NCPoly``'s own
@@ -36,8 +38,8 @@ from nccalc import (
     substitute_generators,
     word_partials,
 )
-from nccalc.commrule import _int_terms, _poly, _walk
-from nccalc.freealg import format_poly
+from nccalc.fields import FpElement
+from nccalc.freealg import default_names, word_key
 from nccalc.optimal import (Violation, _derivative_rows, _extend_slices, _ideal_generators,
                             _ideal_slice, _normal_step, _row_residuals, _unit_partials)
 from nccalc.parsing import MAX_NESTING, ExprSyntaxError
@@ -543,7 +545,7 @@ def dense_closure_violations(rule, d, elements, below, slice_d):
     ``Subspace.contains`` per polynomial."""
     out = []
     for b in elements:
-        label = str(b)
+        label = oracle_format_poly(b)
         for k, p in enumerate(field_partials(rule, b), 1):
             if p and not below.contains(p):
                 out.append(Violation(d, label, "partial", k))
@@ -576,9 +578,11 @@ def dense_consistent_ideal_violations(rule, generators, max_degree):
 
 
 def walk_listing_violations(rule, generators, max_degree, names=None):
-    """The violation listing of ``check_consistent_ideal`` by one
-    ``commrule._walk`` per basis polynomial of J_1..J_S, each column made
-    a polynomial and tested by ``Subspace.contains`` on the slices."""
+    """The violation listing of ``check_consistent_ideal`` with A and D of
+    each basis polynomial of J_1..J_S from ``matrix_apply`` and
+    ``field_partials``, tested by ``Subspace.contains`` on the slices and
+    labelled by ``oracle_format_poly``: no walk on ints, no residual
+    table and no int printer."""
     gens, n, field = _ideal_generators(generators, rule.n, rule.field)
     slices = [Subspace.zero(n, 0, field)]
     _extend_slices(slices, gens, max_degree)
@@ -586,15 +590,61 @@ def walk_listing_violations(rule, generators, max_degree, names=None):
     for d in range(1, max_degree + 1):
         below, within = slices[d - 1], slices[d]
         for b in within.basis_polys():
-            cols, scale = _walk(rule, *_int_terms(rule, b), True, True)
-            label = format_poly(b, names)
+            parts, image = field_partials(rule, b), matrix_apply(rule, b)
+            label = oracle_format_poly(b, names)
             violations += [Violation(d, label, "partial", k) for k in range(1, n + 1)
-                           if not below.contains(_poly(rule, cols[n * n + k - 1], scale))]
+                           if not below.contains(parts[k - 1])]
             violations += [Violation(d, label, "entry", k, i)
                            for k in range(1, n + 1) for i in range(1, n + 1)
-                           if not within.contains(_poly(rule, cols[(i - 1) * n + k - 1],
-                                                        scale))]
+                           if not within.contains(image.entry(k, i))]
     return tuple(violations)
+
+
+def _oracle_scalar_str(c) -> str:
+    if isinstance(c, FpElement):
+        return str(c.val)
+    return str(c)
+
+
+def _oracle_word_str(w, names) -> str:
+    # collapse runs of a repeated letter into powers: (1,1,2) -> x1^2*x2
+    parts = []
+    i = 0
+    while i < len(w):
+        j = i
+        while j < len(w) and w[j] == w[i]:
+            j += 1
+        run = j - i
+        parts.append(names[w[i] - 1] if run == 1 else f"{names[w[i] - 1]}^{run}")
+        i = j
+    return "*".join(parts)
+
+
+def oracle_format_poly(p, names=None) -> str:
+    """The canonical text of ``format_poly`` from the field elements
+    themselves: terms sorted by ``word_key``, each word's runs collapsed
+    by its own letter loop, the sign read off a negative ``Fraction``.
+    Independent of the int printer ``format_columns``."""
+    if not p.terms:
+        return "0"
+    if names is None:
+        names = default_names(p.n)
+    pieces = []
+    for w in sorted(p.terms, key=word_key):
+        c = p.terms[w]
+        neg = isinstance(c, Fraction) and c < 0
+        mag = -c if neg else c
+        if not w:
+            body = _oracle_scalar_str(mag)
+        elif mag == 1:
+            body = _oracle_word_str(w, names)
+        else:
+            body = f"{_oracle_scalar_str(mag)}*{_oracle_word_str(w, names)}"
+        if not pieces:
+            pieces.append(f"-{body}" if neg else body)
+        else:
+            pieces.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(pieces)
 
 
 def rule_over(rule, field):

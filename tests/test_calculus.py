@@ -451,23 +451,40 @@ def test_fractional_draws_match_rightmost_oracle(field):
 def test_one_walk_yields_images_and_derivatives(field):
     # the walk that carries A's columns and D's column together is the
     # triangular homomorphism f -> [[A(f), D(f)], [0, f]]: both halves
-    # against the oracles, on one scale, zero and constant polynomials
-    # included
+    # against the oracles, on one scale, from and to graded columns.
+    # Non-homogeneous rules (constant and degree-2 image terms) put
+    # several degrees in a place; mixed-degree, constant and zero
+    # polynomials included, and each half alone is the same walk's half
     rng = random.Random(9300 + (field.p or 0))
-    for n in (2, 2, 3):
-        rule = random_fraction_rule(rng, n, field)
+    rules = [random_fraction_rule(rng, n, field) for n in (2, 2, 3)]
+    rules += [_non_homogeneous_rule(field), build_example("thm4.1-I", field)]
+    for rule in rules:
+        n = rule.n
         polys = [NCPoly.zero(n, field),
                  NCPoly.constant(n, rand_proper_fraction(rng, field, nonzero=True), field)]
         polys += [random_fraction_poly(rng, n, 4 if n == 2 else 3, field) for _ in range(5)]
+        polys += [NCPoly.constant(n, rand_proper_fraction(rng, field, nonzero=True), field)
+                  + random_poly(rng, n, 5, field, min_deg=1) for _ in range(2)]
         for f in polys:
-            cols, scale = _walk(rule, *_int_terms(rule, f), True, True)
+            terms, den = _int_terms(rule, f)
+            assert {(e, index_word(c, e, n)) for e, cols in terms.items() for c in cols} \
+                == {(len(w), w) for w in f.terms}
+            cols, scale = _walk(rule, terms, den, True, True)
             assert len(cols) == n * n + n
+            for graded in cols:
+                assert all(0 <= c < n ** e for e, part in graded.items() for c in part)
             got = [_poly(rule, c, scale) for c in cols]
             want = matrix_apply(rule, f)
+            parts = field_partials(rule, f)
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
                     _same_terms(got[(i - 1) * n + k - 1], want.entry(k, i))
                 _same_terms(got[n * n + k - 1], partial_rightmost(rule, k, f))
+                assert got[n * n + k - 1] == parts[k - 1]
+            images, iscale = _walk(rule, terms, den, True, False)
+            assert [_poly(rule, c, iscale) for c in images] == got[:n * n]
+            partials, dscale = _walk(rule, terms, den, False, True)
+            assert [_poly(rule, c, dscale) for c in partials] == got[n * n:]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -15,8 +15,8 @@ from nccalc import (
     parse_expr,
     word_index,
 )
-from nccalc.freealg import dot
-from helpers import random_poly
+from nccalc.freealg import dot, format_columns, graded_columns
+from helpers import oracle_format_poly, random_poly
 
 
 def gens(n):
@@ -157,6 +157,69 @@ def test_custom_names():
     x1, x2 = gens(2)
     assert format_poly(x1 * x2, ["a", "b"]) == "a*b"
     assert default_names(2) == ("x1", "x2")
+
+
+def _printer_coefficient(rng, field):
+    # negative, fractional and unit values; over F_p no denominator that p divides
+    while True:
+        num, den = rng.choice((1, -1, rng.randint(-30, 30))), rng.randint(1, 7)
+        if num and (field.p is None or den % field.p):
+            return field.of(Fraction(num, den))
+
+
+def _printer_word(rng, n, length):
+    # runs of a repeated letter, such as x1^3, are common
+    w = []
+    while len(w) < length:
+        w += [rng.randint(1, n)] * rng.randint(1, 4)
+    return tuple(w[:length])
+
+
+def _printer_polys(rng, field):
+    """Seeded polynomials for the printer: mixed degrees with constants,
+    and 1,500-letter words that share prefixes of every length."""
+    for trial in range(150):
+        n = rng.choice((1, 2, 3))
+        terms = {}
+        if rng.random() < 0.5:
+            terms[()] = _printer_coefficient(rng, field)
+        for _ in range(rng.randint(0, 9)):
+            w = _printer_word(rng, n, rng.choice((1, 2, 3, 5, 8)))
+            terms[w] = _printer_coefficient(rng, field)
+        yield NCPoly(n, field, terms)
+    for n in (1, 2, 3):
+        base = _printer_word(rng, n, 1500)
+        words = {base, base[:1499] + (n,), base[:700] + base[701:] + (1,)}
+        for cut in sorted(rng.sample(range(1500), 12)):
+            words.add(base[:cut] + _printer_word(rng, n, 1500 - cut))
+        words.add(base[:800])
+        yield NCPoly(n, field, {w: _printer_coefficient(rng, field) for w in words})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)],
+                         ids=["Q", "Fp2", "Fp3", "Fp10007"])
+def test_printer_matches_the_oracle(field):
+    # format_poly and the int printer it adapts, against the field-element
+    # printer, with default and custom names; the int printer also on
+    # ints that carry a common factor, over F_p one prime to p, and zeros
+    rng = random.Random(5100 + (field.p or 0))
+    p = field.p
+    for poly in _printer_polys(rng, field):
+        n = poly.n
+        names = (default_names(n) if rng.random() < 0.5
+                 else tuple(rng.sample(["a", "b2", "zeta", "x_1", "Y"], n)))
+        want = oracle_format_poly(poly, names)
+        assert format_poly(poly, names) == want
+        assert format_poly(poly) == oracle_format_poly(poly)
+        ints, scale = field.ints(list(poly.terms.values()))
+        k = rng.choice([c for c in range(1, 8) if p is None or c % p])
+        graded = graded_columns({w: x * k if p is None else x * k % p
+                                 for w, x in zip(poly.terms, ints)}, n)
+        e = rng.randint(0, 3)
+        column = rng.randrange(n ** e)
+        if column not in graded.get(e, {}):
+            graded.setdefault(e, {})[column] = 0
+        assert format_columns(graded, scale * k, field, names) == want
 
 
 def test_algebra_handle():

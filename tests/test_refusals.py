@@ -1,12 +1,20 @@
 """Refusals of inputs the library cannot serve, each with its message,
 beside an input of the right form that answers."""
 
+import json
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+import nccalc
 from nccalc import (GF, QQ, FpElement, NCPoly, RuleFileError, Subspace, compute_U,
                     ideal_component, invert_matrix, is_regular, optimal_ideal, parse_rule_dict,
                     preimage)
-from nccalc.examples import build_example
+from nccalc.examples import build_example, example_document
+from nccalc.parsing import MAX_TERMS, ExprSyntaxError, parse_expr
 
 _X = ["x1", "x2"]
 _GRID = [[["x1", "0"], ["0", "x1"]], [["x2", "0"], ["0", "x2"]]]
@@ -121,3 +129,29 @@ def test_linear_algebra_shape_refusals():
     with pytest.raises(ValueError, match="^matrix is not square$"):
         invert_matrix([[1, 2], [3]], QQ)
     assert invert_matrix([[2]], QQ) == [[QQ.of(1) / 2]]
+
+
+def test_oversized_power_is_refused_before_it_is_formed(tmp_path):
+    # (x1 + x2)^40 would hold 2^40 words: the product past the term budget
+    # is refused before it is formed, with exit 2, the budget named and no
+    # traceback, in a fraction of a second (the unbounded expansion ran
+    # 16 s into a MemoryError); (x1 + x2)^16, at the budget, is served
+    assert MAX_TERMS == 65536
+    message = "expression too large: a product of 65536 by 2 terms exceeds the budget " \
+              "of 65536 terms"
+    with pytest.raises(ValueError, match=f"^{message}$") as caught:
+        parse_expr("(x1 + x2)^17", _X)
+    assert not isinstance(caught.value, ExprSyntaxError)
+    assert len(parse_expr("(x1 + x2)^16", _X).terms) == 65536
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps(example_document("thm4.1-I")))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nccalc.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "nccalc.cli", "derive", "--rule", str(rule),
+                           "--var", "1", "--expr", "(x1+x2)^40"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"nccalc: error: {message}\n")
+    assert elapsed < 10

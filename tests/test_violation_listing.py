@@ -9,7 +9,6 @@ import pytest
 from nccalc import GF, QQ, NCPoly, Subspace, check_consistent_ideal
 from nccalc.commrule import _poly, _walk
 from nccalc.examples import build_example, example_names
-from nccalc.freealg import index_word
 from nccalc.optimal import _extend_slices, _residual_tables
 from nccalc.parsing import parse_expr
 from nccalc.rulefile import parse_rule_dict
@@ -100,7 +99,7 @@ def test_table_rows_are_the_walked_columns_reduced(name, field):
         held[d] = set(images)
         below, within = slices[d - 1], slices[d]
         for col in images:
-            cols, scale = _walk(rule, {index_word(col, d, n): 1}, 1, True, True)
+            cols, scale = _walk(rule, {d: {col: 1}}, 1, True, True)
             for e, walked in enumerate(cols):
                 space, table, den = ((below, partials, pden) if e >= n * n
                                      else (within, images, aden))
